@@ -5,12 +5,13 @@ let create ?(capacity = 64) () =
 
 let length t = t.len
 
+let grow t =
+  let data = Array.make (2 * Array.length t.data) 0.0 in
+  Array.blit t.data 0 data 0 t.len;
+  t.data <- data
+
 let push t x =
-  if t.len = Array.length t.data then begin
-    let data = Array.make (2 * t.len) 0.0 in
-    Array.blit t.data 0 data 0 t.len;
-    t.data <- data
-  end;
+  if t.len = Array.length t.data then grow t;
   t.data.(t.len) <- x;
   t.len <- t.len + 1
 

@@ -15,18 +15,33 @@
    could be ordered either way by the event loop's (time, seq) tie-break,
    so the stage raises {!Tie} and the orchestrator falls back to the
    event loop for the whole run.  With continuous arrival and service
-   processes such ties essentially never occur. *)
+   processes such ties essentially never occur.
+
+   No allocation per packet: every float of the loop lives in a
+   floatarray or a float array read and written in place, and the
+   helpers that take or return floats are inlined.  A float passed to or
+   returned from another module's function would be boxed, since the
+   modules are compiled [-opaque]. *)
 
 exception Tie
 
 type t = {
   (* reusable storage, kept across runs via the scenario arena *)
-  regs : floatarray; (* 0 busy_until, 1 busy_time, 2 next_cross *)
+  regs : floatarray;
+      (* 0 busy_until, 1 busy_time, 2 next_cross (infinity without a
+         cross source) *)
   cross_buf : floatarray; (* pre-generated cross inter-arrival block *)
-  fin_t : Fring.t; (* pending transmit-finish times *)
-  fin_tag : Fring.t;
-  del_t : Fring.t; (* pending far-end deliveries (propagation > 0) *)
-  del_tag : Fring.t;
+  (* Every enqueued packet's (finish, tag) pair in send order: packet p
+     (counted from the run start) at slot 2 * (p land mask), its tag in
+     the slot after, with a power-of-two pair capacity.  Finishes leave
+     in send order, and so do the deliveries at finish +. propagation,
+     so one ring with two heads holds both pending trains: [fin, tail)
+     awaits its transmit finish, [del, tail) its far-end delivery
+     (propagation > 0; otherwise del follows fin). *)
+  mutable ring : floatarray;
+  mutable fin : int;
+  mutable del : int;
+  mutable tail : int;
   out_t : Fvec.t; (* this chunk's deliveries to the next stage *)
   out_tag : Fvec.t;
   trace : Tracebuf.t;
@@ -60,10 +75,10 @@ let create () =
   {
     regs = Float.Array.make 3 0.0;
     cross_buf = Float.Array.create cross_block;
-    fin_t = Fring.create ~capacity:64 ();
-    fin_tag = Fring.create ~capacity:64 ();
-    del_t = Fring.create ~capacity:64 ();
-    del_tag = Fring.create ~capacity:64 ();
+    ring = Float.Array.create 128;
+    fin = 0;
+    del = 0;
+    tail = 0;
     out_t = Fvec.create ~capacity:1024 ();
     out_tag = Fvec.create ~capacity:1024 ();
     trace = Tracebuf.create ();
@@ -88,6 +103,8 @@ let create () =
     events = 0;
   }
 
+let[@inline] slot t p = 2 * (p land ((Float.Array.length t.ring lsr 1) - 1))
+
 let refill t rng =
   Prng.Sampler.exponential_fill rng ~rate:t.cross_rate t.cross_buf
     ~n:cross_block;
@@ -105,11 +122,10 @@ let configure t ~bandwidth_bps ~propagation ~queue_limit ~packet_size
     ~cross ~in_t ~in_tag =
   Float.Array.set t.regs 0 0.0;
   Float.Array.set t.regs 1 0.0;
-  Float.Array.set t.regs 2 0.0;
-  Fring.clear t.fin_t;
-  Fring.clear t.fin_tag;
-  Fring.clear t.del_t;
-  Fring.clear t.del_tag;
+  Float.Array.set t.regs 2 infinity;
+  t.fin <- 0;
+  t.del <- 0;
+  t.tail <- 0;
   Fvec.clear t.out_t;
   Fvec.clear t.out_tag;
   Tracebuf.clear t.trace;
@@ -142,21 +158,24 @@ let configure t ~bandwidth_bps ~propagation ~queue_limit ~packet_size
       refill t rng;
       (* First arrival: clock (0.0) +. first draw, as Sim.every schedules
          it at source creation. *)
+      Float.Array.set t.regs 2 0.0;
       cross_next t rng
 
-let note_pend t =
-  let pend = Fring.length t.fin_t + Fring.length t.del_t in
-  if pend > t.max_pend then t.max_pend <- pend
+(* [Fvec.push], in place. *)
+let[@inline] append (v : Fvec.t) x =
+  if v.len = Array.length v.data then Fvec.grow v;
+  Array.unsafe_set v.data v.len x;
+  v.len <- v.len + 1
 
-let deliver t ~time ~tag =
+let[@inline] deliver t ~time ~tag =
   if tag = neg_infinity then t.diverted <- t.diverted + 1
   else begin
-    Fvec.push t.out_t time;
-    Fvec.push t.out_tag tag
+    append t.out_t time;
+    append t.out_tag tag
   end
 
 (* Replays [Link.send] at [now] for a packet with transmit time [tx]. *)
-let send t ~now ~tag ~tx =
+let[@inline] send t ~now ~tag ~tx =
   if t.depth >= t.qlimit then begin
     t.dropped <- t.dropped + 1;
     if Obs.Trace.enabled () then
@@ -175,13 +194,19 @@ let send t ~now ~tag ~tx =
     t.depth <- t.depth + 1;
     t.enqueued <- t.enqueued + 1;
     if t.depth > t.hwm then t.hwm <- t.depth;
-    Fring.push t.fin_t finish;
-    Fring.push t.fin_tag tag;
-    if t.propagation > 0.0 then begin
-      Fring.push t.del_t (finish +. t.propagation);
-      Fring.push t.del_tag tag
-    end;
-    note_pend t
+    (* Full ring: doubling it by appending a copy keeps every pending
+       packet p at slot p land mask under the doubled mask too. *)
+    if t.tail - t.del = Float.Array.length t.ring lsr 1 then
+      t.ring <- Float.Array.append t.ring t.ring;
+    let s = slot t t.tail in
+    Float.Array.unsafe_set t.ring s finish;
+    Float.Array.unsafe_set t.ring (s + 1) tag;
+    t.tail <- t.tail + 1;
+    let pend =
+      if t.propagation > 0.0 then (2 * t.tail) - t.fin - t.del
+      else t.tail - t.fin
+    in
+    if pend > t.max_pend then t.max_pend <- pend
   end
 
 let advance t ~until =
@@ -189,19 +214,23 @@ let advance t ~until =
   Fvec.clear t.out_t;
   Fvec.clear t.out_tag;
   t.in_idx <- 0;
-  let n_in = Fvec.length t.in_t in
+  let n_in = t.in_t.len in
   let continue = ref true in
   while !continue do
     let tin =
-      if t.in_idx < n_in then Fvec.unsafe_get t.in_t t.in_idx else infinity
+      if t.in_idx < n_in then Array.unsafe_get t.in_t.data t.in_idx
+      else infinity
     in
-    let tc =
-      match t.rng_cross with
-      | Some _ -> Float.Array.get t.regs 2
-      | None -> infinity
+    let tc = Float.Array.get t.regs 2 in
+    let tf =
+      if t.fin < t.tail then Float.Array.unsafe_get t.ring (slot t t.fin)
+      else infinity
     in
-    let tf = if Fring.is_empty t.fin_t then infinity else Fring.peek t.fin_t in
-    let td = if Fring.is_empty t.del_t then infinity else Fring.peek t.del_t in
+    let td =
+      if t.propagation > 0.0 && t.del < t.tail then
+        Float.Array.unsafe_get t.ring (slot t t.del) +. t.propagation
+      else infinity
+    in
     let m = Float.min (Float.min tin tc) (Float.min tf td) in
     if m > until then continue := false
     else begin
@@ -214,17 +243,20 @@ let advance t ~until =
       then raise Tie;
       if tf = m then begin
         (* transmit-finish event *)
-        ignore (Fring.pop t.fin_t : float);
-        let tag = Fring.pop t.fin_tag in
+        let tag = Float.Array.unsafe_get t.ring (slot t t.fin + 1) in
+        t.fin <- t.fin + 1;
         t.depth <- t.depth - 1;
         t.sent <- t.sent + 1;
         t.events <- t.events + 1;
-        if t.propagation = 0.0 then deliver t ~time:m ~tag
+        if t.propagation = 0.0 then begin
+          t.del <- t.fin;
+          deliver t ~time:m ~tag
+        end
       end
       else if td = m then begin
         (* far-end delivery event (propagation > 0) *)
-        ignore (Fring.pop t.del_t : float);
-        let tag = Fring.pop t.del_tag in
+        let tag = Float.Array.unsafe_get t.ring (slot t t.del + 1) in
+        t.del <- t.del + 1;
         t.events <- t.events + 1;
         deliver t ~time:m ~tag
       end
@@ -238,7 +270,7 @@ let advance t ~until =
       end
       else begin
         (* padded send handed down within the upstream stage's event *)
-        let tag = Fvec.unsafe_get t.in_tag t.in_idx in
+        let tag = Array.unsafe_get t.in_tag.data t.in_idx in
         t.in_idx <- t.in_idx + 1;
         send t ~now:m ~tag ~tx:t.tx_padded
       end

@@ -8,8 +8,14 @@
     accumulation, same drop decisions, same counters.  Packets are
     (time, tag) float pairs: payload tag = creation time, dummy = NaN,
     cross = -inf; cross packets are diverted at the link exit exactly as
-    the router does.  Scratch is reusable across runs and the
-    steady-state loop performs no allocation. *)
+    the router does.  Scratch is reusable across runs.  With tracing
+    off, {!advance} allocates nothing per packet once its buffers have
+    grown to the working size: the pending trains live in one in-module
+    floatarray, the upstream and output {!Fvec}s are read and appended
+    in place, and no float crosses a module boundary (where it would be
+    boxed, since modules are compiled [-opaque]).  [test/test_kernel.ml]
+    asserts 0 words per enqueue.  With tracing on, each drop appends a
+    deferred trace record. *)
 
 exception Tie
 (** An exact time tie between two distinct pending streams — ordered by

@@ -19,17 +19,35 @@
    no tie handling: an emission at the same instant as a fire was pushed
    before that fire's queue record (emit before fire), and relative
    order against an arrival is unobservable (disjoint state, no trace
-   record on either side). *)
+   record on either side).
+
+   No allocation per event on the kernel's own path: every float of the
+   loop lives in a floatarray or a float array read and written in place,
+   and [on_fire] is inlined.  What remains is boxing inside the timer and
+   jitter draws, which live in other modules: a float passed to or
+   returned from another module's function is boxed, since the modules
+   are compiled [-opaque]. *)
 
 exception Tie
 
 type t = {
   regs : floatarray; (* 0 next_arrival, 1 next_fire, 2 last_emit *)
   arr_buf : floatarray; (* pre-generated payload inter-arrival block *)
-  queue : Netsim.Fring.t; (* queued payload creation times *)
-  window : Netsim.Fring.t; (* arrivals in the IRQ blocking window *)
-  pend_t : Netsim.Fring.t; (* pending emissions awaiting their latency *)
-  pend_tag : Netsim.Fring.t;
+  (* Payload arrival times in arrival order: arrival p (counted from the
+     run start) at slot p land mask, with a power-of-two capacity.  The
+     gateway queue and the IRQ blocking window both drop arrivals from
+     the front only, so one ring with two heads holds both: [queue, tail)
+     is the queued payload, [window, tail) the arrivals still in the
+     blocking window. *)
+  mutable arrivals : floatarray;
+  mutable queue : int;
+  mutable window : int;
+  mutable tail : int;
+  (* Pending emissions awaiting their latency: (emit time, tag) pair p at
+     slot 2 * (p land mask), the tag in the slot after. *)
+  mutable pend : floatarray;
+  mutable pend_head : int;
+  mutable pend_tail : int;
   occ : Netsim.Fvec.t; (* queue-occupancy histogram observations *)
   out_t : Netsim.Fvec.t; (* this chunk's emissions *)
   out_tag : Netsim.Fvec.t;
@@ -56,10 +74,13 @@ let create () =
   {
     regs = Float.Array.make 3 0.0;
     arr_buf = Float.Array.create arrival_block;
-    queue = Netsim.Fring.create ~capacity:64 ();
-    window = Netsim.Fring.create ~capacity:64 ();
-    pend_t = Netsim.Fring.create ~capacity:64 ();
-    pend_tag = Netsim.Fring.create ~capacity:64 ();
+    arrivals = Float.Array.create 64;
+    queue = 0;
+    window = 0;
+    tail = 0;
+    pend = Float.Array.create 128;
+    pend_head = 0;
+    pend_tail = 0;
     occ = Netsim.Fvec.create ~capacity:1024 ();
     out_t = Netsim.Fvec.create ~capacity:1024 ();
     out_tag = Netsim.Fvec.create ~capacity:1024 ();
@@ -79,6 +100,12 @@ let create () =
     events = 0;
   }
 
+let[@inline] arrival_at t p =
+  Float.Array.unsafe_get t.arrivals (p land (Float.Array.length t.arrivals - 1))
+
+let[@inline] pend_slot t p =
+  2 * (p land ((Float.Array.length t.pend lsr 1) - 1))
+
 let refill t =
   Prng.Sampler.exponential_fill t.rng_payload ~rate:t.payload_rate t.arr_buf
     ~n:arrival_block;
@@ -94,10 +121,11 @@ let arrival_next t =
 
 let configure t ~rng_payload ~rng_gateway ~timer ~jitter ~packet_size
     ~payload_rate =
-  Netsim.Fring.clear t.queue;
-  Netsim.Fring.clear t.window;
-  Netsim.Fring.clear t.pend_t;
-  Netsim.Fring.clear t.pend_tag;
+  t.queue <- 0;
+  t.window <- 0;
+  t.tail <- 0;
+  t.pend_head <- 0;
+  t.pend_tail <- 0;
   Netsim.Fvec.clear t.occ;
   Netsim.Fvec.clear t.out_t;
   Netsim.Fvec.clear t.out_tag;
@@ -122,23 +150,43 @@ let configure t ~rng_payload ~rng_gateway ~timer ~jitter ~packet_size
   Float.Array.set t.regs 1 (0.0 +. Timer.draw timer rng_gateway);
   Float.Array.set t.regs 2 0.0 (* last_emit <- Sim.now at create *)
 
-let note_pend t =
-  let pend = Netsim.Fring.length t.pend_t in
+(* [Netsim.Fvec.push], in place. *)
+let[@inline] append (v : Netsim.Fvec.t) x =
+  if v.len = Array.length v.data then Netsim.Fvec.grow v;
+  Array.unsafe_set v.data v.len x;
+  v.len <- v.len + 1
+
+(* A full ring doubles by appending a copy of itself: every live
+   position p keeps its contents at slot p land mask under the doubled
+   mask too. *)
+let[@inline] push_arrival t ta =
+  if t.tail - Int.min t.queue t.window = Float.Array.length t.arrivals then
+    t.arrivals <- Float.Array.append t.arrivals t.arrivals;
+  Float.Array.unsafe_set t.arrivals
+    (t.tail land (Float.Array.length t.arrivals - 1))
+    ta;
+  t.tail <- t.tail + 1
+
+let[@inline] push_pending t ~emit_time ~tag =
+  if t.pend_tail - t.pend_head = Float.Array.length t.pend lsr 1 then
+    t.pend <- Float.Array.append t.pend t.pend;
+  let s = pend_slot t t.pend_tail in
+  Float.Array.unsafe_set t.pend s emit_time;
+  Float.Array.unsafe_set t.pend (s + 1) tag;
+  t.pend_tail <- t.pend_tail + 1;
+  let pend = t.pend_tail - t.pend_head in
   if pend > t.max_pend then t.max_pend <- pend
 
 (* Replays [Gateway.on_fire] at fire time [now]. *)
-let on_fire t ~now =
+let[@inline] on_fire t ~now =
   t.fires <- t.fires + 1;
-  Netsim.Fvec.push t.occ (float_of_int (Netsim.Fring.length t.queue));
+  append t.occ (float_of_int (t.tail - t.queue));
   let window_start = now -. Jitter.irq_window in
-  while
-    (not (Netsim.Fring.is_empty t.window))
-    && Netsim.Fring.peek t.window < window_start
-  do
-    ignore (Netsim.Fring.pop t.window : float)
+  while t.window < t.tail && arrival_at t t.window < window_start do
+    t.window <- t.window + 1
   done;
-  let arrivals_in_window = Netsim.Fring.length t.window in
-  let sends_payload = not (Netsim.Fring.is_empty t.queue) in
+  let arrivals_in_window = t.tail - t.window in
+  let sends_payload = t.queue < t.tail in
   let latency =
     Jitter.latency_at t.jitter t.rng_gateway ~sends_payload ~arrivals_in_window
   in
@@ -149,7 +197,9 @@ let on_fire t ~now =
   let tag =
     if sends_payload then begin
       t.payload_sent <- t.payload_sent + 1;
-      Netsim.Fring.pop t.queue
+      let created = arrival_at t t.queue in
+      t.queue <- t.queue + 1;
+      created
     end
     else begin
       t.dummy_sent <- t.dummy_sent + 1;
@@ -158,7 +208,7 @@ let on_fire t ~now =
   in
   if Obs.Trace.enabled () then begin
     Netsim.Tracebuf.push t.trace ~key:now ~code:Netsim.Tracebuf.timer_fire
-      ~x:(float_of_int (Netsim.Fring.length t.queue))
+      ~x:(float_of_int (t.tail - t.queue))
       ~y:0.0;
     Netsim.Tracebuf.push t.trace ~key:now
       ~code:
@@ -166,9 +216,7 @@ let on_fire t ~now =
          else Netsim.Tracebuf.sent_dummy)
       ~x:(float_of_int t.packet_size) ~y:emit_time
   end;
-  Netsim.Fring.push t.pend_t emit_time;
-  Netsim.Fring.push t.pend_tag tag;
-  note_pend t;
+  push_pending t ~emit_time ~tag;
   (* Sim.every: the fire body runs before the next interval is drawn. *)
   Float.Array.set t.regs 1 (now +. Timer.draw t.timer t.rng_gateway)
 
@@ -181,26 +229,26 @@ let advance t ~until =
     let ta = Float.Array.get t.regs 0 in
     let tf = Float.Array.get t.regs 1 in
     let te =
-      if Netsim.Fring.is_empty t.pend_t then infinity
-      else Netsim.Fring.peek t.pend_t
+      if t.pend_head < t.pend_tail then
+        Float.Array.unsafe_get t.pend (pend_slot t t.pend_head)
+      else infinity
     in
     let m = Float.min (Float.min ta tf) te in
     if m > until then continue := false
     else if ta = m && ta = tf then raise Tie
     else if te = m then begin
       (* emission event: the packet leaves for the first hop *)
-      ignore (Netsim.Fring.pop t.pend_t : float);
-      let tag = Netsim.Fring.pop t.pend_tag in
+      let tag = Float.Array.unsafe_get t.pend (pend_slot t t.pend_head + 1) in
+      t.pend_head <- t.pend_head + 1;
       t.events <- t.events + 1;
-      Netsim.Fvec.push t.out_t te;
-      Netsim.Fvec.push t.out_tag tag
+      append t.out_t te;
+      append t.out_tag tag
     end
     else if ta < tf then begin
       (* payload arrival event: source emit + Gateway.input *)
       t.events <- t.events + 1;
       t.generated <- t.generated + 1;
-      Netsim.Fring.push t.window ta;
-      Netsim.Fring.push t.queue ta;
+      push_arrival t ta;
       arrival_next t
     end
     else begin

@@ -6,8 +6,12 @@
     contract is exact equivalence with the event-loop gateway: same RNG
     draws in the same order, bit-identical emission times, occupancy
     observations and counters.  Scratch state is reusable across runs
-    (arena-backed via [Scenarios.Arena]); the steady-state batch loop
-    performs no allocation.
+    (arena-backed via [Scenarios.Arena]).  The loop's own work
+    (arrivals, fires, emissions, occupancy observations) allocates
+    nothing once its buffers have grown; the timer and jitter draws,
+    which live in other modules, return boxed floats, so a fire costs
+    up to the per-fire ceiling that [test/test_kernel.ml] asserts
+    (0 words for CIT without jitter).
 
     Stream encoding shared with [Netsim.Linkstage]: an emission is a
     (time, tag) float pair where a payload's tag is its creation time

@@ -1,4 +1,11 @@
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+(* The four xoshiro256++ state words s0..s3, at byte offsets 0, 8, 16
+   and 24.  Read and written through the unboxed bytes primitives: a
+   [mutable int64] record field would box a fresh int64 on every store,
+   six per step. *)
+type t = Bytes.t
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 (* SplitMix64 step: used to expand the seed into the four xoshiro words and
    to derive split children.  Constants from Steele, Lea & Flood (2014). *)
@@ -11,50 +18,71 @@ let splitmix_next state =
   logxor z (shift_right_logical z 31)
 
 let of_sm64 state =
-  let s0 = splitmix_next state in
-  let s1 = splitmix_next state in
-  let s2 = splitmix_next state in
-  let s3 = splitmix_next state in
+  let t = Bytes.create 32 in
   (* xoshiro must not be seeded with the all-zero state; SplitMix64 cannot
      produce four zero outputs in a row, so this is safe by construction. *)
-  { s0; s1; s2; s3 }
+  set64 t 0 (splitmix_next state);
+  set64 t 8 (splitmix_next state);
+  set64 t 16 (splitmix_next state);
+  set64 t 24 (splitmix_next state);
+  t
 
 let create ~seed =
   let state = ref (Int64.of_int seed) in
   of_sm64 state
 
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
+let copy = Bytes.copy
 
-let rotl x k =
+let[@inline] rotl x k =
   Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-let bits64 t =
+(* One xoshiro256++ step.  Inlined into every draw below, so the state
+   words and the result stay in registers as unboxed int64. *)
+let[@inline] next t =
   let open Int64 in
-  let result = add (rotl (add t.s0 t.s3) 23) t.s0 in
-  let tmp = shift_left t.s1 17 in
-  t.s2 <- logxor t.s2 t.s0;
-  t.s3 <- logxor t.s3 t.s1;
-  t.s1 <- logxor t.s1 t.s2;
-  t.s0 <- logxor t.s0 t.s3;
-  t.s2 <- logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+  let s0 = get64 t 0 and s1 = get64 t 8 in
+  let s2 = get64 t 16 and s3 = get64 t 24 in
+  let result = add (rotl (add s0 s3) 23) s0 in
+  let tmp = shift_left s1 17 in
+  let s2 = logxor s2 s0 in
+  let s3 = logxor s3 s1 in
+  let s1 = logxor s1 s2 in
+  let s0 = logxor s0 s3 in
+  set64 t 0 s0;
+  set64 t 8 s1;
+  set64 t 16 (logxor s2 tmp);
+  set64 t 24 (rotl s3 45);
   result
 
+let bits64 t = next t
+
 let split t =
-  let state = ref (bits64 t) in
+  let state = ref (next t) in
   of_sm64 state
 
-let float t =
-  (* 53 high bits -> [0,1) *)
-  let bits = Int64.shift_right_logical (bits64 t) 11 in
-  Int64.to_float bits *. 0x1.0p-53
+(* The 53 high bits of one step, exact in an OCaml int (and in a float). *)
+let[@inline] bits53 t = Int64.to_int (Int64.shift_right_logical (next t) 11)
 
-let rec float_pos t =
-  let u = float t in
-  if u > 0.0 then u else float_pos t
+let[@inline] float t = float_of_int (bits53 t) *. 0x1.0p-53
+
+(* Redraw on zero: the same draws as retrying [float] until it is > 0. *)
+let[@inline] float_pos t =
+  let b = ref (bits53 t) in
+  while !b = 0 do
+    b := bits53 t
+  done;
+  float_of_int !b *. 0x1.0p-53
+
+let float_pos_fill t buf ~n =
+  if n < 0 || n > Float.Array.length buf then
+    invalid_arg "Rng.float_pos_fill: n out of [0, length buf]";
+  for i = 0 to n - 1 do
+    Float.Array.unsafe_set buf i (float_pos t)
+  done
 
 let float_range t ~lo ~hi =
-  assert (lo <= hi);
+  (* [not (lo <= hi)] rather than [lo > hi]: NaN must not slip through. *)
+  if not (lo <= hi) then invalid_arg "Rng.float_range: requires lo <= hi";
   lo +. ((hi -. lo) *. float t)
 
 (* Rejection sampling on the top bits to avoid modulo bias.  Top-level
@@ -62,7 +90,7 @@ let float_range t ~lo ~hi =
    per-arrival hot path pays no closure allocation — [Rng.int] sits in
    the A001 closure of [Mux.handle_arrival]. *)
 let rec reject_draw t ~limit ~bound64 =
-  let v = Int64.shift_right_logical (bits64 t) 1 in
+  let v = Int64.shift_right_logical (next t) 1 in
   if v >= limit then reject_draw t ~limit ~bound64
   else Int64.to_int (Int64.rem v bound64)
 
@@ -73,7 +101,7 @@ let int t ~bound =
   let limit = Int64.sub max64 (Int64.rem max64 bound64) in
   reject_draw t ~limit ~bound64
 
-let bool t = Int64.compare (Int64.logand (bits64 t) 1L) 0L <> 0
+let bool t = Int64.compare (Int64.logand (next t) 1L) 0L <> 0
 
 let mix_seed root index =
   (* Two SplitMix64 steps with the index folded in between: a pure,

@@ -10,7 +10,8 @@
     per traffic source) without sharing state. *)
 
 type t
-(** Mutable generator state. *)
+(** Mutable generator state: four 64-bit words, stepped in place without
+    allocation. *)
 
 val create : seed:int -> t
 (** [create ~seed] builds a generator from a 63-bit seed.  Equal seeds give
@@ -32,8 +33,16 @@ val float : t -> float
 val float_pos : t -> float
 (** Uniform float in (0, 1): never returns 0, safe for [log]. *)
 
+val float_pos_fill : t -> floatarray -> n:int -> unit
+(** [float_pos_fill t buf ~n] stores [n] successive {!float_pos} draws in
+    [buf.(0) .. buf.(n-1)], bit-identical to the scalar calls and in the
+    same order.  The loop runs inside this module, so no draw is boxed:
+    the batched path behind {!Sampler.exponential_fill}.  Raises
+    [Invalid_argument] unless [0 <= n <= length buf]. *)
+
 val float_range : t -> lo:float -> hi:float -> float
-(** Uniform in [lo, hi). Requires [lo <= hi]. *)
+(** Uniform in [lo, hi).  Raises [Invalid_argument] unless [lo <= hi],
+    which also rejects a NaN bound. *)
 
 val int : t -> bound:int -> int
 (** Uniform integer in [0, bound). Requires [bound > 0]. Unbiased. *)

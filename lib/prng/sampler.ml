@@ -11,7 +11,9 @@ let rec standard_normal rng =
   else u *. sqrt (-2.0 *. log s /. s)
 
 let normal rng ~mu ~sigma =
-  if sigma < 0.0 then invalid_arg "Sampler.normal: sigma < 0";
+  (* [not (sigma >= 0)] rather than [sigma < 0]: NaN must not slip through. *)
+  if not (sigma >= 0.0) then invalid_arg "Sampler.normal: sigma < 0";
+  if Float.is_nan mu then invalid_arg "Sampler.normal: mu is NaN";
   if sigma = 0.0 then mu else mu +. (sigma *. standard_normal rng)
 
 (* For mu/sigma >= ~1e-2 plain rejection terminates fast; the fuse guards
@@ -25,8 +27,9 @@ let rec truncated_draw rng ~mu ~sigma attempts =
     if x > 0.0 then x else truncated_draw rng ~mu ~sigma (attempts + 1)
 
 let truncated_normal_pos rng ~mu ~sigma =
-  if mu <= 0.0 then invalid_arg "Sampler.truncated_normal_pos: mu <= 0";
-  if sigma < 0.0 then invalid_arg "Sampler.truncated_normal_pos: sigma < 0";
+  if not (mu > 0.0) then invalid_arg "Sampler.truncated_normal_pos: mu <= 0";
+  if not (sigma >= 0.0) then
+    invalid_arg "Sampler.truncated_normal_pos: sigma < 0";
   if sigma = 0.0 then mu else truncated_draw rng ~mu ~sigma 0
 
 let exponential rng ~rate =
@@ -40,19 +43,23 @@ let exponential_fill rng ~rate buf ~n =
     invalid_arg "Sampler.exponential_fill: zero-length buffer";
   if n < 1 || n > Float.Array.length buf then
     invalid_arg "Sampler.exponential_fill: n out of [1, length buf]";
-  (* Same expression as [exponential], minus the per-draw validation: the
-     filled buffer is bit-identical to n scalar calls on the same rng. *)
+  (* The uniforms first, then [exponential]'s expression in place, minus
+     the per-draw validation: the filled buffer is bit-identical to n
+     scalar calls on the same rng, and no draw crosses a module boundary
+     as a boxed float. *)
+  Rng.float_pos_fill rng buf ~n;
   for i = 0 to n - 1 do
-    Float.Array.unsafe_set buf i (-.log (Rng.float_pos rng) /. rate)
+    Float.Array.unsafe_set buf i (-.log (Float.Array.unsafe_get buf i) /. rate)
   done
 
 let pareto rng ~shape ~scale =
-  if shape <= 0.0 then invalid_arg "Sampler.pareto: shape <= 0";
-  if scale <= 0.0 then invalid_arg "Sampler.pareto: scale <= 0";
+  if not (shape > 0.0) then invalid_arg "Sampler.pareto: shape <= 0";
+  if not (scale > 0.0) then invalid_arg "Sampler.pareto: scale <= 0";
   scale /. (Rng.float_pos rng ** (1.0 /. shape))
 
 let poisson rng ~mean =
-  if mean < 0.0 then invalid_arg "Sampler.poisson: mean < 0";
+  (* A NaN mean would never end the multiplication loop below. *)
+  if not (mean >= 0.0) then invalid_arg "Sampler.poisson: mean < 0";
   if mean = 0.0 then 0
   else if mean > 60.0 then
     (* Normal approximation; adequate for the cross-traffic batch sizes
@@ -79,12 +86,14 @@ let geometric rng ~p =
     int_of_float (Float.floor (log u /. log (1.0 -. p)))
 
 let bernoulli rng ~p =
-  if p < 0.0 || p > 1.0 then invalid_arg "Sampler.bernoulli: p out of [0,1]";
+  if not (p >= 0.0 && p <= 1.0) then
+    invalid_arg "Sampler.bernoulli: p out of [0,1]";
   Rng.float rng < p
 
 let categorical rng ~weights =
   let total = Array.fold_left (fun acc w ->
-      if w < 0.0 then invalid_arg "Sampler.categorical: negative weight";
+      if not (w >= 0.0) then
+        invalid_arg "Sampler.categorical: negative or NaN weight";
       acc +. w) 0.0 weights
   in
   if total <= 0.0 then invalid_arg "Sampler.categorical: no positive weight";

@@ -101,6 +101,102 @@ let test_geometric_boundary () =
   expect_invalid (fun () -> Prng.Sampler.geometric rng ~p:0.0);
   expect_invalid (fun () -> Prng.Sampler.geometric rng ~p:1.0000001)
 
+(* --- allocation ceilings on the fused paths ---
+
+   The A001 lint sees closures, literals and polymorphic compares, but
+   not boxing: a store into a [mutable int64] field, or a float passed to
+   or returned from another module's function (modules are compiled
+   [-opaque]).  These ceilings measure it.  Every [until] is boxed before
+   the measured window opens, and each window covers one call only. *)
+
+let minor_words_per_call f args =
+  let rec go words = function
+    | [] -> words
+    | x :: rest ->
+        let w0 = Gc.minor_words () in
+        f x;
+        go (words +. (Gc.minor_words () -. w0)) rest
+  in
+  go 0.0 args
+
+let chunk_ends n = List.init n (fun k -> float_of_int (k + 1) *. 0.1)
+
+let test_alloc_exponential_fill () =
+  let rng = Prng.Rng.create ~seed:1 in
+  let buf = Float.Array.create 256 in
+  let words =
+    minor_words_per_call
+      (fun rate -> Prng.Sampler.exponential_fill rng ~rate buf ~n:256)
+      (List.init 400 (fun k -> 100.0 +. float_of_int k))
+  in
+  if words > 0.0 then
+    Alcotest.failf "exponential_fill: %g words per draw (want 0)"
+      (words /. (400.0 *. 256.0))
+
+let test_alloc_linkstage () =
+  (* One hop at utilisation 0.8 from Poisson cross traffic alone, with
+     and without propagation delay; tracing off.  A first run grows the
+     ring to its working size. *)
+  let st = Netsim.Linkstage.create () in
+  let empty = Netsim.Fvec.create () in
+  let run ~propagation chunks =
+    Netsim.Linkstage.configure st ~bandwidth_bps:1e6 ~propagation
+      ~queue_limit:None ~packet_size:500
+      ~cross:(Some (Prng.Rng.create ~seed:3, 250.0, 400))
+      ~in_t:empty ~in_tag:empty;
+    minor_words_per_call
+      (fun until -> Netsim.Linkstage.advance st ~until)
+      (chunk_ends chunks)
+  in
+  List.iter
+    (fun propagation ->
+      ignore (run ~propagation 2000 : float);
+      let words = run ~propagation 1000 in
+      let enq = Netsim.Linkstage.enqueued st in
+      Alcotest.(check bool) "heavy cross traffic" true (enq > 20_000);
+      if words > 0.0 then
+        Alcotest.failf "Linkstage.advance (propagation %g): %g words per \
+                        enqueue (want 0)"
+          propagation
+          (words /. float_of_int enq))
+    [ 0.0; 0.002 ]
+
+let test_alloc_kernel () =
+  (* The kernel's own loop (arrivals, fires, emissions) allocates
+     nothing: CIT without jitter draws nothing per fire.  With the
+     mechanistic jitter, and a VIT normal timer on top, the draws inside
+     [Jitter], [Timer] and [Sampler] return boxed floats; the stated
+     ceiling is 32 words per fire. *)
+  let kgw = Padding.Kernel.create () in
+  let run ~timer ~jitter chunks =
+    Padding.Kernel.configure kgw ~rng_payload:(Prng.Rng.create ~seed:1)
+      ~rng_gateway:(Prng.Rng.create ~seed:2) ~timer ~jitter ~packet_size:500
+      ~payload_rate:50.0;
+    minor_words_per_call
+      (fun until -> Padding.Kernel.advance kgw ~until)
+      (chunk_ends chunks)
+  in
+  List.iter
+    (fun (name, timer, jitter, ceiling) ->
+      ignore (run ~timer ~jitter 2000 : float);
+      let per_fire =
+        run ~timer ~jitter 1000 /. float_of_int (Padding.Kernel.fires kgw)
+      in
+      if per_fire > ceiling then
+        Alcotest.failf "Kernel.advance (%s): %g words per fire (want <= %g)"
+          name per_fire ceiling)
+    [
+      ("CIT, no jitter", Padding.Timer.Constant 0.010, Padding.Jitter.none, 0.0);
+      ( "CIT, mechanistic jitter",
+        Padding.Timer.Constant 0.010,
+        Padding.Jitter.mechanistic (),
+        32.0 );
+      ( "VIT normal, mechanistic jitter",
+        Padding.Timer.Normal { mean = 0.010; sigma = 0.002 },
+        Padding.Jitter.mechanistic (),
+        32.0 );
+    ]
+
 (* --- the differential suite --- *)
 
 let hop ?(bw = 1_000_000.0) ?(prop = 0.0) ?qlimit ?cross () =
@@ -367,6 +463,12 @@ let suite =
       test_exponential_fill_invalid;
     Alcotest.test_case "geometric p=1/NaN boundary" `Quick
       test_geometric_boundary;
+    Alcotest.test_case "allocation: exponential_fill 0 words/draw" `Quick
+      test_alloc_exponential_fill;
+    Alcotest.test_case "allocation: Linkstage.advance 0 words/enqueue" `Quick
+      test_alloc_linkstage;
+    Alcotest.test_case "allocation: Kernel.advance per-fire ceiling" `Quick
+      test_alloc_kernel;
     Alcotest.test_case "differential: results + metrics" `Quick
       test_differential_results;
     Alcotest.test_case "differential: trace bytes" `Quick

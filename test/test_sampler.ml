@@ -146,6 +146,39 @@ let test_categorical_invalid () =
     (Invalid_argument "Sampler.categorical: no positive weight") (fun () ->
       ignore (Prng.Sampler.categorical r ~weights:[| 0.0; 0.0 |]))
 
+let test_nan_parameters_rejected () =
+  (* Every NaN compare is false, so a [p < 0.0 || p > 1.0] style guard
+     lets NaN through: poisson would loop forever, bernoulli always
+     return false, and the continuous samplers return NaN. *)
+  let r = rng () in
+  let nan = Float.nan in
+  let raises name msg f =
+    Alcotest.check_raises name (Invalid_argument msg) (fun () -> ignore (f ()))
+  in
+  raises "poisson mean" "Sampler.poisson: mean < 0" (fun () ->
+      Prng.Sampler.poisson r ~mean:nan);
+  raises "bernoulli p" "Sampler.bernoulli: p out of [0,1]" (fun () ->
+      Prng.Sampler.bernoulli r ~p:nan);
+  raises "normal sigma" "Sampler.normal: sigma < 0" (fun () ->
+      Prng.Sampler.normal r ~mu:0.0 ~sigma:nan);
+  raises "normal mu" "Sampler.normal: mu is NaN" (fun () ->
+      Prng.Sampler.normal r ~mu:nan ~sigma:1.0);
+  raises "pareto shape" "Sampler.pareto: shape <= 0" (fun () ->
+      Prng.Sampler.pareto r ~shape:nan ~scale:1.0);
+  raises "pareto scale" "Sampler.pareto: scale <= 0" (fun () ->
+      Prng.Sampler.pareto r ~shape:1.5 ~scale:nan);
+  raises "truncated_normal_pos mu" "Sampler.truncated_normal_pos: mu <= 0"
+    (fun () -> Prng.Sampler.truncated_normal_pos r ~mu:nan ~sigma:1.0);
+  raises "truncated_normal_pos sigma"
+    "Sampler.truncated_normal_pos: sigma < 0" (fun () ->
+      Prng.Sampler.truncated_normal_pos r ~mu:1.0 ~sigma:nan);
+  raises "categorical weight" "Sampler.categorical: negative or NaN weight"
+    (fun () -> Prng.Sampler.categorical r ~weights:[| 1.0; nan |]);
+  raises "float_range lo" "Rng.float_range: requires lo <= hi" (fun () ->
+      Prng.Rng.float_range r ~lo:nan ~hi:1.0);
+  raises "uniform hi" "Rng.float_range: requires lo <= hi" (fun () ->
+      Prng.Sampler.uniform r ~lo:0.0 ~hi:nan)
+
 let test_shuffle_permutation () =
   let r = rng () in
   let arr = Array.init 50 Fun.id in
@@ -187,6 +220,8 @@ let suite =
     Alcotest.test_case "bernoulli frequency" `Quick test_bernoulli_frequency;
     Alcotest.test_case "categorical weights" `Quick test_categorical_weights;
     Alcotest.test_case "categorical invalid" `Quick test_categorical_invalid;
+    Alcotest.test_case "NaN parameters rejected" `Quick
+      test_nan_parameters_rejected;
     Alcotest.test_case "shuffle permutes" `Quick test_shuffle_permutation;
     Alcotest.test_case "shuffle uniform" `Quick test_shuffle_uniform_first_element;
   ]
