@@ -142,9 +142,8 @@ let event_budget_arg =
 let no_kernel_arg =
   let doc =
     "Force every simulation onto the event loop instead of the fused \
-     gateway kernels (same as TA_FORCE_EVENT_LOOP=1).  Output is \
-     bit-identical either way; only the desim.kernel.* counters and \
-     wall-clock time differ."
+     gateway kernels.  Output is bit-identical either way; only the \
+     desim.kernel.* counters and wall-clock time differ."
   in
   Arg.(value & flag & info [ "no-kernel" ] ~doc)
 

@@ -27,7 +27,7 @@ let args =
       " report format (json = schema talint/2)" );
     ( "--cache",
       Arg.Set_string cache,
-      "PATH incremental summary cache (talint-cache/1); created if absent" );
+      "PATH incremental summary cache (talint-cache/2); created if absent" );
     ("--rules", Arg.Set list_rules, " list rule ids and exit");
   ]
 

@@ -145,5 +145,5 @@ let fires t = with_current t t.fires_acc Padding.Gateway.fires
 let queue_length t = with_current t 0 Padding.Gateway.queue_length
 
 let overhead t =
-  let total = payload_sent t + dummy_sent t in
-  if total = 0 then 0.0 else float_of_int (dummy_sent t) /. float_of_int total
+  Padding.Qos.dummy_fraction ~payload_sent:(payload_sent t)
+    ~dummy_sent:(dummy_sent t)

@@ -5,7 +5,7 @@
    Pipeline: list .ml files -> load the summary cache (if any) -> parse
    and summarise only the files whose MD5 key changed -> rewrite the
    cache -> link the call graph -> run the whole-program passes (E001 /
-   T001 / A001) -> apply lint/BASELINE.json waivers -> sort.  A warm run
+   T001 / A001 / M001) -> apply lint/BASELINE.json waivers -> sort.  A warm run
    on an unchanged tree does no parsing at all. *)
 
 exception Error of string
@@ -179,6 +179,31 @@ type summary = {
 
 let hot_paths_file = "lint/hot_paths.txt"
 
+(* M001: summaries arrive sorted by file, so the first registration of
+   a key in path order is its owner and every later one is a finding. *)
+let metric_once summaries =
+  let owner = Hashtbl.create 64 in
+  List.concat_map
+    (fun (s : Symtab.t) ->
+      let sup = Symtab.suppress s in
+      List.filter_map
+        (fun { Symtab.s_line = line; s_col; s_what = key } ->
+          match Hashtbl.find_opt owner key with
+          | None ->
+              Hashtbl.add owner key (s.Symtab.s_file, line);
+              None
+          | Some _ when Suppress.allows sup ~line ~rule:"M001" -> None
+          | Some (file, l) ->
+              Some
+                (Finding.v ~rule:"M001" ~file:s.Symtab.s_file ~line ~col:s_col
+                   (Printf.sprintf
+                      "metric %s is already registered at %s:%d; register it \
+                       once, in its owning module, and publish elsewhere \
+                       through that module's functions"
+                      key file l)))
+        s.Symtab.s_metrics)
+    summaries
+
 let run ?cache_path ~root () =
   if not (Sys.file_exists root && Sys.is_directory root) then
     raise (Error (Printf.sprintf "root %S is not a directory" root));
@@ -239,11 +264,12 @@ let run ?cache_path ~root () =
   let e001 = Escape.run graph in
   let t001 = Taint.run graph in
   let a001 = Alloccheck.run graph ~manifest in
+  let m001 = metric_once summaries in
   let baseline_text =
     read_file_opt (Filename.concat root Baseline.file_name)
   in
   let live, baselined =
-    Baseline.apply ~text:baseline_text (per_file @ e001 @ t001 @ a001)
+    Baseline.apply ~text:baseline_text (per_file @ e001 @ t001 @ a001 @ m001)
   in
   let live = List.sort Finding.compare live in
   let baselined = List.sort Finding.compare baselined in
@@ -256,11 +282,14 @@ let run ?cache_path ~root () =
         List.length
           (List.filter
              (fun (f : Finding.t) ->
-               not (List.mem f.Finding.rule [ "E001"; "T001"; "A001"; "B001" ]))
+               not
+                 (List.mem f.Finding.rule
+                    [ "E001"; "T001"; "A001"; "M001"; "B001" ]))
              live) );
       ("E001", count_rule "E001");
       ("T001", count_rule "T001");
       ("A001", count_rule "A001");
+      ("M001", count_rule "M001");
       ("B001", count_rule "B001");
     ]
   in

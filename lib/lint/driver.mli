@@ -5,9 +5,11 @@
     summarises every [.ml] file ({!Symtab}), links the whole-program
     call graph ({!Callgraph}) and runs the per-file rules plus the
     interprocedural passes ({!Escape} E001, {!Taint} T001, {!Alloccheck}
-    A001), then applies the [lint/BASELINE.json] waivers ({!Baseline}).
+    A001) and the one-registration-per-metric check (M001: a metric
+    name and label registered by more than one call), then applies the
+    [lint/BASELINE.json] waivers ({!Baseline}).
     With [?cache_path], per-file summaries are round-tripped through a
-    [talint-cache/1] JSON file keyed on source+mli MD5, so a warm run on
+    [talint-cache/2] JSON file keyed on source+mli MD5, so a warm run on
     an unchanged tree re-parses nothing.  It never writes to any
     channel itself. *)
 
@@ -26,7 +28,7 @@ type summary = {
   cg : Callgraph.stats;
   pass_counts : (string * int) list;
       (** live findings per source: ["file"] (lexical rules), then
-          ["E001"], ["T001"], ["A001"], ["B001"] *)
+          ["E001"], ["T001"], ["A001"], ["M001"], ["B001"] *)
   findings : Finding.t list;
       (** live (unbaselined) findings, sorted by file, line, col, rule *)
   baselined : Finding.t list;  (** waived by [lint/BASELINE.json] *)

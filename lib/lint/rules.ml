@@ -65,6 +65,11 @@ let all_rules =
          their transitive callees are allocation-free (no closures, \
          list/array/record literals, partial applications or float-boxing \
          polymorphic compares)" };
+    { id = "M001";
+      summary =
+        "whole-program: every metric (name, label) is registered by one \
+         Obs.Metrics.{counter,counter_labeled,gauge,histogram} call across \
+         lib/, bin/ and bench/, in the module that owns it" };
     { id = "B001";
       summary =
         "baseline hygiene: lint/BASELINE.json entry is malformed or \

@@ -15,10 +15,11 @@
     - [E000] internal: the file failed to parse.
 
     The whole-program pass ids ([E001] exception escape, [T001]
-    transitive determinism, [A001] zero-alloc hot paths, [B001] baseline
-    hygiene) are listed in {!all_rules} but implemented in
-    {!Escape}/{!Taint}/{!Alloccheck}/{!Baseline} over the
-    {!Callgraph}. *)
+    transitive determinism, [A001] zero-alloc hot paths, [M001] one
+    registration per metric, [B001] baseline hygiene) are listed in
+    {!all_rules} but implemented in {!Escape}/{!Taint}/{!Alloccheck}
+    over the {!Callgraph}, in {!Driver} over the {!Symtab} summaries,
+    and in {!Baseline}. *)
 
 type role =
   | Lib of string  (** subdirectory under [lib/], e.g. [Lib "desim"] *)

@@ -72,6 +72,7 @@ type t = {
   s_mli_vals : (string * string) list;  (* exported val -> attached doc *)
   s_suppress : (int * string) list;
   s_findings : Finding.t list;  (* per-file lexical findings, pre-filtered *)
+  s_metrics : site list;  (* metric registrations; s_what = "name{k=v}" *)
   s_parsed : bool;  (* false: E000 — whole-program passes skip the file *)
 }
 
@@ -408,6 +409,51 @@ let strip_params e =
   in
   go e 0 0 []
 
+(* --- metric registrations (M001) ---
+
+   [Metrics.{counter,gauge,histogram} "name"] registers the key "name",
+   [Metrics.counter_labeled "name" ~label:("k", "v")] the key
+   "name{k=v}", the form the registry snapshot prints.  Only string
+   literals are seen. *)
+
+let metric_registrations structure =
+  let sites = ref [] in
+  let lit (e : Parsetree.expression) =
+    match e.pexp_desc with
+    | Pexp_constant (Pconst_string (s, _, _)) -> Some s
+    | _ -> None
+  in
+  let arg label args =
+    List.find_map (fun (l, a) -> if l = label then Some a else None) args
+  in
+  let key path args =
+    match (List.rev path, Option.bind (arg Asttypes.Nolabel args) lit) with
+    | ("counter" | "gauge" | "histogram") :: "Metrics" :: _, name -> name
+    | "counter_labeled" :: "Metrics" :: _, Some name -> (
+        match arg (Asttypes.Labelled "label") args with
+        | Some { pexp_desc = Pexp_tuple [ k; v ]; _ } -> (
+            match (lit k, lit v) with
+            | Some k, Some v -> Some (Printf.sprintf "%s{%s=%s}" name k v)
+            | _ -> None)
+        | _ -> None)
+    | _ -> None
+  in
+  let default = Ast_iterator.default_iterator in
+  let expr it (e : Parsetree.expression) =
+    (match e.pexp_desc with
+    | Pexp_apply ({ pexp_desc = Pexp_ident { txt; loc }; _ }, args) ->
+        Option.iter
+          (fun k ->
+            let line, col = pos_of loc in
+            sites := { s_line = line; s_col = col; s_what = k } :: !sites)
+          (key (Rules.normalize txt) args)
+    | _ -> ());
+    default.Ast_iterator.expr it e
+  in
+  let iter = { default with Ast_iterator.expr } in
+  iter.Ast_iterator.structure iter structure;
+  List.rev !sites
+
 let summarize ~role ~lib ~wrapped ~file ~source ~mli_source =
   let findings =
     Rules.check
@@ -494,14 +540,15 @@ let summarize ~role ~lib ~wrapped ~file ~source ~mli_source =
     s_mli_vals = mli_vals mli_source file;
     s_suppress = Suppress.entries sup;
     s_findings = findings;
+    s_metrics = metric_registrations structure;
     s_parsed = parsed;
   }
 
 let suppress t = Suppress.of_entries t.s_suppress
 
-(* --- cache (de)serialisation: talint-cache/1 --- *)
+(* --- cache (de)serialisation: talint-cache/2 --- *)
 
-let cache_schema = "talint-cache/1"
+let cache_schema = "talint-cache/2"
 
 let jstr s = "\"" ^ Obs.Json.escape s ^ "\""
 
@@ -596,6 +643,12 @@ let to_json_buf buf t =
            "{\"rule\":%s,\"file\":%s,\"line\":%d,\"col\":%d,\"message\":%s}"
            (jstr f.rule) (jstr f.file) f.line f.col (jstr f.message)))
     t.s_findings;
+  Buffer.add_string buf "],\"metrics\":[";
+  List.iteri
+    (fun i m ->
+      if i > 0 then Buffer.add_char buf ',';
+      site_json buf (Some m))
+    t.s_metrics;
   Buffer.add_string buf "],\"funcs\":[";
   List.iteri
     (fun i f ->
@@ -713,4 +766,9 @@ let of_json j =
             ~col:(jnum_of (jget "col" fj))
             (jstr_of (jget "message" fj)))
         (jarr_of (jget "findings" j));
+    s_metrics =
+      List.map
+        (fun mj ->
+          match site_of_json mj with Some m -> m | None -> raise Bad_cache)
+        (jarr_of (jget "metrics" j));
   }

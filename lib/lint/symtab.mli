@@ -6,7 +6,7 @@
     directly-raised and caught exceptions, allocation sites, and
     D001/D002 primitive uses.  Summaries are purely file-local, so the
     incremental driver can key each one on the MD5 of the file pair
-    (source + [.mli]) and round-trip it through the [talint-cache/1]
+    (source + [.mli]) and round-trip it through the [talint-cache/2]
     JSON cache; {!Callgraph} links them across files afterwards. *)
 
 type site = { s_line : int; s_col : int; s_what : string }
@@ -58,6 +58,10 @@ type t = {
   s_mli_vals : (string * string) list;  (** exported val -> doc comment *)
   s_suppress : (int * string) list;
   s_findings : Finding.t list;  (** per-file lexical findings *)
+  s_metrics : site list;
+      (** [Obs.Metrics] registrations with literal names, in source
+          order; [s_what] is the registry key, ["name"] or
+          ["name{k=v}"] (M001) *)
   s_parsed : bool;  (** [false]: E000; whole-program passes skip it *)
 }
 
@@ -83,7 +87,7 @@ val suppress : t -> Suppress.t
 (** Rebuild the suppression table from the cached entries. *)
 
 val cache_schema : string
-(** ["talint-cache/1"]. *)
+(** ["talint-cache/2"]. *)
 
 val to_json_buf : Buffer.t -> t -> unit
 (** Append the summary as one JSON object (cache write path). *)

@@ -7,24 +7,29 @@ type t = {
   queue_limit : int option;
   dest : port;
   created_at : float;
-  mutable busy_until : float;
+  regs : floatarray; (* [Linkstage.serve]'s busy_until and busy-time sum *)
   mutable queue_depth : int;
   mutable queue_hwm : int;
   mutable sent : int;
   mutable dropped : int;
-  mutable busy_time : float;
 }
 
 let m_enqueued = Obs.Metrics.counter "netsim.link.enqueued"
 let m_dropped = Obs.Metrics.counter "netsim.link.dropped"
 let g_queue_hwm = Obs.Metrics.gauge "netsim.link.queue_hwm"
 
-let create sim ~bandwidth_bps ?(propagation = 0.0) ?queue_limit ~dest () =
-  if bandwidth_bps <= 0.0 then invalid_arg "Link.create: bandwidth <= 0";
-  if propagation < 0.0 then invalid_arg "Link.create: propagation < 0";
-  (match queue_limit with
+(* Written as [not (x > 0.0)] so a NaN parameter fails too. *)
+let validate ~bandwidth_bps ~propagation ~queue_limit =
+  if not (bandwidth_bps > 0.0) then invalid_arg "Link.create: bandwidth <= 0";
+  if not (propagation >= 0.0) then invalid_arg "Link.create: propagation < 0";
+  match queue_limit with
   | Some l when l < 1 -> invalid_arg "Link.create: queue_limit < 1"
-  | _ -> ());
+  | _ -> ()
+
+let create sim ~bandwidth_bps ?(propagation = 0.0) ?queue_limit ~dest () =
+  validate ~bandwidth_bps ~propagation ~queue_limit;
+  let regs = Float.Array.make 2 0.0 in
+  Float.Array.set regs 0 (Desim.Sim.now sim);
   {
     sim;
     bandwidth_bps;
@@ -32,12 +37,11 @@ let create sim ~bandwidth_bps ?(propagation = 0.0) ?queue_limit ~dest () =
     queue_limit;
     dest;
     created_at = Desim.Sim.now sim;
-    busy_until = Desim.Sim.now sim;
+    regs;
     queue_depth = 0;
     queue_hwm = 0;
     sent = 0;
     dropped = 0;
-    busy_time = 0.0;
   }
 
 let send t pkt =
@@ -49,18 +53,20 @@ let send t pkt =
     t.dropped <- t.dropped + 1;
     Obs.Metrics.incr m_dropped;
     if Obs.Trace.enabled () then
-      Obs.Trace.event ~name:"packet.dropped" ~t:now
-        [
-          ("cause", Obs.Trace.S "link_queue");
-          ("kind", Obs.Trace.S (Packet.kind_to_string pkt.Packet.kind));
-        ]
+      Tracebuf.record ~key:now
+        ~code:
+          (match pkt.Packet.kind with
+          | Packet.Payload -> Tracebuf.drop_payload
+          | Packet.Dummy -> Tracebuf.drop_dummy
+          | Packet.Cross -> Tracebuf.drop_cross)
+        ~x:0.0 ~y:0.0
   end
   else begin
-    let start = Float.max now t.busy_until in
-    let tx = float_of_int pkt.Packet.size_bytes *. 8.0 /. t.bandwidth_bps in
-    let finish = start +. tx in
-    t.busy_until <- finish;
-    t.busy_time <- t.busy_time +. tx;
+    let tx =
+      Linkstage.tx_time ~size_bytes:pkt.Packet.size_bytes
+        ~bandwidth_bps:t.bandwidth_bps
+    in
+    let finish = Linkstage.serve t.regs ~now ~tx in
     t.queue_depth <- t.queue_depth + 1;
     Obs.Metrics.incr m_enqueued;
     if t.queue_depth > t.queue_hwm then begin
@@ -91,17 +97,17 @@ let send t pkt =
     end
   end
 
+let note_batch st =
+  Obs.Metrics.add m_enqueued (Linkstage.enqueued st);
+  Obs.Metrics.add m_dropped (Linkstage.dropped st);
+  let hwm = Linkstage.queue_hwm st in
+  if hwm > 0 then Obs.Metrics.observe_hwm g_queue_hwm (float_of_int hwm)
+
 let port t = send t
 let sent t = t.sent
 let dropped t = t.dropped
 let queue_depth t = t.queue_depth
-let busy_until t = t.busy_until
 
 let utilization t =
-  let elapsed = Desim.Sim.now t.sim -. t.created_at in
-  if elapsed <= 0.0 then 0.0
-  else
-    (* busy_time counts scheduled transmissions, possibly beyond now;
-       clip to the elapsed window. *)
-    let future = Float.max 0.0 (t.busy_until -. Desim.Sim.now t.sim) in
-    Float.min 1.0 ((t.busy_time -. future) /. elapsed)
+  Linkstage.busy_fraction t.regs ~created_at:t.created_at
+    ~now:(Desim.Sim.now t.sim)

@@ -1,15 +1,16 @@
 (* Fused per-hop stage: one chain hop's {Link + Router + cross source}
-   executed as a batch loop instead of discrete events.
+   executed as a batch loop instead of discrete events, and the home of
+   the link's serve and utilization rules.
 
    Per chunk the stage merges four time-ordered streams — padded sends
    handed down by the upstream stage, this hop's own Poisson cross
    arrivals (pre-generated in blocks from the hop's split-off RNG), and
-   the pending transmit-finish / propagation-delivery trains — and
-   replays exactly the float arithmetic of [Link.send] and its scheduled
-   callbacks.  Packets are (time, tag) float pairs: a payload's tag is
-   its creation time (finite, >= 0), a dummy's is NaN, cross traffic's is
-   -inf; nothing else about a packet is observable downstream of the
-   gateway.
+   the pending transmit-finish / propagation-delivery trains.  Every
+   accepted packet goes through [serve], the function [Link.send] calls
+   too, and [Link.utilization] is [busy_fraction].  Packets are (time,
+   tag) float pairs: a payload's tag is its creation time (finite,
+   >= 0), a dummy's is NaN, cross traffic's is -inf; nothing else about
+   a packet is observable downstream of the gateway.
 
    Exactness over speed: any exact time tie between two pending streams
    could be ordered either way by the event loop's (time, seq) tie-break,
@@ -60,10 +61,8 @@ type t = {
   mutable in_idx : int;
   mutable depth : int;
   mutable hwm : int;
-  mutable sent : int;
   mutable dropped : int;
   mutable enqueued : int;
-  mutable diverted : int;
   mutable max_pend : int;
   mutable events : int; (* events this chunk *)
 }
@@ -95,10 +94,8 @@ let create () =
     in_idx = 0;
     depth = 0;
     hwm = 0;
-    sent = 0;
     dropped = 0;
     enqueued = 0;
-    diverted = 0;
     max_pend = 0;
     events = 0;
   }
@@ -118,6 +115,25 @@ let cross_next t rng =
     (Float.Array.get t.regs 2 +. Float.Array.unsafe_get t.cross_buf t.cross_idx);
   t.cross_idx <- t.cross_idx + 1
 
+let[@inline] tx_time ~size_bytes ~bandwidth_bps =
+  float_of_int size_bytes *. 8.0 /. bandwidth_bps
+
+(* Slot 0 of [regs] is busy_until, slot 1 the busy-time sum. *)
+let[@inline] serve regs ~now ~tx =
+  let finish = Float.max now (Float.Array.get regs 0) +. tx in
+  Float.Array.set regs 0 finish;
+  Float.Array.set regs 1 (Float.Array.get regs 1 +. tx);
+  finish
+
+(* The busy-time sum counts scheduled transmissions, possibly beyond
+   [now]; clip it to the elapsed window. *)
+let[@inline] busy_fraction regs ~created_at ~now =
+  let elapsed = now -. created_at in
+  if elapsed <= 0.0 then 0.0
+  else
+    let future = Float.max 0.0 (Float.Array.get regs 0 -. now) in
+    Float.min 1.0 ((Float.Array.get regs 1 -. future) /. elapsed)
+
 let configure t ~bandwidth_bps ~propagation ~queue_limit ~packet_size
     ~cross ~in_t ~in_tag =
   Float.Array.set t.regs 0 0.0;
@@ -132,18 +148,16 @@ let configure t ~bandwidth_bps ~propagation ~queue_limit ~packet_size
   t.in_t <- in_t;
   t.in_tag <- in_tag;
   t.propagation <- propagation;
-  (* Same expression as [Link.send]'s per-packet tx, computed once per
-     size class: identical operands, identical bits. *)
-  t.tx_padded <- float_of_int packet_size *. 8.0 /. bandwidth_bps;
+  (* [Link.send] computes tx per packet; here it is computed once per
+     size class, from the same operands. *)
+  t.tx_padded <- tx_time ~size_bytes:packet_size ~bandwidth_bps;
   t.qlimit <- (match queue_limit with Some l -> l | None -> max_int);
   t.created_at <- 0.0;
   t.in_idx <- 0;
   t.depth <- 0;
   t.hwm <- 0;
-  t.sent <- 0;
   t.dropped <- 0;
   t.enqueued <- 0;
-  t.diverted <- 0;
   t.max_pend <- 0;
   t.events <- 0;
   match cross with
@@ -154,7 +168,7 @@ let configure t ~bandwidth_bps ~propagation ~queue_limit ~packet_size
   | Some (rng, rate_pps, size_bytes) ->
       t.rng_cross <- Some rng;
       t.cross_rate <- rate_pps;
-      t.tx_cross <- float_of_int size_bytes *. 8.0 /. bandwidth_bps;
+      t.tx_cross <- tx_time ~size_bytes ~bandwidth_bps;
       refill t rng;
       (* First arrival: clock (0.0) +. first draw, as Sim.every schedules
          it at source creation. *)
@@ -167,14 +181,14 @@ let[@inline] append (v : Fvec.t) x =
   Array.unsafe_set v.data v.len x;
   v.len <- v.len + 1
 
+(* Cross packets (tag -inf) exit at this hop, as [Router] diverts them. *)
 let[@inline] deliver t ~time ~tag =
-  if tag = neg_infinity then t.diverted <- t.diverted + 1
-  else begin
+  if tag <> neg_infinity then begin
     append t.out_t time;
     append t.out_tag tag
   end
 
-(* Replays [Link.send] at [now] for a packet with transmit time [tx]. *)
+(* [Link.send] at [now] for a packet with transmit time [tx]. *)
 let[@inline] send t ~now ~tag ~tx =
   if t.depth >= t.qlimit then begin
     t.dropped <- t.dropped + 1;
@@ -187,10 +201,7 @@ let[@inline] send t ~now ~tag ~tx =
         ~x:0.0 ~y:0.0
   end
   else begin
-    let start = Float.max now (Float.Array.get t.regs 0) in
-    let finish = start +. tx in
-    Float.Array.set t.regs 0 finish;
-    Float.Array.set t.regs 1 (Float.Array.get t.regs 1 +. tx);
+    let finish = serve t.regs ~now ~tx in
     t.depth <- t.depth + 1;
     t.enqueued <- t.enqueued + 1;
     if t.depth > t.hwm then t.hwm <- t.depth;
@@ -246,7 +257,6 @@ let advance t ~until =
         let tag = Float.Array.unsafe_get t.ring (slot t t.fin + 1) in
         t.fin <- t.fin + 1;
         t.depth <- t.depth - 1;
-        t.sent <- t.sent + 1;
         t.events <- t.events + 1;
         if t.propagation = 0.0 then begin
           t.del <- t.fin;
@@ -281,19 +291,9 @@ let out_times t = t.out_t
 let out_tags t = t.out_tag
 let trace t = t.trace
 let chunk_events t = t.events
-let sent t = t.sent
 let dropped t = t.dropped
 let enqueued t = t.enqueued
 let queue_hwm t = t.hwm
-let diverted t = t.diverted
 let max_pending t = t.max_pend
 
-(* Same float expressions as [Link.utilization] at simulated time [now]. *)
-let utilization t ~now =
-  let elapsed = now -. t.created_at in
-  if elapsed <= 0.0 then 0.0
-  else
-    let busy_until = Float.Array.get t.regs 0 in
-    let busy_time = Float.Array.get t.regs 1 in
-    let future = Float.max 0.0 (busy_until -. now) in
-    Float.min 1.0 ((busy_time -. future) /. elapsed)
+let utilization t ~now = busy_fraction t.regs ~created_at:t.created_at ~now

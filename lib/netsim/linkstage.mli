@@ -1,16 +1,17 @@
 (** Fused chain-hop kernel: one hop's {!Link} + {!Router} + Poisson
     cross source executed as a batch loop instead of discrete events.
 
-    Per chunk the stage merges the padded sends handed down by the
-    upstream stage with the hop's own pre-generated cross arrivals and
-    the pending transmit-finish / propagation-delivery trains, replaying
-    {!Link.send}'s float arithmetic exactly — same busy-interval
-    accumulation, same drop decisions, same counters.  Packets are
-    (time, tag) float pairs: payload tag = creation time, dummy = NaN,
-    cross = -inf; cross packets are diverted at the link exit exactly as
-    the router does.  Scratch is reusable across runs.  With tracing
-    off, {!advance} allocates nothing per packet once its buffers have
-    grown to the working size: the pending trains live in one in-module
+    It owns the link's serve and utilization rules ({!tx_time},
+    {!serve}, {!busy_fraction}), which {!Link} calls too.  Per chunk the
+    stage merges the padded sends handed down by the upstream stage with
+    the hop's own pre-generated cross arrivals and the pending
+    transmit-finish / propagation-delivery trains, with the same drop
+    decisions and counters as {!Link}.  Packets are (time, tag) float
+    pairs: payload tag = creation time, dummy = NaN, cross = -inf; cross
+    packets are diverted at the link exit as the router does.  Scratch
+    is reusable across runs.  With tracing off,
+    {!advance} allocates nothing per packet once its buffers have grown
+    to the working size: the pending trains live in one in-module
     floatarray, the upstream and output {!Fvec}s are read and appended
     in place, and no float crosses a module boundary (where it would be
     boxed, since modules are compiled [-opaque]).  [test/test_kernel.ml]
@@ -21,6 +22,18 @@ exception Tie
 (** An exact time tie between two distinct pending streams — ordered by
     queue sequence in the event loop, not reproducible here.  The
     orchestrator catches this and falls back to the event loop. *)
+
+val tx_time : size_bytes:int -> bandwidth_bps:float -> float
+(** Transmit time of a packet: [size_bytes * 8 / bandwidth_bps]. *)
+
+val serve : floatarray -> now:float -> tx:float -> float
+(** Serve a packet accepted at [now]: [regs] holds busy-until (slot 0)
+    and the busy-time sum (slot 1).  Transmission starts at the later of
+    [now] and busy-until; returns the finish, the new busy-until. *)
+
+val busy_fraction : floatarray -> created_at:float -> now:float -> float
+(** Busy-time sum of {!serve} registers, minus the part scheduled beyond
+    [now], over the time elapsed since [created_at]; at most 1. *)
 
 type t
 
@@ -65,7 +78,6 @@ val chunk_events : t -> int
     chunk (cross arrivals + finishes + deliveries; input sends happen
     inside the upstream stage's events and are counted there). *)
 
-val sent : t -> int
 val dropped : t -> int
 val enqueued : t -> int
 
@@ -73,12 +85,9 @@ val queue_hwm : t -> int
 (** Exact link-queue depth high-water mark (the
     [netsim.link.queue_hwm] gauge observation). *)
 
-val diverted : t -> int
-
 val max_pending : t -> int
 (** High-water mark of pending finish + delivery trains (run scope),
     an input to the orchestrator's event-queue-depth surrogate. *)
 
 val utilization : t -> now:float -> float
-(** {!Link.utilization} evaluated with identical float expressions at
-    simulated time [now]. *)
+(** {!busy_fraction} of this stage at simulated time [now]. *)

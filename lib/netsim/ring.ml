@@ -29,10 +29,6 @@ let push t x =
   t.data.(i) <- x;
   t.len <- t.len + 1
 
-let peek t =
-  if t.len = 0 then invalid_arg "Ring.peek: empty";
-  t.data.(t.head)
-
 let pop t =
   if t.len = 0 then invalid_arg "Ring.pop: empty";
   let x = t.data.(t.head) in

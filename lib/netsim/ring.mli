@@ -16,9 +16,6 @@ val is_empty : 'a t -> bool
 val push : 'a t -> 'a -> unit
 (** Append at the back; grows the backing store when full. *)
 
-val peek : 'a t -> 'a
-(** Front element.  Raises [Invalid_argument] when empty. *)
-
 val pop : 'a t -> 'a
 (** Remove and return the front element.  Raises [Invalid_argument] when
     empty. *)

@@ -4,8 +4,7 @@ type t = {
   mutable diverted : int;
 }
 
-let create sim ~bandwidth_bps ?propagation ?queue_limit ?(divert_cross = true)
-    ~dest () =
+let create sim ~bandwidth_bps ?propagation ?queue_limit ~dest () =
   (* Tie the knot: the link's destination consults the router record to
      decide between forwarding and diverting. *)
   let rec t =
@@ -15,7 +14,7 @@ let create sim ~bandwidth_bps ?propagation ?queue_limit ?(divert_cross = true)
           Link.create sim ~bandwidth_bps ?propagation ?queue_limit
             ~dest:(fun pkt ->
               let t = Lazy.force t in
-              if divert_cross && pkt.Packet.kind = Packet.Cross then
+              if pkt.Packet.kind = Packet.Cross then
                 t.diverted <- t.diverted + 1
               else begin
                 t.forwarded <- t.forwarded + 1;

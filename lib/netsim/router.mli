@@ -5,7 +5,7 @@
     queue).  Cross-traffic sources feeding the same router contend with the
     padded stream for the output link, which is how the Marconi ESR-5000
     experiment of the paper creates δ_net.  After traversing the link,
-    cross packets can be diverted to a local sink instead of the next hop
+    cross packets are diverted to a local sink instead of the next hop
     (mirroring the paper's Subnet D receiver). *)
 
 type t
@@ -15,13 +15,11 @@ val create :
   bandwidth_bps:float ->
   ?propagation:float ->
   ?queue_limit:int ->
-  ?divert_cross:bool ->
   dest:Link.port ->
   unit ->
   t
-(** [divert_cross] (default true): cross packets exit at this hop after
-    transmission (they still consumed link capacity); padded packets
-    continue to [dest]. *)
+(** Cross packets exit at this hop after transmission (they still
+    consumed link capacity); padded packets continue to [dest]. *)
 
 val port : t -> Link.port
 (** Input port (all inputs are merged). *)

@@ -1,15 +1,9 @@
-type t = {
-  sim : Desim.Sim.t;
-  accept : Packet.t -> bool;
-  dest : Link.port;
-  times : Fvec.t;
-  sizes : Fvec.t;
-}
+type t = { sim : Desim.Sim.t; dest : Link.port; times : Fvec.t; sizes : Fvec.t }
 
 (* [buffers] lets a sweep harness hand the tap already-grown Fvecs from a
    previous run (cleared here), so repeated runs stop re-growing the
    recording arrays from scratch. *)
-let create sim ?(accept = Packet.is_padded) ?buffers ~dest () =
+let create sim ?buffers ~dest () =
   let times, sizes =
     match buffers with
     | Some (times, sizes) ->
@@ -18,28 +12,27 @@ let create sim ?(accept = Packet.is_padded) ?buffers ~dest () =
         (times, sizes)
     | None -> (Fvec.create ~capacity:1024 (), Fvec.create ~capacity:1024 ())
   in
-  { sim; accept; dest; times; sizes }
+  { sim; dest; times; sizes }
 
 let m_observed = Obs.Metrics.counter "netsim.tap.observed"
 let m_payload = Obs.Metrics.counter "netsim.tap.payload"
 let m_dummy = Obs.Metrics.counter "netsim.tap.dummy"
 
+let observe t pkt ~counter ~code =
+  let now = Desim.Sim.now t.sim in
+  let size = float_of_int pkt.Packet.size_bytes in
+  Obs.Metrics.incr m_observed;
+  Obs.Metrics.incr counter;
+  if Obs.Trace.enabled () then Tracebuf.record ~key:now ~code ~x:size ~y:0.0;
+  Fvec.push t.times now;
+  Fvec.push t.sizes size
+
 let port t pkt =
-  if t.accept pkt then begin
-    Obs.Metrics.incr m_observed;
-    (match pkt.Packet.kind with
-    | Packet.Payload -> Obs.Metrics.incr m_payload
-    | Packet.Dummy -> Obs.Metrics.incr m_dummy
-    | Packet.Cross -> ());
-    if Obs.Trace.enabled () then
-      Obs.Trace.event ~name:"tap.observe" ~t:(Desim.Sim.now t.sim)
-        [
-          ("kind", Obs.Trace.S (Packet.kind_to_string pkt.Packet.kind));
-          ("size", Obs.Trace.I pkt.Packet.size_bytes);
-        ];
-    Fvec.push t.times (Desim.Sim.now t.sim);
-    Fvec.push t.sizes (float_of_int pkt.Packet.size_bytes)
-  end;
+  (match pkt.Packet.kind with
+  | Packet.Payload ->
+      observe t pkt ~counter:m_payload ~code:Tracebuf.observe_payload
+  | Packet.Dummy -> observe t pkt ~counter:m_dummy ~code:Tracebuf.observe_dummy
+  | Packet.Cross -> ());
   t.dest pkt
 
 (* Batched counter flush for the fused kernels: they record observation
@@ -55,12 +48,6 @@ let note_batch ~observed ~payload ~dummy =
 let count t = Fvec.length t.times
 let timestamps t = Fvec.to_array t.times
 let sizes t = Array.map int_of_float (Fvec.to_array t.sizes)
-
-let piats t =
-  let n = Fvec.length t.times in
-  if n < 2 then [||]
-  else
-    Array.init (n - 1) (fun i -> Fvec.get t.times (i + 1) -. Fvec.get t.times i)
 
 let clear t =
   Fvec.clear t.times;

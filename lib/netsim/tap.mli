@@ -1,27 +1,22 @@
 (** Passive observation point — the simulated equivalent of the paper's
     Agilent J6841A line analyzer.
 
-    A tap is spliced between two components; it timestamps packets matching
-    a predicate and forwards everything untouched.  The default predicate
-    records only the padded stream (payload + dummy): the adversary cannot
-    tell those two apart (contents are encrypted) but can distinguish them
-    from unrelated cross traffic by address, as the paper's adversary
-    does when tapping the gateway-to-gateway flow. *)
+    A tap is spliced between two components; it timestamps the padded
+    stream (payload + dummy) and forwards everything untouched.  The
+    adversary cannot tell payload from dummies (contents are encrypted)
+    but can distinguish them from unrelated cross traffic by address, as
+    the paper's adversary does when tapping the gateway-to-gateway flow.
+    Each observation's [tap.observe] trace record is written by
+    {!Tracebuf.record}. *)
 
 type t
 
 val create :
-  Desim.Sim.t ->
-  ?accept:(Packet.t -> bool) ->
-  ?buffers:Fvec.t * Fvec.t ->
-  dest:Link.port ->
-  unit ->
-  t
-(** [accept] defaults to {!Packet.is_padded}.  [buffers] optionally
-    supplies recycled [(times, sizes)] recording vectors (they are
-    cleared on create); sweep harnesses pass arena-owned Fvecs so
-    repeated runs reuse already-grown storage instead of re-allocating
-    and re-growing from scratch. *)
+  Desim.Sim.t -> ?buffers:Fvec.t * Fvec.t -> dest:Link.port -> unit -> t
+(** [buffers] optionally supplies recycled [(times, sizes)] recording
+    vectors (they are cleared on create); sweep harnesses pass
+    arena-owned Fvecs so repeated runs reuse already-grown storage
+    instead of re-allocating and re-growing from scratch. *)
 
 val port : t -> Link.port
 val count : t -> int
@@ -42,10 +37,6 @@ val sizes : t -> int array
 (** Sizes (bytes) of recorded packets, in order — the other observable the
     paper's §3.2 remark (3) assumes away by making packets constant-size;
     exposed so the size-padding extension can mount size-based attacks. *)
-
-val piats : t -> float array
-(** Packet inter-arrival times: consecutive differences of {!timestamps}
-    (length = count - 1, empty when fewer than 2 packets). *)
 
 val clear : t -> unit
 (** Forget recorded timestamps (the tap keeps forwarding). *)

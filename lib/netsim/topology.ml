@@ -11,9 +11,6 @@ type hop_spec = {
   cross : cross_spec option;
 }
 
-let default_hop ~bandwidth_bps =
-  { bandwidth_bps; propagation = 0.0; queue_limit = None; cross = None }
-
 type t = {
   entry : Link.port;
   tap : Tap.t;
@@ -34,10 +31,39 @@ let start_cross sim ~rng ~spec ~dest =
         ~mean_off ?pareto_shape ~size_bytes:spec.size_bytes ~kind:Packet.Cross
         ~dest ()
 
-let chain sim ~rng ~hops ~tap_position ?tap_buffers ?dest () =
-  let n = Array.length hops in
-  if tap_position < 0 || tap_position > n then
+(* Written as [not (x > 0.0)] so a NaN parameter fails too. *)
+let validate_cross c =
+  if not (c.rate_pps > 0.0) then
+    invalid_arg "Topology.chain: cross rate_pps <= 0";
+  if c.size_bytes <= 0 then invalid_arg "Topology.chain: cross size_bytes <= 0";
+  match c.burst with
+  | `Poisson -> ()
+  | `On_off (mean_on, mean_off, _) ->
+      if not (mean_on > 0.0 && mean_off > 0.0) then
+        invalid_arg "Topology.chain: cross on/off period means must be positive"
+
+let validate ~hops ~tap_position =
+  if tap_position < 0 || tap_position > Array.length hops then
     invalid_arg "Topology.chain: tap_position out of range";
+  Array.iter
+    (fun h ->
+      Link.validate ~bandwidth_bps:h.bandwidth_bps ~propagation:h.propagation
+        ~queue_limit:h.queue_limit;
+      Option.iter validate_cross h.cross)
+    hops
+
+let cross_streams ~rng hops =
+  let streams = Array.make (Array.length hops) None in
+  for i = Array.length hops - 1 downto 0 do
+    if Option.is_some hops.(i).cross then
+      streams.(i) <- Some (Prng.Rng.split rng)
+  done;
+  streams
+
+let chain sim ~rng ~hops ~tap_position ?tap_buffers ?dest () =
+  validate ~hops ~tap_position;
+  let n = Array.length hops in
+  let streams = cross_streams ~rng hops in
   let make_tap dest = Tap.create sim ?buffers:tap_buffers ~dest () in
   let received = ref 0 in
   let sink pkt =
@@ -64,13 +90,12 @@ let chain sim ~rng ~hops ~tap_position ?tap_buffers ?dest () =
         ~dest:!downstream ()
     in
     routers.(i) <- Some router;
-    (match spec.cross with
-    | None -> ()
-    | Some cross ->
-        let child = Prng.Rng.split rng in
+    (match (spec.cross, streams.(i)) with
+    | Some cross, Some rng ->
         cross_sources :=
-          start_cross sim ~rng:child ~spec:cross ~dest:(Router.port router)
-          :: !cross_sources);
+          start_cross sim ~rng ~spec:cross ~dest:(Router.port router)
+          :: !cross_sources
+    | _ -> ());
     downstream := Router.port router
   done;
   if tap_position = 0 then begin
@@ -102,3 +127,6 @@ let stop_cross t =
     (fun r -> Obs.Metrics.observe h_utilization (Link.utilization (Router.link r)))
     t.routers;
   List.iter Traffic_gen.stop t.cross_sources
+
+let note_utilization st ~now =
+  Obs.Metrics.observe h_utilization (Linkstage.utilization st ~now)

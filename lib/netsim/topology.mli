@@ -4,7 +4,9 @@
     the same output link; the adversary's tap can be spliced in front of
     any hop (position 0 = right at the sender gateway output, the paper's
     "best case for the adversary") or after the last hop (in front of the
-    receiver gateway, the campus/WAN placement). *)
+    receiver gateway, the campus/WAN placement).  [Scenarios.Fastpath]
+    calls {!validate}, {!cross_streams} and {!note_utilization} when it
+    runs a chain as fused {!Linkstage}s. *)
 
 type cross_spec = {
   rate_pps : float;        (** average cross packet rate into this hop *)
@@ -20,9 +22,6 @@ type hop_spec = {
   cross : cross_spec option;
 }
 
-val default_hop : bandwidth_bps:float -> hop_spec
-(** No cross traffic, zero propagation, unbounded queue. *)
-
 type t = {
   entry : Link.port;        (** where the sender gateway pushes packets *)
   tap : Tap.t;              (** the adversary's observation point *)
@@ -30,6 +29,14 @@ type t = {
   cross_sources : Traffic_gen.t list;
   sink_count : unit -> int; (** padded packets that reached the far end *)
 }
+
+val validate : hops:hop_spec array -> tap_position:int -> unit
+(** [0 <= tap_position <= Array.length hops], {!Link.validate} on every
+    hop, and per cross spec [rate_pps > 0], [size_bytes > 0] and positive
+    on/off period means (NaN fails); else [Invalid_argument]. *)
+
+val cross_streams : rng:Prng.Rng.t -> hop_spec array -> Prng.Rng.t option array
+(** One child of [rng] per hop with cross traffic, split back to front. *)
 
 val chain :
   Desim.Sim.t ->
@@ -43,12 +50,16 @@ val chain :
 (** [chain sim ~rng ~hops ~tap_position ()] builds the path.  The tap sits
     in front of hop [tap_position] (so 0 observes the traffic exactly as it
     leaves the sender gateway); [tap_position = Array.length hops] places it
-    after the final hop.  Raises [Invalid_argument] on an out-of-range
-    position.  Cross sources are driven by children split from [rng].
+    after the final hop.  Raises [Invalid_argument] when {!validate}
+    rejects the spec.  Cross sources draw from {!cross_streams}.
     Packets surviving the last hop go to [dest] (default: a counting-only
     sink); [sink_count] counts padded packets reaching the far end either
     way.  [tap_buffers] is handed to {!Tap.create} for recording-storage
     reuse across runs. *)
 
 val stop_cross : t -> unit
-(** Stop all cross-traffic sources (used between experiment phases). *)
+(** Stop all cross-traffic sources (used between experiment phases) and
+    observe every hop's utilization in [netsim.link.utilization]. *)
+
+val note_utilization : Linkstage.t -> now:float -> unit
+(** Observe a fused stage's utilization at [now] in the same histogram. *)

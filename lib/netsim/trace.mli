@@ -24,4 +24,5 @@ val load : path:string -> meta * float array
     content (with the offending line number), [Sys_error] on I/O. *)
 
 val piats : float array -> float array
-(** Consecutive differences; mirrors {!Tap.piats} for loaded traces. *)
+(** Packet inter-arrival times: consecutive differences of a timestamp
+    series such as {!Tap.timestamps}. *)

@@ -1,4 +1,5 @@
-(* Deferred ta-trace/1 events for the fused kernels.
+(* Deferred ta-trace/1 events for the fused kernels, and the one
+   formatter of the records they defer.
 
    The event loop appends trace events to the per-run buffer in event
    *processing* order, which is not sorted by the displayed timestamp
@@ -45,16 +46,12 @@ let push t ~key ~code ~x ~y =
 
 let key t i = Fvec.unsafe_get t.keys i
 
-(* Replay entry [i] through the live trace sink.  Field layout per code:
+(* The ta-trace/1 layout of the four records.  Field layout per code:
    timer_fire      x = queue length after the pop, y unused (displayed at key)
    sent_*          x = size_bytes,                 y = emit time (displayed)
    observe_*       x = size_bytes                  (displayed at key)
    drop_*          (displayed at key) *)
-let emit t i =
-  let key = Fvec.get t.keys i in
-  let code = Fvec.get t.codes i in
-  let x = Fvec.get t.xs i in
-  let y = Fvec.get t.ys i in
+let record ~key ~code ~x ~y =
   if code = timer_fire then
     Obs.Trace.event ~name:"timer.fire" ~t:key
       [ ("q", Obs.Trace.I (int_of_float x)) ]
@@ -82,3 +79,7 @@ let emit t i =
              else if code = drop_dummy then "dummy"
              else "cross") );
       ]
+
+let emit t i =
+  record ~key:(Fvec.get t.keys i) ~code:(Fvec.get t.codes i)
+    ~x:(Fvec.get t.xs i) ~y:(Fvec.get t.ys i)

@@ -1,4 +1,7 @@
-(** Deferred ta-trace/1 events for the fused scenario kernels.
+(** Deferred ta-trace/1 events for the fused scenario kernels, and
+    {!record}, the one writer of the [timer.fire], [packet.sent],
+    [tap.observe] and link-queue [packet.dropped] records that {!Link},
+    {!Tap} and [Padding.Gateway] call on the event loop.
 
     Kernel stages must not write to the live trace buffer while they run:
     a mid-run ordering tie forces a fallback to the event loop, and any
@@ -28,8 +31,11 @@ val push : t -> key:float -> code:float -> x:float -> y:float -> unit
 val key : t -> int -> float
 (** Insertion-time key of entry [i] (unchecked; [i < length t]). *)
 
+val record : key:float -> code:float -> x:float -> y:float -> unit
+(** Write now the record a {!push} of the same arguments defers. *)
+
 val emit : t -> int -> unit
-(** Replay entry [i] through {!Obs.Trace.event}. *)
+(** Replay entry [i] through {!record}. *)
 
 (** Entry codes (floats so buffers stay unboxed). *)
 

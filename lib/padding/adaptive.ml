@@ -58,15 +58,10 @@ let fire t () =
   if not t.stopped then begin
     let now = Desim.Sim.now t.sim in
     let sends_payload = not (Netsim.Ring.is_empty t.queue) in
-    let ctx =
-      {
-        Jitter.fire_time = now;
-        sends_payload;
-        arrivals_in_window = 0;
-      }
+    let emit_time =
+      Kernel.emit_time t.jitter t.rng ~now ~last_emit:t.last_emit
+        ~sends_payload ~arrivals_in_window:0
     in
-    let latency = Jitter.latency t.jitter t.rng ctx in
-    let emit_time = Float.max (now +. latency) (t.last_emit +. 1e-12) in
     t.last_emit <- emit_time;
     let pkt =
       if sends_payload then begin
@@ -140,10 +135,7 @@ let stop t =
   | Some h -> Desim.Sim.cancel h
   | None -> ()
 
-let payload_sent t = t.payload_sent
-let dummy_sent t = t.dummy_sent
 let current_period t = t.period
 
 let overhead t =
-  let total = t.payload_sent + t.dummy_sent in
-  if total = 0 then 0.0 else float_of_int t.dummy_sent /. float_of_int total
+  Qos.dummy_fraction ~payload_sent:t.payload_sent ~dummy_sent:t.dummy_sent

@@ -7,7 +7,8 @@
     large-scale rate variations through: the padded stream's *mean* PIAT
     now tracks the payload rate, so even the weak sample-mean feature
     detects it.  Provided to quantify that trade-off (see the
-    [adaptive_tradeoff] example and the ablation bench). *)
+    [adaptive_tradeoff] example and the ablation bench).  Emission
+    instants come from {!Kernel.emit_time}. *)
 
 type t
 
@@ -33,7 +34,5 @@ val create :
 
 val input : t -> Netsim.Link.port
 val stop : t -> unit
-val payload_sent : t -> int
-val dummy_sent : t -> int
 val overhead : t -> float
 val current_period : t -> float

@@ -82,13 +82,10 @@ let on_fire t () =
   done;
   let arrivals_in_window = Netsim.Fring.length t.recent_arrivals in
   let sends_payload = not (Netsim.Ring.is_empty t.queue) in
-  let ctx = { Jitter.fire_time = now; sends_payload; arrivals_in_window } in
-  let latency = Jitter.latency t.jitter t.rng ctx in
-  (* The interrupt routine runs after [latency]; emissions never reorder
-     because the timer period is orders of magnitude above the latency, but
-     we enforce monotonicity anyway so a pathological parameterization
-     cannot produce negative PIATs. *)
-  let emit_time = Float.max (now +. latency) (t.last_emit +. 1e-12) in
+  let emit_time =
+    Kernel.emit_time t.jitter t.rng ~now ~last_emit:t.last_emit
+      ~sends_payload ~arrivals_in_window
+  in
   t.last_emit <- emit_time;
   let pkt =
     if sends_payload then begin
@@ -103,13 +100,15 @@ let on_fire t () =
     end
   in
   if Obs.Trace.enabled () then begin
-    Obs.Trace.event ~name:"timer.fire" ~t:now
-      [ ("q", Obs.Trace.I (Netsim.Ring.length t.queue)) ];
-    Obs.Trace.event ~name:"packet.sent" ~t:emit_time
-      [
-        ("kind", Obs.Trace.S (Netsim.Packet.kind_to_string pkt.Netsim.Packet.kind));
-        ("size", Obs.Trace.I pkt.Netsim.Packet.size_bytes);
-      ]
+    Netsim.Tracebuf.record ~key:now ~code:Netsim.Tracebuf.timer_fire
+      ~x:(float_of_int (Netsim.Ring.length t.queue))
+      ~y:0.0;
+    Netsim.Tracebuf.record ~key:now
+      ~code:
+        (if sends_payload then Netsim.Tracebuf.sent_payload
+         else Netsim.Tracebuf.sent_dummy)
+      ~x:(float_of_int pkt.Netsim.Packet.size_bytes)
+      ~y:emit_time
   end;
   (* Strictly increasing emit times keep the multiply-armed event and the
      pending ring in lockstep: pops happen in push order. *)
@@ -196,5 +195,13 @@ let queue_length t = Netsim.Ring.length t.queue
 let fires t = t.fires
 
 let overhead t =
-  let total = t.payload_sent + t.dummy_sent in
-  if total = 0 then 0.0 else float_of_int t.dummy_sent /. float_of_int total
+  Qos.dummy_fraction ~payload_sent:t.payload_sent ~dummy_sent:t.dummy_sent
+
+let note_batch k =
+  Obs.Metrics.add m_fires (Kernel.fires k);
+  Obs.Metrics.add m_payload_sent (Kernel.payload_sent k);
+  Obs.Metrics.add m_dummy_sent (Kernel.dummy_sent k);
+  let occ = Kernel.occupancy k in
+  for i = 0 to Netsim.Fvec.length occ - 1 do
+    Obs.Metrics.observe h_occupancy (Netsim.Fvec.unsafe_get occ i)
+  done

@@ -6,7 +6,9 @@
     dummy packet, after a {!Jitter}-distributed processing latency.  Every
     emitted packet has the same constant size, so the wire carries one
     indistinguishable, (nominally) constant-rate stream regardless of the
-    payload behind it. *)
+    payload behind it.  Each fire's emission instant is
+    {!Kernel.emit_time}, the rule the fused {!Kernel} loop calls too.
+    The module owns the [padding.gateway.*] metrics. *)
 
 type t
 
@@ -67,3 +69,7 @@ val overhead : t -> float
 
 val fires : t -> int
 (** Timer fires so far (= packets emitted). *)
+
+val note_batch : Kernel.t -> unit
+(** Publish a fused kernel run's counts and occupancy observations into
+    the gateway metrics. *)

@@ -1,9 +1,3 @@
-type context = {
-  fire_time : float;
-  sends_payload : bool;
-  arrivals_in_window : int;
-}
-
 type t =
   | None_
   | Parametric of { mu : float; sigma : float }
@@ -70,7 +64,3 @@ let latency_at t rng ~sends_payload ~arrivals_in_window =
         else 0.0
       in
       Float.max 0.0 (base +. path +. blocking)
-
-let latency t rng ctx =
-  latency_at t rng ~sends_payload:ctx.sends_payload
-    ~arrivals_in_window:ctx.arrivals_in_window

@@ -25,22 +25,11 @@
 
 type t
 
-type context = {
-  fire_time : float;            (** scheduled timer fire instant *)
-  sends_payload : bool;         (** this fire transmits payload, not dummy *)
-  arrivals_in_window : int;     (** payload arrivals within the interrupt
-                                    window before the fire *)
-}
-
-val latency : t -> Prng.Rng.t -> context -> float
-(** Random send latency (>= 0) for one timer fire. *)
-
 val latency_at :
   t -> Prng.Rng.t -> sends_payload:bool -> arrivals_in_window:int -> float
-(** Same draw sequence and arithmetic as {!latency}, taking the two
-    context fields the models actually consult as plain arguments — the
-    allocation-free entry point used by the fused gateway kernel
-    ({!latency} is a thin wrapper over this). *)
+(** Random send latency (>= 0) for one timer fire: [sends_payload] when
+    it transmits payload, [arrivals_in_window] payload arrivals within
+    {!irq_window} before it. *)
 
 val none : t
 (** Zero latency — an ideal gateway (perfect secrecy baseline). *)

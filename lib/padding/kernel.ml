@@ -3,15 +3,15 @@
    Poisson payload arrivals, the timer-fire train, and the pending
    emission train — instead of per-event dispatch.
 
-   Exactness contract: the stage consumes the same RNG draws in the same
-   order and evaluates the same float expressions as [Gateway.on_fire]
-   driven by [Sim.every], so every emission time, occupancy observation
-   and counter is bit-identical to the event-loop path.  Payload
+   The emit-time rule ([emit_time]) lives here and [Gateway] and
+   [Adaptive] call it, so every gateway computes an emission instant
+   with the same code.  The loop consumes the same RNG draws in the
+   same order as [Gateway.on_fire] driven by [Sim.every].  Payload
    arrivals come from a dedicated split-off stream, so pre-filling a
    block of inter-arrival draws cannot perturb any other stream; timer
    and jitter draws are data-dependent (queue state decides whether the
    payload-extra normal is drawn) and are therefore made scalar, in fire
-   order, exactly as the event loop makes them.
+   order, as the event loop makes them.
 
    An exact time tie between a pending payload arrival and a pending
    timer fire is ordered by queue seq in the event loop, unreproducible
@@ -23,10 +23,10 @@
 
    No allocation per event on the kernel's own path: every float of the
    loop lives in a floatarray or a float array read and written in place,
-   and [on_fire] is inlined.  What remains is boxing inside the timer and
-   jitter draws, which live in other modules: a float passed to or
-   returned from another module's function is boxed, since the modules
-   are compiled [-opaque]. *)
+   and [on_fire] and [emit_time] are inlined.  What remains is boxing
+   inside the timer and jitter draws, which live in other modules: a
+   float passed to or returned from another module's function is boxed,
+   since the modules are compiled [-opaque]. *)
 
 exception Tie
 
@@ -177,7 +177,18 @@ let[@inline] push_pending t ~emit_time ~tag =
   let pend = t.pend_tail - t.pend_head in
   if pend > t.max_pend then t.max_pend <- pend
 
-(* Replays [Gateway.on_fire] at fire time [now]. *)
+(* The interrupt routine runs [latency] after the fire.  Emissions never
+   reorder because the timer period is orders of magnitude above the
+   latency, but the clamp keeps emission times strictly increasing so a
+   pathological parameterization cannot produce negative PIATs. *)
+let[@inline] emit_time jitter rng ~now ~last_emit ~sends_payload
+    ~arrivals_in_window =
+  let latency =
+    Jitter.latency_at jitter rng ~sends_payload ~arrivals_in_window
+  in
+  Float.max (now +. latency) (last_emit +. 1e-12)
+
+(* [Gateway.on_fire] at fire time [now]. *)
 let[@inline] on_fire t ~now =
   t.fires <- t.fires + 1;
   append t.occ (float_of_int (t.tail - t.queue));
@@ -187,11 +198,9 @@ let[@inline] on_fire t ~now =
   done;
   let arrivals_in_window = t.tail - t.window in
   let sends_payload = t.queue < t.tail in
-  let latency =
-    Jitter.latency_at t.jitter t.rng_gateway ~sends_payload ~arrivals_in_window
-  in
   let emit_time =
-    Float.max (now +. latency) (Float.Array.get t.regs 2 +. 1e-12)
+    emit_time t.jitter t.rng_gateway ~now ~last_emit:(Float.Array.get t.regs 2)
+      ~sends_payload ~arrivals_in_window
   in
   Float.Array.set t.regs 2 emit_time;
   let tag =
@@ -268,7 +277,5 @@ let dummy_sent t = t.dummy_sent
 let generated t = t.generated
 let max_pending t = t.max_pend
 
-(* Same expression as [Gateway.overhead]. *)
 let overhead t =
-  let total = t.payload_sent + t.dummy_sent in
-  if total = 0 then 0.0 else float_of_int t.dummy_sent /. float_of_int total
+  Qos.dummy_fraction ~payload_sent:t.payload_sent ~dummy_sent:t.dummy_sent

@@ -2,11 +2,10 @@
 
     Executes the {!Gateway} CIT/VIT state machine as a batch loop over
     merged time-ordered trains (pre-generated Poisson payload arrivals,
-    timer fires, pending emissions) instead of per-event dispatch.  The
-    contract is exact equivalence with the event-loop gateway: same RNG
-    draws in the same order, bit-identical emission times, occupancy
-    observations and counters.  Scratch state is reusable across runs
-    (arena-backed via [Scenarios.Arena]).  The loop's own work
+    timer fires, pending emissions) instead of per-event dispatch, with
+    the same RNG draws in the same order.  It owns {!emit_time}, which
+    {!Gateway} and {!Adaptive} call too.  Scratch state is reusable
+    across runs (arena-backed via [Scenarios.Arena]).  The loop's own work
     (arrivals, fires, emissions, occupancy observations) allocates
     nothing once its buffers have grown; the timer and jitter draws,
     which live in other modules, return boxed floats, so a fire costs
@@ -45,10 +44,21 @@ val configure :
     [rng_gateway] — exactly the draws the event-loop path makes at
     source/gateway creation. *)
 
+val emit_time :
+  Jitter.t ->
+  Prng.Rng.t ->
+  now:float ->
+  last_emit:float ->
+  sends_payload:bool ->
+  arrivals_in_window:int ->
+  float
+(** Emission instant of a timer fire at [now]: [now] plus one
+    {!Jitter.latency_at} draw, clamped to at least [last_emit + 1e-12]. *)
+
 val advance : t -> until:float -> unit
 (** Process every arrival, fire and emission event with timestamp <=
-    [until], in time order, replaying [Gateway.on_fire]'s arithmetic
-    exactly.  Emissions of the chunk are appended to {!out_times} /
+    [until], in time order, with [Gateway.on_fire]'s state machine and
+    {!emit_time}.  Emissions of the chunk are appended to {!out_times} /
     {!out_tags} (cleared on entry).  Raises {!Tie} on an
     arrival-vs-fire time tie. *)
 
@@ -80,4 +90,4 @@ val max_pending : t -> int
     to the orchestrator's event-queue-depth surrogate. *)
 
 val overhead : t -> float
-(** [Gateway.overhead]: dummy fraction of all sent packets. *)
+(** {!Qos.dummy_fraction} of this run's sends. *)

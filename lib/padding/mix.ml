@@ -99,5 +99,4 @@ let payload_sent t = t.payload_sent
 let dummy_sent t = t.dummy_sent
 
 let overhead t =
-  let total = t.payload_sent + t.dummy_sent in
-  if total = 0 then 0.0 else float_of_int t.dummy_sent /. float_of_int total
+  Qos.dummy_fraction ~payload_sent:t.payload_sent ~dummy_sent:t.dummy_sent

@@ -53,3 +53,7 @@ let min_timer_rate ~payload_rate_pps ~max_mean_delay =
 let overhead ~payload_rate_pps ~timer_mean =
   let rho = utilization ~payload_rate_pps ~timer_mean in
   Float.max 0.0 (Float.min 1.0 (1.0 -. rho))
+
+let dummy_fraction ~payload_sent ~dummy_sent =
+  let total = payload_sent + dummy_sent in
+  if total = 0 then 0.0 else float_of_int dummy_sent /. float_of_int total

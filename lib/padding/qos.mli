@@ -40,3 +40,7 @@ val overhead : payload_rate_pps:float -> timer_mean:float -> float
 (** Dummy fraction 1 − ρ (clamped), same as
     {!Analytical.Design.overhead_fraction} but kept here so the padding
     layer is self-contained. *)
+
+val dummy_fraction : payload_sent:int -> dummy_sent:int -> float
+(** Measured overhead: the fraction of sent packets that were dummies
+    (0 when none were sent). *)

@@ -4,17 +4,19 @@ type law =
   | Uniform of { mean : float; half_width : float }
   | Exponential of { mean : float }
 
+(* Written as [not (x > 0.0)] so a NaN parameter fails too. *)
 let validate = function
-  | Constant tau -> if tau <= 0.0 then invalid_arg "Timer: constant period <= 0"
+  | Constant tau ->
+      if not (tau > 0.0) then invalid_arg "Timer: constant period <= 0"
   | Normal { mean; sigma } ->
-      if mean <= 0.0 then invalid_arg "Timer: normal mean <= 0";
-      if sigma < 0.0 then invalid_arg "Timer: normal sigma < 0"
+      if not (mean > 0.0) then invalid_arg "Timer: normal mean <= 0";
+      if not (sigma >= 0.0) then invalid_arg "Timer: normal sigma < 0"
   | Uniform { mean; half_width } ->
-      if mean <= 0.0 then invalid_arg "Timer: uniform mean <= 0";
-      if half_width <= 0.0 || half_width >= mean then
+      if not (mean > 0.0) then invalid_arg "Timer: uniform mean <= 0";
+      if not (half_width > 0.0 && half_width < mean) then
         invalid_arg "Timer: uniform half_width out of (0, mean)"
   | Exponential { mean } ->
-      if mean <= 0.0 then invalid_arg "Timer: exponential mean <= 0"
+      if not (mean > 0.0) then invalid_arg "Timer: exponential mean <= 0"
 
 let mean = function
   | Constant tau -> tau

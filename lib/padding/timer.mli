@@ -18,7 +18,7 @@ type law =
       (** VIT: exponential with the given mean > 0 (σ_T = mean). *)
 
 val validate : law -> unit
-(** Raises [Invalid_argument] on out-of-domain parameters. *)
+(** Raises [Invalid_argument] on out-of-domain parameters, NaN included. *)
 
 val mean : law -> float
 val sigma : law -> float

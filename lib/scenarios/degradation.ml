@@ -109,7 +109,7 @@ let run_faulty cfg ~piats =
   @@ fun () ->
   let p = cfg.profile in
   let sim = Desim.Sim.create () in
-  System.arm_event_budget sim;
+  Arena.arm_event_budget sim;
   let root = Prng.Rng.create ~seed:cfg.seed in
   let rng_payload = Prng.Rng.split root in
   let rng_gateway = Prng.Rng.split root in
@@ -156,23 +156,12 @@ let run_faulty cfg ~piats =
   Faults.Crash.stop crash;
   Faults.Outage.stop_flapping outage;
   Desim.Sim.publish_metrics sim;
-  let timestamps = Netsim.Tap.timestamps tap in
-  let drop = cfg.warmup_piats + 1 in
-  let n = Array.length timestamps in
-  let timestamps =
-    if n <= drop then [||] else Array.sub timestamps drop (n - drop)
-  in
-  let all_piats =
-    let n = Array.length timestamps in
-    if n < 2 then [||]
-    else Array.init (n - 1) (fun i -> timestamps.(i + 1) -. timestamps.(i))
-  in
-  let piats_arr =
-    if Array.length all_piats > piats then Array.sub all_piats 0 piats
-    else all_piats
+  let _, piats =
+    System.after_warmup ~warmup_piats:cfg.warmup_piats ~limit:piats
+      (Netsim.Tap.timestamps tap)
   in
   {
-    piats = piats_arr;
+    piats;
     overhead = Faults.Crash.overhead crash;
     payload_offered = Netsim.Traffic_gen.generated source;
     payload_delivered = Padding.Receiver.payload_received receiver;

@@ -5,9 +5,12 @@
    own drivers) — execute as a staged batch pipeline instead of
    discrete-event simulation: [Padding.Kernel] plays the gateway,
    one [Netsim.Linkstage] per hop plays link+router+cross source, and
-   this module plays topology glue, tap, receiver and chunk loop.  The
-   chunk boundaries come from [Starvation.drive], the very same
-   arithmetic the event loop runs, so both paths starve, stop and
+   this module plays topology glue, tap, receiver and chunk loop.  It
+   keeps no copy of a rule the event loop runs: the chain check and the
+   cross streams come from [Netsim.Topology], the event budget from
+   [Arena], the chunk boundaries from [Starvation.drive], and the
+   metrics go out through the batch functions of the modules that own
+   them.  So both paths reject the same configs and starve, stop and
    budget-trip at identical simulated times.
 
    Everything observable is buffered stage-locally during the run and
@@ -18,19 +21,13 @@
    [None] and the caller reruns the config on the event loop, whose
    (time, seq) queue order resolves the tie authoritatively. *)
 
-exception Tie
+exception Trace_tie
 
 let enabled_flag = Atomic.make true
-
-(* Read once per process: CI flips the whole process to the event loop
-   with TA_FORCE_EVENT_LOOP=1 to regenerate reference outputs. *)
-let env_forced =
-  match Sys.getenv_opt "TA_FORCE_EVENT_LOOP" with
-  | Some ("1" | "true" | "yes") -> true
-  | Some _ | None -> false
-
-let enabled () = Atomic.get enabled_flag && not env_forced
+let enabled () = Atomic.get enabled_flag
 let set_enabled b = Atomic.set enabled_flag b
+
+type fallback = Disabled | Cbr_payload | Onoff_cross | Tie
 
 let m_runs = Obs.Metrics.counter "desim.kernel.runs"
 
@@ -49,14 +46,13 @@ let m_fb_onoff =
 let m_fb_tie =
   Obs.Metrics.counter_labeled "desim.kernel.fallbacks" ~label:("reason", "tie")
 
-let note_fallback ~reason =
+let note_fallback reason =
   Obs.Metrics.incr
     (match reason with
-    | "disabled" -> m_fb_disabled
-    | "cbr_payload" -> m_fb_cbr
-    | "onoff_cross" -> m_fb_onoff
-    | "tie" -> m_fb_tie
-    | r -> invalid_arg ("Fastpath.note_fallback: unknown reason " ^ r))
+    | Disabled -> m_fb_disabled
+    | Cbr_payload -> m_fb_cbr
+    | Onoff_cross -> m_fb_onoff
+    | Tie -> m_fb_tie)
 
 let eligible_hops hops =
   Array.for_all
@@ -65,17 +61,6 @@ let eligible_hops hops =
       | None -> true
       | Some c -> c.Netsim.Topology.burst = `Poisson)
     hops
-
-(* Registry handles for the batched flush; registration is idempotent,
-   these are the same metrics the event-loop components update. *)
-let m_gw_fires = Obs.Metrics.counter "padding.gateway.fires"
-let m_gw_payload = Obs.Metrics.counter "padding.gateway.payload_sent"
-let m_gw_dummy = Obs.Metrics.counter "padding.gateway.dummy_sent"
-let h_gw_occupancy = Obs.Metrics.histogram "padding.gateway.queue_occupancy"
-let m_link_enqueued = Obs.Metrics.counter "netsim.link.enqueued"
-let m_link_dropped = Obs.Metrics.counter "netsim.link.dropped"
-let g_link_hwm = Obs.Metrics.gauge "netsim.link.queue_hwm"
-let h_utilization = Obs.Metrics.histogram "netsim.link.utilization"
 
 type outcome = {
   timestamps : float array;
@@ -106,7 +91,7 @@ let merge_pass bufs ~emit =
           best := j;
           best_key := key
         end
-        else if key = !best_key then raise Tie
+        else if key = !best_key then raise Trace_tie
       end
     done;
     if emit then Netsim.Tracebuf.emit bufs.(!best) idx.(!best);
@@ -122,46 +107,15 @@ let merge_traces bufs =
   merge_pass bufs ~emit:false;
   merge_pass bufs ~emit:true
 
-let arm_event_budget sim =
-  match Exec.Supervise.current_event_budget () with
-  | Some max_events -> Desim.Sim.set_event_budget sim ~max_events
-  | None -> ()
-
-let try_run ~fresh_arena ~scenario ~seed ~timer ~jitter ~payload_rate_pps
-    ~packet_size ~hops ~tap_position ~target ~expected_rate =
+let try_run ~fresh_arena ~scenario ~rng_payload ~rng_gateway ~rng_cross ~timer
+    ~jitter ~payload_rate_pps ~packet_size ~hops ~tap_position ~target
+    ~expected_rate =
+  Netsim.Topology.validate ~hops ~tap_position;
   let n = Array.length hops in
-  if tap_position < 0 || tap_position > n then
-    invalid_arg "Topology.chain: tap_position out of range";
-  Array.iter
-    (fun (h : Netsim.Topology.hop_spec) ->
-      if h.Netsim.Topology.bandwidth_bps <= 0.0 then
-        invalid_arg "Link.create: bandwidth <= 0";
-      if h.Netsim.Topology.propagation < 0.0 then
-        invalid_arg "Link.create: propagation < 0";
-      (match h.Netsim.Topology.queue_limit with
-      | Some l when l < 1 -> invalid_arg "Link.create: queue_limit < 1"
-      | _ -> ());
-      match h.Netsim.Topology.cross with
-      | Some c when c.Netsim.Topology.rate_pps <= 0.0 ->
-          invalid_arg "Traffic_gen.poisson: rate <= 0"
-      | _ -> ())
-    hops;
   let arena = Arena.get ~fresh:fresh_arena in
   let sim = arena.Arena.sim in
-  arm_event_budget sim;
-  (* Same stream derivation as the event-loop path: three splits off the
-     root in payload/gateway/cross order, then one child per hop with
-     cross traffic, split in the chain builder's back-to-front order. *)
-  let root = Prng.Rng.create ~seed in
-  let rng_payload = Prng.Rng.split root in
-  let rng_gateway = Prng.Rng.split root in
-  let rng_cross = Prng.Rng.split root in
-  let children = Array.make (Stdlib.max n 1) None in
-  for i = n - 1 downto 0 do
-    match hops.(i).Netsim.Topology.cross with
-    | None -> ()
-    | Some _ -> children.(i) <- Some (Prng.Rng.split rng_cross)
-  done;
+  Arena.arm_event_budget sim;
+  let cross_streams = Netsim.Topology.cross_streams ~rng:rng_cross hops in
   let kgw = arena.Arena.kernel_gw in
   Padding.Kernel.configure kgw ~rng_payload ~rng_gateway ~timer ~jitter
     ~packet_size ~payload_rate:payload_rate_pps;
@@ -171,7 +125,7 @@ let try_run ~fresh_arena ~scenario ~seed ~timer ~jitter ~payload_rate_pps
   for i = 0 to n - 1 do
     let h = hops.(i) in
     let cross =
-      match (h.Netsim.Topology.cross, children.(i)) with
+      match (h.Netsim.Topology.cross, cross_streams.(i)) with
       | Some c, Some rng ->
           Some (rng, c.Netsim.Topology.rate_pps, c.Netsim.Topology.size_bytes)
       | _ -> None
@@ -189,7 +143,7 @@ let try_run ~fresh_arena ~scenario ~seed ~timer ~jitter ~payload_rate_pps
   Netsim.Fvec.clear arena.Arena.tap_sizes;
   Netsim.Tracebuf.clear arena.Arena.kernel_tap_trace;
   let tap_payload = ref 0 and tap_dummy = ref 0 in
-  let payload_received = ref 0 and dummy_received = ref 0 in
+  let payload_received = ref 0 in
   let latency_acc = Stats.Descriptive.Acc.create () in
   let size_f = float_of_int packet_size in
   let absorb_tap times tags =
@@ -214,8 +168,7 @@ let try_run ~fresh_arena ~scenario ~seed ~timer ~jitter ~payload_rate_pps
     for i = 0 to len - 1 do
       let t = Netsim.Fvec.unsafe_get times i in
       let tag = Netsim.Fvec.unsafe_get tags i in
-      if Float.is_nan tag then incr dummy_received
-      else begin
+      if not (Float.is_nan tag) then begin
         incr payload_received;
         (* Receiver.port: latency observed at the delivery event. *)
         Stats.Descriptive.Acc.add latency_acc (t -. tag)
@@ -250,25 +203,14 @@ let try_run ~fresh_arena ~scenario ~seed ~timer ~jitter ~payload_rate_pps
       in
       merge_traces bufs
     end;
-    Obs.Metrics.add m_gw_fires (Padding.Kernel.fires kgw);
-    Obs.Metrics.add m_gw_payload (Padding.Kernel.payload_sent kgw);
-    Obs.Metrics.add m_gw_dummy (Padding.Kernel.dummy_sent kgw);
-    let occ = Padding.Kernel.occupancy kgw in
-    for i = 0 to Netsim.Fvec.length occ - 1 do
-      Obs.Metrics.observe h_gw_occupancy (Netsim.Fvec.unsafe_get occ i)
-    done;
+    Padding.Gateway.note_batch kgw;
     for i = 0 to n - 1 do
-      let st = stages.(i) in
-      Obs.Metrics.add m_link_enqueued (Netsim.Linkstage.enqueued st);
-      Obs.Metrics.add m_link_dropped (Netsim.Linkstage.dropped st);
-      let hwm = Netsim.Linkstage.queue_hwm st in
-      if hwm > 0 then Obs.Metrics.observe_hwm g_link_hwm (float_of_int hwm)
+      Netsim.Link.note_batch stages.(i)
     done;
     if with_utilization then
       (* Topology.stop_cross observes every router, in chain order. *)
       for i = 0 to n - 1 do
-        Obs.Metrics.observe h_utilization
-          (Netsim.Linkstage.utilization stages.(i) ~now)
+        Netsim.Topology.note_utilization stages.(i) ~now
       done;
     Netsim.Tap.note_batch
       ~observed:(!tap_payload + !tap_dummy)
@@ -329,7 +271,7 @@ let try_run ~fresh_arena ~scenario ~seed ~timer ~jitter ~payload_rate_pps
         mean_payload_latency = Stats.Descriptive.Acc.mean latency_acc;
         sim_time = now;
       }
-  with Padding.Kernel.Tie | Netsim.Linkstage.Tie | Tie ->
+  with Padding.Kernel.Tie | Netsim.Linkstage.Tie | Trace_tie ->
     (* Nothing was published before the tie was detected; the caller
        reruns the config on the event loop. *)
     None

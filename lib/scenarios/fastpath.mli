@@ -3,35 +3,40 @@
     Batch-executes the dominant no-fault configuration — Poisson payload,
     chain topology, cross traffic absent or Poisson — through
     {!Padding.Kernel} and {!Netsim.Linkstage} instead of the discrete
-    event loop.  The contract is exact equivalence: same RNG draws in the
-    same order, bit-identical tap observations, trace stream, QoS fields
-    and metric totals as the event loop at any [--jobs].  Runs the kernel
-    cannot order exactly (cross-stream time ties) publish nothing and
-    fall back to the event loop.
+    event loop, bit-identical to it at any [--jobs].  It owns only the
+    orchestration (chunks, inline tap and receiver, trace merge,
+    transactional flush) and the [desim.kernel.*] counters; every rule
+    it runs, and every other metric it publishes, belongs to a module
+    the event loop calls too ({!Netsim.Topology}, {!Arena},
+    {!Starvation.drive}, and the owners' [note_batch] functions).  Runs
+    the kernel cannot order exactly (cross-stream time ties) publish
+    nothing and fall back to the event loop.
 
-    Set [TA_FORCE_EVENT_LOOP=1] (or call {!set_enabled}[ false]) to
-    force every run onto the event loop — used by the differential CI
-    job and the [--no-kernel] bench flag. *)
+    {!set_enabled}[ false] (the [--no-kernel] flag of both binaries)
+    forces every run onto the event loop. *)
 
 val enabled : unit -> bool
-(** Whether eligible runs may take the kernel path.  [false] when
-    {!set_enabled}[ false] was called or the [TA_FORCE_EVENT_LOOP]
-    environment variable was set ([1]/[true]/[yes]) at startup. *)
+(** Whether eligible runs may take the kernel path. *)
 
 val set_enabled : bool -> unit
-(** Process-wide toggle ANDed with the environment override. *)
+(** Process-wide toggle. *)
 
-val note_fallback : reason:string -> unit
-(** Bump [desim.kernel.fallbacks{reason=...}].  Reasons:
-    ["disabled"], ["cbr_payload"], ["onoff_cross"], ["tie"]. *)
+(** Why a run took the event loop: disabled, CBR payload, on/off cross
+    traffic, or a time tie the kernel could not order. *)
+type fallback = Disabled | Cbr_payload | Onoff_cross | Tie
+
+val note_fallback : fallback -> unit
+(** Bump [desim.kernel.fallbacks{reason=...}]: ["disabled"],
+    ["cbr_payload"], ["onoff_cross"] or ["tie"]. *)
 
 val eligible_hops : Netsim.Topology.hop_spec array -> bool
 (** Every hop's cross traffic is absent or [`Poisson] (the kernel has no
     on/off burst model). *)
 
+(** A run's outcome before the warm-up trim, on either engine. *)
 type outcome = {
   timestamps : float array;  (** tap observation times, in order *)
-  overhead : float;  (** {!Padding.Gateway.overhead} *)
+  overhead : float;  (** dummy fraction of the sender's packets *)
   payload_offered : int;  (** payload packets generated at the source *)
   payload_delivered : int;  (** payload packets absorbed by the receiver *)
   mean_payload_latency : float;  (** creation-to-delivery mean, 0 if none *)
@@ -41,7 +46,9 @@ type outcome = {
 val try_run :
   fresh_arena:bool ->
   scenario:string ->
-  seed:int ->
+  rng_payload:Prng.Rng.t ->
+  rng_gateway:Prng.Rng.t ->
+  rng_cross:Prng.Rng.t ->
   timer:Padding.Timer.law ->
   jitter:Padding.Jitter.t ->
   payload_rate_pps:float ->
@@ -53,11 +60,13 @@ val try_run :
   outcome option
 (** Run the fused pipeline until the tap has recorded [target]
     observations, chunked by the same {!Starvation.drive} arithmetic the
-    event loop uses (slack 1.1, min chunk 0.1).  Returns [None] if a
-    cross-stream time tie makes exact event ordering unreproducible —
-    nothing has been published in that case and the caller must rerun
-    the configuration on the event loop (and count the ["tie"]
+    event loop uses (slack 1.1, min chunk 0.1), on the streams the event
+    loop would give the payload source, the gateway and
+    {!Netsim.Topology.chain}.  Returns [None] if a cross-stream time tie
+    makes exact event ordering unreproducible — nothing has been
+    published in that case and the caller must rerun the configuration
+    on the event loop with fresh streams (and count the {!Tie}
     fallback).  Raises the same exceptions as the event-loop path:
-    setup [Invalid_argument]s, {!Exec.Supervise} event-budget trips
-    (after flushing incrementally-published state) and
-    [Starvation.Tap_starved]. *)
+    {!Netsim.Topology.validate}'s [Invalid_argument] before anything
+    runs, {!Exec.Supervise} event-budget trips (after flushing
+    incrementally-published state) and [Starvation.Tap_starved]. *)

@@ -36,63 +36,43 @@ type result = {
   sim_time : float;
 }
 
+(* Written as [not (x > 0.0)] so a NaN rate fails too. *)
 let validate cfg =
   Padding.Timer.validate cfg.timer;
-  if cfg.payload_rate_pps <= 0.0 then invalid_arg "System: payload_rate <= 0";
+  if not (cfg.payload_rate_pps > 0.0) then
+    invalid_arg "System: payload_rate <= 0";
   if cfg.packet_size <= 0 then invalid_arg "System: packet_size <= 0";
   if cfg.warmup_piats < 0 then invalid_arg "System: warmup_piats < 0"
 
-let start_payload_source sim ~model ~rng ~rate_pps ~size_bytes ~dest =
-  match model with
-  | Poisson_payload ->
-      Netsim.Traffic_gen.poisson sim ~rng ~rate_pps ~size_bytes
-        ~kind:Netsim.Packet.Payload ~dest ()
-  | Cbr_payload ->
-      Netsim.Traffic_gen.cbr sim ~rate_pps ~size_bytes
-        ~kind:Netsim.Packet.Payload ~dest ()
+let after_warmup ~warmup_piats ?(limit = max_int) all =
+  let drop = warmup_piats + 1 in
+  let n = Array.length all in
+  let timestamps = if n <= drop then [||] else Array.sub all drop (n - drop) in
+  let piats = Netsim.Trace.piats timestamps in
+  ( timestamps,
+    if Array.length piats > limit then Array.sub piats 0 limit else piats )
 
-(* Advance the simulation until the tap holds [target] timestamps; chunked
-   so we stop close to (not far past) the goal.  Raises
-   [Starvation.Tap_starved] when padded traffic stops reaching the tap. *)
-let run_until_tap_count ~scenario sim ~tap ~target ~expected_rate =
-  Starvation.run_until_tap_count ~scenario ~slack:1.1 ~min_chunk:0.1 sim ~tap
-    ~target ~expected_rate
+(* The three streams split off the seed's root, in payload, gateway,
+   cross order; both engines draw from them. *)
+let streams seed =
+  let root = Prng.Rng.create ~seed in
+  let payload = Prng.Rng.split root in
+  let gateway = Prng.Rng.split root in
+  let cross = Prng.Rng.split root in
+  (payload, gateway, cross)
 
-let trim_warmup cfg timestamps =
-  (* Dropping the first (warmup+1) timestamps drops the first warmup PIATs. *)
-  let drop = cfg.warmup_piats + 1 in
-  let n = Array.length timestamps in
-  if n <= drop then [||] else Array.sub timestamps drop (n - drop)
-
-let piats_of_timestamps ts =
-  let n = Array.length ts in
-  if n < 2 then [||] else Array.init (n - 1) (fun i -> ts.(i + 1) -. ts.(i))
-
-(* Supervision hook: when a sweep runner installed a per-task event
-   budget (Exec.Supervise.with_event_budget), arm the simulator's
-   watchdog so a pathological run raises Sim.Event_budget_exceeded
-   instead of spinning.  Arena reuse resets the budget on acquire. *)
-let arm_event_budget sim =
-  match Exec.Supervise.current_event_budget () with
-  | Some max_events -> Desim.Sim.set_event_budget sim ~max_events
-  | None -> ()
-
-let truncate_piats all_piats ~piats =
-  if Array.length all_piats > piats then Array.sub all_piats 0 piats
-  else all_piats
-
-(* The classic event-driven path: wire up source -> gateway -> chain ->
-   receiver as simulator records and dispatch events one at a time.
-   Always correct; the fused-kernel path below must match it bit for
-   bit.  Runs inside the caller's [Obs.Trace.with_run]. *)
-let run_event_loop ~fresh_arena cfg ~piats ~target ~expected_rate =
+(* The one event-loop driver: payload source -> sender -> chain -> tap ->
+   receiver, dispatched event by event until the tap holds [target]
+   timestamps.  Creation order is receiver, chain, sender, source: it
+   fixes the queue seqs of the initial events, and those seqs break time
+   ties.  [sender] returns its input port and a [finish] that stops it
+   and returns its overhead.  Runs inside the caller's
+   [Obs.Trace.with_run]. *)
+let drive ~fresh_arena ~scenario cfg ~sender ~target ~expected_rate =
   let arena = Arena.get ~fresh:fresh_arena in
   let sim = arena.Arena.sim in
-  arm_event_budget sim;
-  let root = Prng.Rng.create ~seed:cfg.seed in
-  let rng_payload = Prng.Rng.split root in
-  let rng_gateway = Prng.Rng.split root in
-  let rng_cross = Prng.Rng.split root in
+  Arena.arm_event_budget sim;
+  let rng_payload, rng_gateway, rng_cross = streams cfg.seed in
   let receiver = Padding.Receiver.create sim () in
   let topo =
     Netsim.Topology.chain sim ~rng:rng_cross ~hops:cfg.hops
@@ -101,86 +81,108 @@ let run_event_loop ~fresh_arena cfg ~piats ~target ~expected_rate =
       ~dest:(Padding.Receiver.port receiver)
       ()
   in
-  let gateway =
-    Padding.Gateway.create sim ~rng:rng_gateway ~timer:cfg.timer
-      ~jitter:cfg.jitter ~packet_size:cfg.packet_size ~buffers:arena.Arena.gw
-      ~dest:topo.Netsim.Topology.entry ()
+  let input, finish =
+    sender sim ~buffers:arena.Arena.gw ~rng:rng_gateway
+      ~dest:topo.Netsim.Topology.entry
   in
   let source =
-    start_payload_source sim ~model:cfg.payload_model ~rng:rng_payload
-      ~rate_pps:cfg.payload_rate_pps ~size_bytes:cfg.packet_size
-      ~dest:(Padding.Gateway.input gateway)
+    match cfg.payload_model with
+    | Poisson_payload ->
+        Netsim.Traffic_gen.poisson sim ~rng:rng_payload
+          ~rate_pps:cfg.payload_rate_pps ~size_bytes:cfg.packet_size
+          ~kind:Netsim.Packet.Payload ~dest:input ()
+    | Cbr_payload ->
+        Netsim.Traffic_gen.cbr sim ~rate_pps:cfg.payload_rate_pps
+          ~size_bytes:cfg.packet_size ~kind:Netsim.Packet.Payload ~dest:input
+          ()
   in
-  run_until_tap_count ~scenario:"system.run" sim ~tap:topo.Netsim.Topology.tap
-    ~target ~expected_rate;
+  Starvation.run_until_tap_count ~scenario ~slack:1.1 ~min_chunk:0.1 sim
+    ~tap:topo.Netsim.Topology.tap ~target ~expected_rate;
   Netsim.Traffic_gen.stop source;
-  Padding.Gateway.stop gateway;
+  let overhead = finish () in
   Netsim.Topology.stop_cross topo;
   Desim.Sim.publish_metrics sim;
-  let timestamps = trim_warmup cfg (Netsim.Tap.timestamps topo.Netsim.Topology.tap) in
   {
-    piats = truncate_piats (piats_of_timestamps timestamps) ~piats;
-    timestamps;
-    overhead = Padding.Gateway.overhead gateway;
+    Fastpath.timestamps = Netsim.Tap.timestamps topo.Netsim.Topology.tap;
+    overhead;
     payload_offered = Netsim.Traffic_gen.generated source;
     payload_delivered = Padding.Receiver.payload_received receiver;
-    payload_dropped_gw = Padding.Gateway.payload_dropped gateway;
     mean_payload_latency = Padding.Receiver.mean_payload_latency receiver;
     sim_time = Desim.Sim.now sim;
   }
 
+let result cfg ?limit (o : Fastpath.outcome) =
+  let timestamps, piats =
+    after_warmup ~warmup_piats:cfg.warmup_piats ?limit o.Fastpath.timestamps
+  in
+  {
+    piats;
+    timestamps;
+    overhead = o.Fastpath.overhead;
+    payload_offered = o.Fastpath.payload_offered;
+    payload_delivered = o.Fastpath.payload_delivered;
+    (* No sender here has a queue limit, so none drops payload. *)
+    payload_dropped_gw = 0;
+    mean_payload_latency = o.Fastpath.mean_payload_latency;
+    sim_time = o.Fastpath.sim_time;
+  }
+
+let traced ~scenario cfg f =
+  Obs.Trace.with_run
+    (Printf.sprintf "%s seed=%d pps=%g" scenario cfg.seed cfg.payload_rate_pps)
+    f
+
+let gateway_sender cfg sim ~buffers ~rng ~dest =
+  let gw =
+    Padding.Gateway.create sim ~rng ~timer:cfg.timer ~jitter:cfg.jitter
+      ~packet_size:cfg.packet_size ~buffers ~dest ()
+  in
+  ( Padding.Gateway.input gw,
+    fun () ->
+      Padding.Gateway.stop gw;
+      Padding.Gateway.overhead gw )
+
 (* Why a run is not kernel-eligible, or [None] when it is.  The fused
    kernels model Poisson payload and Poisson/absent cross traffic only;
    anything else (and a process-wide disable) takes the event loop. *)
-let kernel_reason cfg =
-  if not (Fastpath.enabled ()) then Some "disabled"
-  else if cfg.payload_model <> Poisson_payload then Some "cbr_payload"
-  else if not (Fastpath.eligible_hops cfg.hops) then Some "onoff_cross"
+let kernel_fallback cfg =
+  if not (Fastpath.enabled ()) then Some Fastpath.Disabled
+  else if cfg.payload_model <> Poisson_payload then Some Fastpath.Cbr_payload
+  else if not (Fastpath.eligible_hops cfg.hops) then Some Fastpath.Onoff_cross
   else None
 
 let run ?(fresh_arena = false) cfg ~piats =
   validate cfg;
   if piats < 1 then invalid_arg "System.run: piats < 1";
-  Obs.Trace.with_run
-    (Printf.sprintf "system.run seed=%d pps=%g" cfg.seed cfg.payload_rate_pps)
-  @@ fun () ->
+  traced ~scenario:"system.run" cfg @@ fun () ->
   (* [piats] gaps need piats + 1 timestamps after the trim drops
      warmup + 1 of them; chunked running may stop exactly on target. *)
   let target = piats + cfg.warmup_piats + 2 in
   let expected_rate = 1.0 /. Padding.Timer.mean cfg.timer in
   let event_loop () =
-    run_event_loop ~fresh_arena cfg ~piats ~target ~expected_rate
+    drive ~fresh_arena ~scenario:"system.run" cfg
+      ~sender:(gateway_sender cfg) ~target ~expected_rate
   in
-  match kernel_reason cfg with
+  result cfg ~limit:piats
+  @@
+  match kernel_fallback cfg with
   | Some reason ->
-      Fastpath.note_fallback ~reason;
+      Fastpath.note_fallback reason;
       event_loop ()
   | None -> (
+      let rng_payload, rng_gateway, rng_cross = streams cfg.seed in
       match
-        Fastpath.try_run ~fresh_arena ~scenario:"system.run" ~seed:cfg.seed
-          ~timer:cfg.timer ~jitter:cfg.jitter
+        Fastpath.try_run ~fresh_arena ~scenario:"system.run" ~rng_payload
+          ~rng_gateway ~rng_cross ~timer:cfg.timer ~jitter:cfg.jitter
           ~payload_rate_pps:cfg.payload_rate_pps ~packet_size:cfg.packet_size
           ~hops:cfg.hops ~tap_position:cfg.tap_position ~target ~expected_rate
       with
       | None ->
           (* A cross-stream time tie the kernel cannot order; nothing was
              published, so the event loop reruns the config cleanly. *)
-          Fastpath.note_fallback ~reason:"tie";
+          Fastpath.note_fallback Fastpath.Tie;
           event_loop ()
-      | Some o ->
-          let timestamps = trim_warmup cfg o.Fastpath.timestamps in
-          {
-            piats = truncate_piats (piats_of_timestamps timestamps) ~piats;
-            timestamps;
-            overhead = o.Fastpath.overhead;
-            payload_offered = o.Fastpath.payload_offered;
-            payload_delivered = o.Fastpath.payload_delivered;
-            (* [run] never sets a gateway queue limit, so the event loop
-               cannot drop at the gateway either. *)
-            payload_dropped_gw = 0;
-            mean_payload_latency = o.Fastpath.mean_payload_latency;
-            sim_time = o.Fastpath.sim_time;
-          })
+      | Some o -> o)
 
 (* Intra-run domain sharding: one logical PIAT collection split into
    [shards] independent simulations with index-derived seeds, fanned out
@@ -243,158 +245,51 @@ let run_mix ?(fresh_arena = false) ?(threshold = 8) ?(timeout = 0.5) cfg
     ~piats =
   validate cfg;
   if piats < 1 then invalid_arg "System.run_mix: piats < 1";
-  Obs.Trace.with_run
-    (Printf.sprintf "system.mix seed=%d pps=%g" cfg.seed cfg.payload_rate_pps)
-  @@ fun () ->
-  let arena = Arena.get ~fresh:fresh_arena in
-  let sim = arena.Arena.sim in
-  arm_event_budget sim;
-  let root = Prng.Rng.create ~seed:cfg.seed in
-  let rng_payload = Prng.Rng.split root in
-  let rng_gateway = Prng.Rng.split root in
-  let rng_cross = Prng.Rng.split root in
-  let receiver = Padding.Receiver.create sim () in
-  let topo =
-    Netsim.Topology.chain sim ~rng:rng_cross ~hops:cfg.hops
-      ~tap_position:cfg.tap_position
-      ~tap_buffers:(Arena.tap_buffers arena)
-      ~dest:(Padding.Receiver.port receiver)
-      ()
+  traced ~scenario:"system.mix" cfg @@ fun () ->
+  let sender sim ~buffers:_ ~rng ~dest =
+    let mix =
+      Padding.Mix.create sim ~rng ~threshold ~timeout
+        ~packet_size:cfg.packet_size ~dest ()
+    in
+    ( Padding.Mix.input mix,
+      fun () ->
+        Padding.Mix.stop mix;
+        Padding.Mix.overhead mix )
   in
-  let mix =
-    Padding.Mix.create sim ~rng:rng_gateway ~threshold ~timeout
-      ~packet_size:cfg.packet_size ~dest:topo.Netsim.Topology.entry ()
-  in
-  let source =
-    start_payload_source sim ~model:cfg.payload_model ~rng:rng_payload
-      ~rate_pps:cfg.payload_rate_pps ~size_bytes:cfg.packet_size
-      ~dest:(Padding.Mix.input mix)
-  in
-  let target = piats + cfg.warmup_piats + 2 in
   (* Each timeout flush emits [threshold] packets, so the slowest possible
      wire rate is threshold/timeout. *)
-  run_until_tap_count ~scenario:"system.mix" sim ~tap:topo.Netsim.Topology.tap
-    ~target ~expected_rate:(float_of_int threshold /. timeout);
-  Netsim.Traffic_gen.stop source;
-  Padding.Mix.stop mix;
-  Netsim.Topology.stop_cross topo;
-  Desim.Sim.publish_metrics sim;
-  let timestamps = trim_warmup cfg (Netsim.Tap.timestamps topo.Netsim.Topology.tap) in
-  let all_piats = piats_of_timestamps timestamps in
-  let piats_arr =
-    if Array.length all_piats > piats then Array.sub all_piats 0 piats
-    else all_piats
-  in
-  {
-    piats = piats_arr;
-    timestamps;
-    overhead = Padding.Mix.overhead mix;
-    payload_offered = Netsim.Traffic_gen.generated source;
-    payload_delivered = Padding.Receiver.payload_received receiver;
-    payload_dropped_gw = 0;
-    mean_payload_latency = Padding.Receiver.mean_payload_latency receiver;
-    sim_time = Desim.Sim.now sim;
-  }
+  result cfg ~limit:piats
+    (drive ~fresh_arena ~scenario:"system.mix" cfg ~sender
+       ~target:(piats + cfg.warmup_piats + 2)
+       ~expected_rate:(float_of_int threshold /. timeout))
 
 let run_adaptive ?(fresh_arena = false) ?(min_period = 0.010)
     ?(max_period = 0.040) cfg ~piats =
   validate cfg;
   if piats < 1 then invalid_arg "System.run_adaptive: piats < 1";
-  Obs.Trace.with_run
-    (Printf.sprintf "system.adaptive seed=%d pps=%g" cfg.seed
-       cfg.payload_rate_pps)
-  @@ fun () ->
-  let arena = Arena.get ~fresh:fresh_arena in
-  let sim = arena.Arena.sim in
-  arm_event_budget sim;
-  let root = Prng.Rng.create ~seed:cfg.seed in
-  let rng_payload = Prng.Rng.split root in
-  let rng_gateway = Prng.Rng.split root in
-  let rng_cross = Prng.Rng.split root in
-  let receiver = Padding.Receiver.create sim () in
-  let topo =
-    Netsim.Topology.chain sim ~rng:rng_cross ~hops:cfg.hops
-      ~tap_position:cfg.tap_position
-      ~tap_buffers:(Arena.tap_buffers arena)
-      ~dest:(Padding.Receiver.port receiver)
-      ()
+  traced ~scenario:"system.adaptive" cfg @@ fun () ->
+  let sender sim ~buffers ~rng ~dest =
+    let gw =
+      Padding.Adaptive.create sim ~rng ~min_period ~max_period
+        ~jitter:cfg.jitter ~packet_size:cfg.packet_size ~buffers ~dest ()
+    in
+    ( Padding.Adaptive.input gw,
+      fun () ->
+        Padding.Adaptive.stop gw;
+        Padding.Adaptive.overhead gw )
   in
-  let gateway =
-    Padding.Adaptive.create sim ~rng:rng_gateway ~min_period ~max_period
-      ~jitter:cfg.jitter ~packet_size:cfg.packet_size ~buffers:arena.Arena.gw
-      ~dest:topo.Netsim.Topology.entry ()
-  in
-  let source =
-    start_payload_source sim ~model:cfg.payload_model ~rng:rng_payload
-      ~rate_pps:cfg.payload_rate_pps ~size_bytes:cfg.packet_size
-      ~dest:(Padding.Adaptive.input gateway)
-  in
-  let target = piats + cfg.warmup_piats + 2 in
   (* Worst case the adaptive gateway idles at max_period. *)
-  run_until_tap_count ~scenario:"system.adaptive" sim
-    ~tap:topo.Netsim.Topology.tap ~target ~expected_rate:(1.0 /. max_period);
-  Netsim.Traffic_gen.stop source;
-  Padding.Adaptive.stop gateway;
-  Netsim.Topology.stop_cross topo;
-  Desim.Sim.publish_metrics sim;
-  let timestamps = trim_warmup cfg (Netsim.Tap.timestamps topo.Netsim.Topology.tap) in
-  let all_piats = piats_of_timestamps timestamps in
-  let piats_arr =
-    if Array.length all_piats > piats then Array.sub all_piats 0 piats
-    else all_piats
-  in
-  {
-    piats = piats_arr;
-    timestamps;
-    overhead = Padding.Adaptive.overhead gateway;
-    payload_offered = Netsim.Traffic_gen.generated source;
-    payload_delivered = Padding.Receiver.payload_received receiver;
-    payload_dropped_gw = 0;
-    mean_payload_latency = Padding.Receiver.mean_payload_latency receiver;
-    sim_time = Desim.Sim.now sim;
-  }
+  result cfg ~limit:piats
+    (drive ~fresh_arena ~scenario:"system.adaptive" cfg ~sender
+       ~target:(piats + cfg.warmup_piats + 2)
+       ~expected_rate:(1.0 /. max_period))
 
 let run_unpadded ?(fresh_arena = false) cfg ~packets =
   validate cfg;
   if packets < 1 then invalid_arg "System.run_unpadded: packets < 1";
-  Obs.Trace.with_run
-    (Printf.sprintf "system.unpadded seed=%d pps=%g" cfg.seed
-       cfg.payload_rate_pps)
-  @@ fun () ->
-  let arena = Arena.get ~fresh:fresh_arena in
-  let sim = arena.Arena.sim in
-  arm_event_budget sim;
-  let root = Prng.Rng.create ~seed:cfg.seed in
-  let rng_payload = Prng.Rng.split root in
-  let _rng_gateway = Prng.Rng.split root in
-  let rng_cross = Prng.Rng.split root in
-  let receiver = Padding.Receiver.create sim () in
-  let topo =
-    Netsim.Topology.chain sim ~rng:rng_cross ~hops:cfg.hops
-      ~tap_position:cfg.tap_position
-      ~tap_buffers:(Arena.tap_buffers arena)
-      ~dest:(Padding.Receiver.port receiver)
-      ()
-  in
-  let source =
-    start_payload_source sim ~model:cfg.payload_model ~rng:rng_payload
-      ~rate_pps:cfg.payload_rate_pps ~size_bytes:cfg.packet_size
-      ~dest:topo.Netsim.Topology.entry
-  in
-  let target = packets + cfg.warmup_piats + 2 in
-  run_until_tap_count ~scenario:"system.unpadded" sim
-    ~tap:topo.Netsim.Topology.tap ~target ~expected_rate:cfg.payload_rate_pps;
-  Netsim.Traffic_gen.stop source;
-  Netsim.Topology.stop_cross topo;
-  Desim.Sim.publish_metrics sim;
-  let timestamps = trim_warmup cfg (Netsim.Tap.timestamps topo.Netsim.Topology.tap) in
-  {
-    piats = piats_of_timestamps timestamps;
-    timestamps;
-    overhead = 0.0;
-    payload_offered = Netsim.Traffic_gen.generated source;
-    payload_delivered = Padding.Receiver.payload_received receiver;
-    payload_dropped_gw = 0;
-    mean_payload_latency = Padding.Receiver.mean_payload_latency receiver;
-    sim_time = Desim.Sim.now sim;
-  }
+  traced ~scenario:"system.unpadded" cfg @@ fun () ->
+  let sender _sim ~buffers:_ ~rng:_ ~dest = (dest, fun () -> 0.0) in
+  result cfg
+    (drive ~fresh_arena ~scenario:"system.unpadded" cfg ~sender
+       ~target:(packets + cfg.warmup_piats + 2)
+       ~expected_rate:cfg.payload_rate_pps)

@@ -1,7 +1,9 @@
 (** Assembly and execution of one complete padded system: payload source →
     sender gateway → unprotected hop chain (with adversary tap) → receiver
     gateway.  One [run] simulates one payload-rate class and returns the
-    adversary's PIAT trace plus the defender-side accounting. *)
+    adversary's PIAT trace plus the defender-side accounting.  All
+    [run*] entry points share one event-loop driver; only the sender in
+    front of the chain differs. *)
 
 type payload_model =
   | Poisson_payload  (** memoryless payload arrivals (default) *)
@@ -34,12 +36,10 @@ type result = {
   sim_time : float;             (** simulated seconds consumed *)
 }
 
-val arm_event_budget : Desim.Sim.t -> unit
-(** Install the per-task event budget published by the nearest enclosing
-    [Exec.Supervise.with_event_budget] (if any) on a simulator — the hook
-    through which {!Sweep}'s watchdog reaches every [run*] entry point,
-    including {!Degradation}'s fault-injected driver.  No-op when no
-    budget is installed. *)
+val after_warmup :
+  warmup_piats:int -> ?limit:int -> float array -> float array * float array
+(** Drop the first [warmup_piats + 1] tap timestamps; return the rest and
+    their {!Netsim.Trace.piats}, at most [limit] of them. *)
 
 val run : ?fresh_arena:bool -> config -> piats:int -> result
 (** Simulate until the tap has recorded [piats] inter-arrival times beyond
@@ -58,8 +58,9 @@ val run : ?fresh_arena:bool -> config -> piats:int -> result
     are bit-identical — same RNG draws, tap timestamps, trace stream and
     metric totals — so which one ran is visible only through the
     [desim.kernel.runs] / [desim.kernel.fallbacks{reason}] counters.
-    Set [TA_FORCE_EVENT_LOOP=1] or {!Fastpath.set_enabled}[ false] to
-    force the event loop. *)
+    {!Fastpath.set_enabled}[ false] forces the event loop.  Both paths
+    reject a bad config (NaN included) with the same [Invalid_argument]
+    before the first event. *)
 
 val run_sharded :
   ?fresh_arena:bool -> ?jobs:int -> ?shards:int -> config -> piats:int -> result

@@ -1,0 +1,1 @@
+let sent = Obs.Metrics.counter "demo.sent"

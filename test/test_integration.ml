@@ -401,6 +401,98 @@ let test_fleet_median_matches_single_flow () =
      <= p.Scenarios.Fleet.wilson.Stats.Confidence.hi
     && p.Scenarios.Fleet.trials > 0)
 
+(* --- Known answers for every System.run* entry point ---
+
+   MD5 over the PIAT bits and the QoS fields of each entry point, on a
+   2-hop chain with the tap after hop 1.  Recorded before the entry
+   points shared one event-loop driver: a rewiring that moves any draw,
+   event or counter fails here, not only in the figure-table digests. *)
+
+let digest piats ~floats ~ints =
+  Array.to_list piats @ floats @ List.map float_of_int ints
+  |> List.map (Printf.sprintf "%h")
+  |> String.concat "|" |> Digest.string |> Digest.to_hex
+
+let system_digest (r : Scenarios.System.result) =
+  let open Scenarios.System in
+  digest r.piats
+    ~floats:[ r.overhead; r.mean_payload_latency; r.sim_time ]
+    ~ints:[ r.payload_offered; r.payload_delivered; r.payload_dropped_gw ]
+
+let test_known_answers () =
+  let module S = Scenarios.System in
+  let module D = Scenarios.Degradation in
+  let hop burst rate_pps =
+    {
+      Netsim.Topology.bandwidth_bps = 1e6;
+      propagation = 0.001;
+      queue_limit = None;
+      cross = Some { Netsim.Topology.rate_pps; size_bytes = 400; burst };
+    }
+  in
+  let cfg =
+    {
+      S.default_config with
+      seed = 2024;
+      warmup_piats = 50;
+      hops = [| hop `Poisson 150.0; hop `Poisson 100.0 |];
+      tap_position = 1;
+    }
+  in
+  let run ?(kernel = true) cfg =
+    let was = Scenarios.Fastpath.enabled () in
+    Scenarios.Fastpath.set_enabled kernel;
+    Fun.protect ~finally:(fun () -> Scenarios.Fastpath.set_enabled was)
+    @@ fun () -> system_digest (S.run ~fresh_arena:true cfg ~piats:300)
+  in
+  let faulty () =
+    let r =
+      D.run_faulty
+        {
+          D.default_config with
+          seed = 2024;
+          warmup_piats = 50;
+          profile = D.profile_of_intensity 0.1;
+        }
+        ~piats:300
+    in
+    digest r.D.piats
+      ~floats:[ r.overhead; r.gw_downtime; r.mean_payload_latency; r.sim_time ]
+      ~ints:
+        [
+          r.payload_offered; r.payload_delivered; r.payload_dropped_gw;
+          r.lost_wire; r.lost_outage; r.lost_crash; r.crashes;
+        ]
+  in
+  let onoff = Array.make 2 (hop (`On_off (0.1, 0.4, None)) 120.0) in
+  List.iter
+    (fun (name, expected, digest) ->
+      Alcotest.(check string) name expected (digest ()))
+    [
+      ("run, kernel", "90509a41c1f39d835dfac5d0446f2a57", fun () -> run cfg);
+      ( "run, event loop",
+        "90509a41c1f39d835dfac5d0446f2a57",
+        fun () -> run ~kernel:false cfg );
+      ( "run, CBR payload",
+        "d636585cde0b86cc27698e774f079d2b",
+        fun () -> run { cfg with payload_model = S.Cbr_payload } );
+      ( "run, on/off cross",
+        "358920ea9c4af29c7145baf43d311cf1",
+        fun () -> run { cfg with hops = onoff } );
+      ( "run_mix",
+        "25e32092813a2650216134c4a39099a9",
+        fun () -> system_digest (S.run_mix ~fresh_arena:true cfg ~piats:300) );
+      ( "run_adaptive",
+        "6333662e815a0d5dce0e1dd6ee24061d",
+        fun () ->
+          system_digest (S.run_adaptive ~fresh_arena:true cfg ~piats:300) );
+      ( "run_unpadded",
+        "5f081b9fc7b3d3cef604417a75461c4a",
+        fun () ->
+          system_digest (S.run_unpadded ~fresh_arena:true cfg ~packets:300) );
+      ("Degradation.run_faulty", "b2652e65bcb9e320fcf3938561ba1410", faulty);
+    ]
+
 let suite =
   [
     Alcotest.test_case "system run counts" `Quick test_system_run_counts;
@@ -432,4 +524,6 @@ let suite =
     Alcotest.test_case "linkpad VIT report" `Slow test_linkpad_vit_report;
     Alcotest.test_case "linkpad invalid" `Quick test_linkpad_invalid;
     Alcotest.test_case "linkpad recommend" `Quick test_linkpad_recommend;
+    Alcotest.test_case "known answers: every System.run* entry point" `Quick
+      test_known_answers;
   ]

@@ -386,6 +386,61 @@ let test_fallback_reasons () =
   Alcotest.(check int) "disabled fallback" 1 (fallbacks "disabled");
   Alcotest.(check int) "no kernel runs" 0 (kernel_runs ())
 
+(* --- bad configs: both engines reject them the same way ---
+
+   One parameter at a time set to NaN, 0 or a negative value, on a
+   one-hop chain with the tap after the hop.  The owning module's check
+   must raise, with its own message, on the kernel path and on the event
+   loop alike, before the first timer fire. *)
+
+let bad_configs =
+  let base =
+    { System.default_config with hops = [| hop () |]; tap_position = 1 }
+  in
+  let with_hop h = { base with hops = [| h |] } in
+  let cross ?(rate = 100.0) ?(size = 400) () =
+    { Netsim.Topology.rate_pps = rate; size_bytes = size; burst = `Poisson }
+  in
+  let floats = [ ("nan", Float.nan); ("0", 0.0); ("negative", -1.0) ] in
+  let each label values msg make =
+    List.map (fun (v, x) -> (label ^ " " ^ v, msg, make x)) values
+  in
+  List.concat
+    [
+      each "Timer.Constant" floats "Timer: constant period <= 0" (fun x ->
+          { base with timer = Padding.Timer.Constant x });
+      each "payload rate" floats "System: payload_rate <= 0" (fun x ->
+          { base with payload_rate_pps = x });
+      each "hop bandwidth_bps" floats "Link.create: bandwidth <= 0" (fun x ->
+          with_hop (hop ~bw:x ()));
+      each "hop propagation"
+        [ ("nan", Float.nan); ("negative", -0.001) ]
+        "Link.create: propagation < 0"
+        (fun x -> with_hop (hop ~prop:x ()));
+      each "cross rate_pps" floats "Topology.chain: cross rate_pps <= 0"
+        (fun x -> with_hop (hop ~cross:(cross ~rate:x ()) ()));
+      each "cross size_bytes"
+        [ ("0", 0); ("negative", -400) ]
+        "Topology.chain: cross size_bytes <= 0"
+        (fun n -> with_hop (hop ~cross:(cross ~size:n ()) ()));
+    ]
+
+let test_bad_configs_agree () =
+  List.iter
+    (fun (name, msg, cfg) ->
+      List.iter
+        (fun kernel ->
+          Obs.Metrics.reset ();
+          let name = name ^ if kernel then ", kernel" else ", event loop" in
+          Alcotest.check_raises name (Invalid_argument msg) (fun () ->
+              with_kernel kernel (fun () ->
+                  ignore (System.run ~fresh_arena:true cfg ~piats:50)));
+          Alcotest.(check int) (name ^ ": no timer fire") 0
+            (Obs.Metrics.Snapshot.counter_value (Obs.Metrics.snapshot ())
+               "padding.gateway.fires"))
+        [ true; false ])
+    bad_configs
+
 let test_checkpoint_resume_mixed_paths () =
   (* Kill-resume through Sweep.mapi: half the points journaled by a
      kernel-path run, the rest computed after resume by an event-loop
@@ -478,4 +533,6 @@ let suite =
     Alcotest.test_case "fallback reasons counted" `Quick test_fallback_reasons;
     Alcotest.test_case "checkpoint resume across paths" `Quick
       test_checkpoint_resume_mixed_paths;
+    Alcotest.test_case "bad configs: same Invalid_argument on both engines"
+      `Quick test_bad_configs_agree;
   ]

@@ -196,6 +196,23 @@ let test_tree_a001 () =
     "closure attributed to the manifest root" true
     (contains msg "closure allocates in Util.bump (reached from hot path Hot.step)")
 
+let test_tree_m001 () =
+  let r = run_tree "tree_m001" in
+  Alcotest.check span_t "one M001 at the second registration"
+    [ (("M001", "bin/second.ml"), (1, 11)) ]
+    (spans r.Lint.Driver.findings);
+  let msg = (List.hd r.Lint.Driver.findings).Lint.Finding.message in
+  Alcotest.(check bool)
+    "message names the first registration" true
+    (contains msg
+       "metric demo.sent is already registered at bin/first.ml:1")
+
+let test_tree_m001_ok () =
+  Alcotest.(check (list string))
+    "distinct labels and an allowed duplicate are clean" []
+    (List.map Lint.Finding.to_string
+       (run_tree "tree_m001_ok").Lint.Driver.findings)
+
 let test_deterministic_order () =
   let a = run_tree "tree_t001" and b = run_tree "tree_t001" in
   Alcotest.(check (list string))
@@ -519,4 +536,8 @@ let suite =
     Alcotest.test_case "CLI: exit 1 + JSON on violations, 2 on bad flags"
       `Quick test_cli_roundtrip;
     Alcotest.test_case "CLI: --rules in text and JSON" `Quick test_cli_rules;
+    Alcotest.test_case "M001: a metric registered twice" `Quick
+      test_tree_m001;
+    Alcotest.test_case "M001: distinct (name, label) pairs are clean" `Quick
+      test_tree_m001_ok;
   ]

@@ -206,18 +206,6 @@ let test_router_diverts_cross () =
   Alcotest.(check bool) "no cross in output" true
     (List.for_all (fun k -> k <> Netsim.Packet.Cross) !forwarded)
 
-let test_router_keep_cross_when_disabled () =
-  let sim = Desim.Sim.create () in
-  let kinds = ref [] in
-  let router =
-    Netsim.Router.create sim ~bandwidth_bps:1e9 ~divert_cross:false
-      ~dest:(fun p -> kinds := p.Netsim.Packet.kind :: !kinds)
-      ()
-  in
-  Netsim.Router.port router (mk_packet ~kind:Netsim.Packet.Cross sim);
-  Desim.Sim.run_until sim ~time:1.0;
-  Alcotest.(check int) "cross forwarded" 1 (List.length !kinds)
-
 let test_router_cross_delays_padded () =
   (* The core mechanism of Fig. 6: cross traffic in front of a padded
      packet delays it by the cross packet's transmission time. *)
@@ -254,11 +242,11 @@ let test_tap_piats () =
         (Desim.Sim.at sim ~time:t (fun () -> Netsim.Tap.port tap (mk_packet sim))))
     [ 1.0; 2.5; 3.0 ];
   Desim.Sim.run_until sim ~time:5.0;
-  Alcotest.(check (array (float 1e-9))) "diffs" [| 1.5; 0.5 |] (Netsim.Tap.piats tap);
+  let piats () = Netsim.Trace.piats (Netsim.Tap.timestamps tap) in
+  Alcotest.(check (array (float 1e-9))) "diffs" [| 1.5; 0.5 |] (piats ());
   Netsim.Tap.clear tap;
   Alcotest.(check int) "cleared" 0 (Netsim.Tap.count tap);
-  Alcotest.(check (array (float 0.0))) "piats empty after clear" [||]
-    (Netsim.Tap.piats tap)
+  Alcotest.(check (array (float 0.0))) "piats empty after clear" [||] (piats ())
 
 (* --- Traffic generators --- *)
 
@@ -435,7 +423,6 @@ let suite =
     Alcotest.test_case "link utilization" `Quick test_link_utilization;
     Alcotest.test_case "link invalid" `Quick test_link_invalid;
     Alcotest.test_case "router diverts cross" `Quick test_router_diverts_cross;
-    Alcotest.test_case "router keeps cross if asked" `Quick test_router_keep_cross_when_disabled;
     Alcotest.test_case "cross delays padded" `Quick test_router_cross_delays_padded;
     Alcotest.test_case "tap records padded only" `Quick test_tap_records_padded_only;
     Alcotest.test_case "tap piats" `Quick test_tap_piats;

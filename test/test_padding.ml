@@ -57,12 +57,12 @@ let test_timer_is_cit () =
 
 (* --- Jitter --- *)
 
-let ctx ?(sends_payload = false) ?(arrivals = 0) () =
-  { Padding.Jitter.fire_time = 0.0; sends_payload; arrivals_in_window = arrivals }
+let latency ?(sends_payload = false) ?(arrivals = 0) m rng =
+  Padding.Jitter.latency_at m rng ~sends_payload ~arrivals_in_window:arrivals
 
 let test_jitter_none () =
   let rng = Prng.Rng.create ~seed:113 in
-  close "zero" 0.0 (Padding.Jitter.latency Padding.Jitter.none rng (ctx ()))
+  close "zero" 0.0 (latency Padding.Jitter.none rng)
 
 let test_jitter_nonnegative () =
   let rng = Prng.Rng.create ~seed:114 in
@@ -76,7 +76,7 @@ let test_jitter_nonnegative () =
     (fun m ->
       for _ = 1 to 10_000 do
         let l =
-          Padding.Jitter.latency m rng (ctx ~sends_payload:true ~arrivals:1 ())
+          latency ~sends_payload:true ~arrivals:1 m rng
         in
         if l < 0.0 then Alcotest.fail "negative latency"
       done)
@@ -90,7 +90,7 @@ let test_mechanistic_payload_path_adds_variance () =
     let acc = Stats.Descriptive.Acc.create () in
     for _ = 1 to 50_000 do
       Stats.Descriptive.Acc.add acc
-        (Padding.Jitter.latency m rng (ctx ~sends_payload ()))
+        (latency ~sends_payload m rng)
     done;
     acc
   in
@@ -106,7 +106,7 @@ let test_mechanistic_irq_blocking_adds_delay () =
   let mean_of arrivals =
     let acc = Stats.Descriptive.Acc.create () in
     for _ = 1 to 30_000 do
-      Stats.Descriptive.Acc.add acc (Padding.Jitter.latency m rng (ctx ~arrivals ()))
+      Stats.Descriptive.Acc.add acc (latency ~arrivals m rng)
     done;
     Stats.Descriptive.Acc.mean acc
   in
@@ -118,7 +118,7 @@ let test_parametric_moments () =
   let m = Padding.Jitter.parametric ~mu:1e-4 ~sigma:1e-5 in
   let acc = Stats.Descriptive.Acc.create () in
   for _ = 1 to 50_000 do
-    Stats.Descriptive.Acc.add acc (Padding.Jitter.latency m rng (ctx ()))
+    Stats.Descriptive.Acc.add acc (latency m rng)
   done;
   (* mu >> sigma so clipping is negligible *)
   close ~tol:0.01 "mean" 1e-4 (Stats.Descriptive.Acc.mean acc);
@@ -183,7 +183,7 @@ let test_gateway_dummy_fill () =
 let test_gateway_piat_near_period_without_jitter () =
   let sim, tap, _, _ = make_system ~seed:123 () in
   Desim.Sim.run_until sim ~time:20.0;
-  let piats = Netsim.Tap.piats tap in
+  let piats = Netsim.Trace.piats (Netsim.Tap.timestamps tap) in
   Array.iter (fun x -> close ~tol:1e-9 "exact period" 0.01 x) piats
 
 let test_gateway_fifo_payload_order () =
@@ -286,7 +286,7 @@ let test_gateway_vit_piat_sigma () =
       ~seed:128 ()
   in
   Desim.Sim.run_until sim ~time:200.0;
-  let piats = Netsim.Tap.piats tap in
+  let piats = Netsim.Trace.piats (Netsim.Tap.timestamps tap) in
   close ~tol:0.05 "PIAT sigma = sigma_T" sigma_t (Stats.Descriptive.std piats);
   close ~tol:0.01 "PIAT mean = tau" 0.01 (Stats.Descriptive.mean piats)
 
@@ -299,7 +299,7 @@ let test_gateway_monotone_emissions () =
   Desim.Sim.run_until sim ~time:50.0;
   Array.iter
     (fun x -> if x < 0.0 then Alcotest.fail "negative PIAT")
-    (Netsim.Tap.piats tap)
+    (Netsim.Trace.piats (Netsim.Tap.timestamps tap))
 
 (* --- Receiver --- *)
 
