@@ -36,7 +36,9 @@ let class_name t i = t.classes.(i).name
 let prior t i = t.classes.(i).prior
 let kde t i = t.classes.(i).kde
 
-let log_score cls x = log cls.prior +. Stats.Kde.log_pdf cls.kde x
+(* Inlined so a class's score is not boxed on its way back to
+   [classify]. *)
+let[@inline] log_score cls x = log cls.prior +. Stats.Kde.log_pdf cls.kde x
 
 let classify t x =
   let best = ref 0 in
@@ -63,15 +65,14 @@ let posteriors t x =
 let correct_counts t cases =
   let m = num_classes t in
   let correct = Array.make m 0 and total = Array.make m 0 in
-  Array.iter
-    (fun (label, xs) ->
-      if label < 0 || label >= m then invalid_arg "Classifier.accuracy: bad label";
-      Array.iter
-        (fun x ->
-          total.(label) <- total.(label) + 1;
-          if classify t x = label then correct.(label) <- correct.(label) + 1)
-        xs)
-    cases;
+  for c = 0 to Array.length cases - 1 do
+    let label, xs = cases.(c) in
+    if label < 0 || label >= m then invalid_arg "Classifier.accuracy: bad label";
+    for i = 0 to Array.length xs - 1 do
+      total.(label) <- total.(label) + 1;
+      if classify t xs.(i) = label then correct.(label) <- correct.(label) + 1
+    done
+  done;
   (correct, total)
 
 let weighted_accuracy t ~correct ~total =

@@ -2,21 +2,26 @@
    executed as a batch loop instead of discrete events, and the home of
    the link's serve and utilization rules.
 
-   Per chunk the stage merges four time-ordered streams — padded sends
-   handed down by the upstream stage, this hop's own Poisson cross
-   arrivals (pre-generated in blocks from the hop's split-off RNG), and
-   the pending transmit-finish / propagation-delivery trains.  Every
-   accepted packet goes through [serve], the function [Link.send] calls
-   too, and [Link.utilization] is [busy_fraction].  Packets are (time,
+   Per chunk the stage merges two time-ordered arrival trains — padded
+   sends handed down by the upstream stage and this hop's own Poisson
+   cross arrivals (pre-generated in blocks from the hop's split-off
+   RNG).  The pending transmit-finish / propagation-delivery trains are
+   settled lazily: [settle] pops them in time order up to each arrival,
+   and up to [until] at the chunk end, so an accepted packet meets the
+   merge once, not on arrival and again on its finish.  Every accepted
+   packet goes through [serve], the function [Link.send] calls too, and
+   [Link.utilization] is [busy_fraction].  Packets are (time,
    tag) float pairs: a payload's tag is its creation time (finite,
    >= 0), a dummy's is NaN, cross traffic's is -inf; nothing else about
    a packet is observable downstream of the gateway.
 
-   Exactness over speed: any exact time tie between two pending streams
-   could be ordered either way by the event loop's (time, seq) tie-break,
-   so the stage raises {!Tie} and the orchestrator falls back to the
-   event loop for the whole run.  With continuous arrival and service
-   processes such ties essentially never occur.
+   Exactness over speed: any exact time tie between two streams could
+   be ordered either way by the event loop's (time, seq) tie-break, so
+   the stage raises {!Tie} and the orchestrator falls back to the event
+   loop for the whole run.  The two-train merge catches arrival against
+   arrival; [settle] catches finish against delivery, and, before an
+   arrival, either of them at the arrival's time.  With continuous
+   arrival and service processes such ties essentially never occur.
 
    No allocation per packet: every float of the loop lives in a
    floatarray or a float array read and written in place, and the
@@ -120,7 +125,10 @@ let[@inline] tx_time ~size_bytes ~bandwidth_bps =
 
 (* Slot 0 of [regs] is busy_until, slot 1 the busy-time sum. *)
 let[@inline] serve regs ~now ~tx =
-  let finish = Float.max now (Float.Array.get regs 0) +. tx in
+  (* A plain compare: neither operand is ever NaN or -0.0, where it
+     would differ from [Float.max]. *)
+  let busy = Float.Array.get regs 0 in
+  let finish = (if now > busy then now else busy) +. tx in
   Float.Array.set regs 0 finish;
   Float.Array.set regs 1 (Float.Array.get regs 1 +. tx);
   finish
@@ -220,6 +228,44 @@ let[@inline] send t ~now ~tag ~tx =
     if pend > t.max_pend then t.max_pend <- pend
   end
 
+(* Pop the pending transmit finishes and far-end deliveries due at or
+   before [until], in time order.  With [arrival] an arrival is due at
+   [until] itself, and a finish or delivery at that time ties with it. *)
+let[@inline] settle t ~until ~arrival =
+  let continue = ref true in
+  while !continue do
+    let tf =
+      if t.fin < t.tail then Float.Array.unsafe_get t.ring (slot t t.fin)
+      else infinity
+    in
+    let td =
+      if t.propagation > 0.0 && t.del < t.tail then
+        Float.Array.unsafe_get t.ring (slot t t.del) +. t.propagation
+      else infinity
+    in
+    let m = if tf < td then tf else td in
+    if m > until then continue := false
+    else if tf = td || (arrival && m = until) then raise Tie
+    else if tf < td then begin
+      (* transmit-finish event *)
+      let tag = Float.Array.unsafe_get t.ring (slot t t.fin + 1) in
+      t.fin <- t.fin + 1;
+      t.depth <- t.depth - 1;
+      t.events <- t.events + 1;
+      if t.propagation = 0.0 then begin
+        t.del <- t.fin;
+        deliver t ~time:m ~tag
+      end
+    end
+    else begin
+      (* far-end delivery event (propagation > 0) *)
+      let tag = Float.Array.unsafe_get t.ring (slot t t.del + 1) in
+      t.del <- t.del + 1;
+      t.events <- t.events + 1;
+      deliver t ~time:m ~tag
+    end
+  done
+
 let advance t ~until =
   t.events <- 0;
   Fvec.clear t.out_t;
@@ -233,59 +279,29 @@ let advance t ~until =
       else infinity
     in
     let tc = Float.Array.get t.regs 2 in
-    let tf =
-      if t.fin < t.tail then Float.Array.unsafe_get t.ring (slot t t.fin)
-      else infinity
-    in
-    let td =
-      if t.propagation > 0.0 && t.del < t.tail then
-        Float.Array.unsafe_get t.ring (slot t t.del) +. t.propagation
-      else infinity
-    in
-    let m = Float.min (Float.min tin tc) (Float.min tf td) in
-    if m > until then continue := false
-    else begin
-      (* Any exact tie between two distinct streams is ordered by queue
-         seq in the event loop; bail out rather than guess. *)
-      if
-        (tin = m && (tc = m || tf = m || td = m))
-        || (tc = m && (tf = m || td = m))
-        || (tf = m && td = m)
-      then raise Tie;
-      if tf = m then begin
-        (* transmit-finish event *)
-        let tag = Float.Array.unsafe_get t.ring (slot t t.fin + 1) in
-        t.fin <- t.fin + 1;
-        t.depth <- t.depth - 1;
-        t.events <- t.events + 1;
-        if t.propagation = 0.0 then begin
-          t.del <- t.fin;
-          deliver t ~time:m ~tag
-        end
-      end
-      else if td = m then begin
-        (* far-end delivery event (propagation > 0) *)
-        let tag = Float.Array.unsafe_get t.ring (slot t t.del + 1) in
-        t.del <- t.del + 1;
-        t.events <- t.events + 1;
-        deliver t ~time:m ~tag
-      end
-      else if tc = m then begin
-        (* cross source tick: one event, even when the send is dropped *)
-        t.events <- t.events + 1;
-        send t ~now:m ~tag:neg_infinity ~tx:t.tx_cross;
-        match t.rng_cross with
-        | Some rng -> cross_next t rng
-        | None -> assert false
-      end
-      else begin
-        (* padded send handed down within the upstream stage's event *)
-        let tag = Array.unsafe_get t.in_tag.data t.in_idx in
-        t.in_idx <- t.in_idx + 1;
-        send t ~now:m ~tag ~tx:t.tx_padded
-      end
+    if tin < tc && tin <= until then begin
+      (* padded send handed down within the upstream stage's event *)
+      settle t ~until:tin ~arrival:true;
+      let tag = Array.unsafe_get t.in_tag.data t.in_idx in
+      t.in_idx <- t.in_idx + 1;
+      send t ~now:tin ~tag ~tx:t.tx_padded
     end
-  done
+    else if tc < tin && tc <= until then begin
+      (* cross source tick: one event, even when the send is dropped *)
+      settle t ~until:tc ~arrival:true;
+      t.events <- t.events + 1;
+      send t ~now:tc ~tag:neg_infinity ~tx:t.tx_cross;
+      match t.rng_cross with
+      | Some rng -> cross_next t rng
+      | None -> assert false
+    end
+    else if tin = tc && tin <= until then
+      (* two arrivals at one time: ordered by queue seq in the event
+         loop; bail out rather than guess *)
+      raise Tie
+    else continue := false
+  done;
+  settle t ~until ~arrival:false
 
 let out_times t = t.out_t
 let out_tags t = t.out_tag

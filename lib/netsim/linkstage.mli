@@ -3,10 +3,17 @@
 
     It owns the link's serve and utilization rules ({!tx_time},
     {!serve}, {!busy_fraction}), which {!Link} calls too.  Per chunk the
-    stage merges the padded sends handed down by the upstream stage with
-    the hop's own pre-generated cross arrivals and the pending
-    transmit-finish / propagation-delivery trains, with the same drop
-    decisions and counters as {!Link}.  Packets are (time, tag) float
+    stage merges two arrival trains: the padded sends handed down by the
+    upstream stage and the hop's own pre-generated cross arrivals.  The
+    departures are settled lazily: before each arrival, and once more at
+    the chunk end, a settle step pops the pending transmit-finish and
+    far-end-delivery trains, in time order, up to that time (at the
+    chunk end, up to and including [until]).  Queue depth, drop
+    decisions, counters and high-water marks are those of {!Link}, event
+    for event.  The tie rule is the event loop's: wherever it would
+    order two events by queue sequence — an arrival against an arrival,
+    an arrival against a finish or a delivery, a finish against a
+    delivery — the stage raises {!Tie}.  Packets are (time, tag) float
     pairs: payload tag = creation time, dummy = NaN, cross = -inf; cross
     packets are diverted at the link exit as the router does.  Scratch
     is reusable across runs.  With tracing off,
@@ -19,9 +26,11 @@
     deferred trace record. *)
 
 exception Tie
-(** An exact time tie between two distinct pending streams — ordered by
-    queue sequence in the event loop, not reproducible here.  The
-    orchestrator catches this and falls back to the event loop. *)
+(** An exact time tie between two distinct streams (padded arrivals,
+    cross arrivals, finishes, deliveries) — ordered by queue sequence in
+    the event loop, not reproducible here.  Raised in the {!advance} call
+    whose chunk holds the tied time.  The orchestrator catches this and
+    falls back to the event loop. *)
 
 val tx_time : size_bytes:int -> bandwidth_bps:float -> float
 (** Transmit time of a packet: [size_bytes * 8 / bandwidth_bps]. *)

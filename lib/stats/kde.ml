@@ -33,32 +33,36 @@ let bandwidth t = t.h
 let sample_size t = Array.length t.points
 
 let pdf t x =
-  let n = float_of_int (Array.length t.points) in
+  let pts = t.points in
+  let n = Array.length pts in
   let inv_h = 1.0 /. t.h in
   let acc = ref 0.0 in
-  Array.iter
-    (fun xi ->
-      let z = (x -. xi) *. inv_h in
-      acc := !acc +. exp (-0.5 *. z *. z))
-    t.points;
-  !acc /. (n *. t.h *. sqrt (2.0 *. Float.pi))
+  for i = 0 to n - 1 do
+    let z = (x -. Array.unsafe_get pts i) *. inv_h in
+    acc := !acc +. exp (-0.5 *. z *. z)
+  done;
+  !acc /. (float_of_int n *. t.h *. sqrt (2.0 *. Float.pi))
 
+(* log-sum-exp over kernel exponents: a max pass, then a sum pass that
+   recomputes each exponent with the same operations in the same order,
+   so it matches the exponent the max pass saw bit for bit. *)
 let log_pdf t x =
-  let n = float_of_int (Array.length t.points) in
+  let pts = t.points in
+  let n = Array.length pts in
   let inv_h = 1.0 /. t.h in
-  (* log-sum-exp over kernel exponents *)
   let max_e = ref Float.neg_infinity in
-  let exps =
-    Array.map
-      (fun xi ->
-        let z = (x -. xi) *. inv_h in
-        let e = -0.5 *. z *. z in
-        if e > !max_e then max_e := e;
-        e)
-      t.points
-  in
-  let sum = Array.fold_left (fun acc e -> acc +. exp (e -. !max_e)) 0.0 exps in
-  !max_e +. log sum -. log (n *. t.h *. sqrt (2.0 *. Float.pi))
+  for i = 0 to n - 1 do
+    let z = (x -. Array.unsafe_get pts i) *. inv_h in
+    let e = -0.5 *. z *. z in
+    if e > !max_e then max_e := e
+  done;
+  let max_e = !max_e in
+  let sum = ref 0.0 in
+  for i = 0 to n - 1 do
+    let z = (x -. Array.unsafe_get pts i) *. inv_h in
+    sum := !sum +. exp ((-0.5 *. z *. z) -. max_e)
+  done;
+  max_e +. log !sum -. log (float_of_int n *. t.h *. sqrt (2.0 *. Float.pi))
 
 let cdf t x =
   let n = float_of_int (Array.length t.points) in

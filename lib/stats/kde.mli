@@ -3,8 +3,17 @@
     The adversary's training phase (paper §3.3, citing Silverman 1986) fits
     the class-conditional PDF of each feature with a Gaussian kernel
     estimator; histograms are "too coarse" for the Bayes rule.  Evaluation
-    is exact O(n) per query — training sets here are a few hundred feature
-    values, so no tree acceleration is needed. *)
+    is exact O(n) per query, with no tree acceleration: training sets run
+    to 1 000 feature values per class ([small_samples] in the benchmark)
+    and 4 000 (Fig. 4(a)).
+
+    Allocation contract: {!pdf} and {!log_pdf} are plain loops over the
+    training array and allocate no per-query array, closure or boxed
+    accumulator; the only allocation left is the boxed float result.
+    The order of each sum is part of the bit-for-bit contract — the
+    training points are summed in index order, and reordering (pairwise
+    or vectorised sums) would change result bits and hence the figures'
+    table digests. *)
 
 type t
 
@@ -22,7 +31,9 @@ val pdf : t -> float -> float
 
 val log_pdf : t -> float -> float
 (** Log-density via log-sum-exp; stable far in the tails where {!pdf}
-    underflows to 0. *)
+    underflows to 0.  Two passes: the maximum kernel exponent, then the
+    sum of shifted exponentials, each exponent recomputed with the same
+    operations so it matches the one the first pass compared. *)
 
 val cdf : t -> float -> float
 (** Smoothed distribution function (mean of kernel CDFs). *)

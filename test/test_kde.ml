@@ -48,6 +48,30 @@ let test_log_pdf_deep_tail () =
   Alcotest.(check bool) "log_pdf very negative" true
     (Stats.Kde.log_pdf kde 10.0 < -1000.0)
 
+let test_known_answers () =
+  (* Bit patterns recorded from the closure-based implementation: the
+     loops must reproduce every operation in the same order, deep-tail
+     underflow of [pdf] included. *)
+  let kde = Stats.Kde.fit (gaussian_sample 300 65) in
+  List.iter
+    (fun (x, log_bits, pdf_bits) ->
+      let check name bits v =
+        if Int64.bits_of_float v <> bits then
+          Alcotest.failf "%s at %h: got %h (0x%Lx), want 0x%Lx" name x v
+            (Int64.bits_of_float v) bits
+      in
+      check "log_pdf" log_bits (Stats.Kde.log_pdf kde x);
+      check "pdf" pdf_bits (Stats.Kde.pdf kde x))
+    [
+      (-4.0, 0xc0290f60986ef1f6L, 0x3ece5624471b54dcL);
+      (-1.25, 0xbffedd6049b78648L, 0x3fc298c05f2fb79cL);
+      (0.0, 0xbfec813008eddf48L, 0x3fda43015c2dffdfL);
+      (0.3, 0xbfe9ef8c925b4cf8L, 0x3fdc74f87e35e540L);
+      (1.7, 0xc0044c7fdd0dbebaL, 0x3fb43e49538151feL);
+      (6.0, 0xc056e29eb783605fL, 0x37ae938adc8e24dfL);
+      (40.0, 0xc0c49c7c424cb41bL, 0x0L);
+    ]
+
 let test_cdf_monotone_bounds () =
   let kde = Stats.Kde.fit (gaussian_sample 300 64) in
   let lo, hi = Stats.Kde.support kde in
@@ -106,4 +130,5 @@ let suite =
     Alcotest.test_case "invalid args" `Quick test_invalid;
     QCheck_alcotest.to_alcotest prop_pdf_nonneg;
     QCheck_alcotest.to_alcotest prop_cdf_in_unit_interval;
+    Alcotest.test_case "log_pdf/pdf known answers (bits)" `Quick test_known_answers;
   ]

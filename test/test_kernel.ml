@@ -197,6 +197,135 @@ let test_alloc_kernel () =
         32.0 );
     ]
 
+let test_alloc_scoring () =
+  (* KDE-Bayes scoring: the densities run plain loops, so what is left
+     per classified point is the float boxed across each module call
+     (the point itself, one log-density per class). *)
+  let sample n seed =
+    let rng = Prng.Rng.create ~seed in
+    Array.init n (fun _ -> Prng.Sampler.normal rng ~mu:0.0 ~sigma:1.0)
+  in
+  let cases = [| (0, sample 500 3); (1, sample 500 4) |] in
+  List.iter
+    (fun n ->
+      let clf =
+        Adversary.Classifier.train
+          ~classes:
+            [|
+              ("a", sample n 1);
+              ("b", Array.map (fun x -> x +. 0.5) (sample n 2));
+            |]
+          ()
+      in
+      let words =
+        minor_words_per_call
+          (fun cases -> ignore (Adversary.Classifier.correct_counts clf cases))
+          [ cases; cases ]
+      in
+      let per_point = words /. 2000.0 in
+      if per_point > 16.0 then
+        Alcotest.failf
+          "Classifier.correct_counts (%d points per class): %g words per \
+           classified point (want <= 16)"
+          n per_point)
+    [ 100; 1000 ]
+
+(* --- link-stage ties ---
+
+   An exact coincidence of two pending streams is ordered by queue
+   sequence in the event loop, so [Linkstage.advance] must raise [Tie]
+   on every one; the same train one ulp later must run through.  One
+   hop, no queue limit, hand-built padded input. *)
+
+let tx = Netsim.Linkstage.tx_time ~size_bytes:500 ~bandwidth_bps:1e6
+
+let stage ?(propagation = 0.0) ?cross times =
+  let st = Netsim.Linkstage.create () in
+  let in_t = Netsim.Fvec.create () and in_tag = Netsim.Fvec.create () in
+  List.iteri
+    (fun i time ->
+      Netsim.Fvec.push in_t time;
+      Netsim.Fvec.push in_tag (float_of_int i))
+    times;
+  Netsim.Linkstage.configure st ~bandwidth_bps:1e6 ~propagation
+    ~queue_limit:None ~packet_size:500 ~cross ~in_t ~in_tag;
+  (st, in_t, in_tag)
+
+let ties ?propagation ?cross times =
+  let st, _, _ = stage ?propagation ?cross times in
+  match Netsim.Linkstage.advance st ~until:1.0 with
+  | () -> false
+  | exception Netsim.Linkstage.Tie -> true
+
+let test_linkstage_ties () =
+  let cross_rng = Prng.Rng.create ~seed:11 and cross_rate = 50.0 in
+  let cross () = Some (Prng.Rng.copy cross_rng, cross_rate, 400) in
+  (* The first cross arrival: 0 + the stream's first draw. *)
+  let first_cross =
+    0.0 +. Prng.Sampler.exponential (Prng.Rng.copy cross_rng) ~rate:cross_rate
+  in
+  let p = 0.002 in
+  (* A propagation that puts the first packet's delivery one ulp after
+     the second's finish (tx +. succ tx would round back onto it). *)
+  let p_later = Float.succ (tx +. tx) -. tx in
+  Alcotest.(check (float 0.0)) "delivery one ulp later"
+    (Float.succ (tx +. tx))
+    (tx +. p_later);
+  List.iter
+    (fun (name, tie, succ) ->
+      Alcotest.(check bool) (name ^ ": tie raised") true (tie ());
+      Alcotest.(check bool) (name ^ ": one ulp later runs") false (succ ()))
+    [
+      ( "input at a pending finish",
+        (fun () -> ties [ 0.0; tx ]),
+        fun () -> ties [ 0.0; Float.succ tx ] );
+      ( "input at the first cross arrival",
+        (fun () -> ties ?cross:(cross ()) [ first_cross ]),
+        fun () -> ties ?cross:(cross ()) [ Float.succ first_cross ] );
+      ( "input at a pending delivery",
+        (fun () -> ties ~propagation:p [ 0.0; tx +. p ]),
+        fun () -> ties ~propagation:p [ 0.0; Float.succ (tx +. p) ] );
+      ( "finish at an earlier packet's delivery",
+        (* The second packet waits for the first: it finishes at
+           (0 + tx) + tx, the first's delivery at (0 + tx) + p. *)
+        (fun () -> ties ~propagation:tx [ 0.0; 0.5 *. tx ]),
+        fun () -> ties ~propagation:p_later [ 0.0; 0.5 *. tx ] );
+    ]
+
+let test_linkstage_chunk_at_finish () =
+  (* A finish exactly at a chunk's [until] belongs to that chunk, and
+     its delivery with it (no propagation) or in the chunk reaching
+     finish + propagation. *)
+  let fvec v = Array.to_list (Netsim.Fvec.to_array v) in
+  let check_chunk st name ~events ~times ~tags =
+    Alcotest.(check int) (name ^ ": chunk events") events
+      (Netsim.Linkstage.chunk_events st);
+    Alcotest.(check (list (float 0.0))) (name ^ ": out times") times
+      (fvec (Netsim.Linkstage.out_times st));
+    Alcotest.(check (list (float 0.0))) (name ^ ": out tags") tags
+      (fvec (Netsim.Linkstage.out_tags st))
+  in
+  let st, in_t, in_tag = stage [ 0.0 ] in
+  Netsim.Linkstage.advance st ~until:(Float.pred tx);
+  check_chunk st "before the finish" ~events:0 ~times:[] ~tags:[];
+  (* The upstream output of a chunk is consumed in full: the next chunk
+     has no new input. *)
+  Netsim.Fvec.clear in_t;
+  Netsim.Fvec.clear in_tag;
+  Netsim.Linkstage.advance st ~until:tx;
+  check_chunk st "until = finish" ~events:1 ~times:[ tx ] ~tags:[ 0.0 ];
+  let p = 0.002 in
+  let st, in_t, in_tag = stage ~propagation:p [ 0.0 ] in
+  Netsim.Linkstage.advance st ~until:tx;
+  check_chunk st "until = finish, propagation" ~events:1 ~times:[] ~tags:[];
+  Netsim.Fvec.clear in_t;
+  Netsim.Fvec.clear in_tag;
+  Netsim.Linkstage.advance st ~until:(tx +. p);
+  check_chunk st "until = delivery" ~events:1 ~times:[ tx +. p ] ~tags:[ 0.0 ];
+  Alcotest.(check int) "one enqueue" 1 (Netsim.Linkstage.enqueued st);
+  Alcotest.(check int) "queue high-water mark" 1
+    (Netsim.Linkstage.queue_hwm st)
+
 (* --- the differential suite --- *)
 
 let hop ?(bw = 1_000_000.0) ?(prop = 0.0) ?qlimit ?cross () =
@@ -535,4 +664,10 @@ let suite =
       test_checkpoint_resume_mixed_paths;
     Alcotest.test_case "bad configs: same Invalid_argument on both engines"
       `Quick test_bad_configs_agree;
+    Alcotest.test_case "allocation: scoring per classified point" `Quick
+      test_alloc_scoring;
+    Alcotest.test_case "link stage: every tie raises, one ulp later runs"
+      `Quick test_linkstage_ties;
+    Alcotest.test_case "link stage: chunk ending at a finish" `Quick
+      test_linkstage_chunk_at_finish;
   ]
