@@ -385,24 +385,6 @@ let micro_tests () =
                   ignore (Stats.Stream.Window.entropy w : float)
                 end)
               sample_1k)));
-    (* Shard-merge overhead and scaling: the same 200-PIAT collection cut
-       into 4 shards, sequential vs. 4 worker domains. *)
-    Test.make ~name:"system.run_sharded_tiny_j1"
-      (Staged.stage (fun () ->
-           Exec.Pool.with_jobs 1 (fun () ->
-               ignore
-                 (Scenarios.System.run_sharded ~shards:4
-                    { Scenarios.System.default_config with warmup_piats = 10 }
-                    ~piats:200
-                   : Scenarios.System.result))));
-    Test.make ~name:"system.run_sharded_tiny_j4"
-      (Staged.stage (fun () ->
-           Exec.Pool.with_jobs 4 (fun () ->
-               ignore
-                 (Scenarios.System.run_sharded ~shards:4
-                    { Scenarios.System.default_config with warmup_piats = 10 }
-                    ~piats:200
-                   : Scenarios.System.result))));
     Test.make ~name:"feature.variance_n1000"
       (Staged.stage (fun () ->
            ignore
@@ -459,21 +441,6 @@ let run_micro_benchmarks () =
 
 (* --- hand-rolled JSON (no dependency): one flat object per run --- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let json_float x =
   (* JSON has no NaN/inf literals; a failed OLS estimate becomes null. *)
   if Float.is_finite x then Printf.sprintf "%.6g" x else "null"
@@ -487,7 +454,7 @@ let add_spans buf =
         (Printf.sprintf
            "\n    {\"name\": \"%s\", \"count\": %d, \"total_s\": %s, \
             \"self_s\": %s}"
-           (json_escape s.Obs.Span.name)
+           (Obs.Json.escape s.Obs.Span.name)
            s.count (json_float s.total_s) (json_float s.self_s)))
     (Obs.Span.snapshot ());
   Buffer.add_string buf "\n  ],\n"
@@ -497,7 +464,8 @@ let add_metrics buf ~metrics =
   List.iteri
     (fun i (name, v) ->
       if i > 0 then Buffer.add_string buf ",";
-      Buffer.add_string buf (Printf.sprintf "\n    \"%s\": " (json_escape name));
+      Buffer.add_string buf
+        (Printf.sprintf "\n    \"%s\": " (Obs.Json.escape name));
       match v with
       | Obs.Metrics.Snapshot.Counter n ->
           Buffer.add_string buf (string_of_int n)
@@ -520,7 +488,7 @@ let add_tables buf =
       if i > 0 then Buffer.add_string buf ",";
       Buffer.add_string buf
         (Printf.sprintf "\n    {\"title\": \"%s\", \"digest\": \"%s\"}"
-           (json_escape title) (json_escape digest)))
+           (Obs.Json.escape title) (Obs.Json.escape digest)))
     (Scenarios.Table.printed_digests ());
   Buffer.add_string buf "\n  ],\n"
 
@@ -537,7 +505,7 @@ let write_json path ~resolved_jobs ~total ~metrics ~micro =
   Buffer.add_string buf (Printf.sprintf "  \"seed\": %d,\n" !seed);
   Buffer.add_string buf (Printf.sprintf "  \"jobs\": %d,\n" resolved_jobs);
   Buffer.add_string buf
-    (Printf.sprintf "  \"only\": \"%s\",\n" (json_escape !only));
+    (Printf.sprintf "  \"only\": \"%s\",\n" (Obs.Json.escape !only));
   Buffer.add_string buf
     (Printf.sprintf "  \"total_s\": %s,\n" (json_float total));
   Buffer.add_string buf "  \"stages\": [";
@@ -546,7 +514,7 @@ let write_json path ~resolved_jobs ~total ~metrics ~micro =
       if i > 0 then Buffer.add_string buf ",";
       Buffer.add_string buf
         (Printf.sprintf "\n    {\"id\": \"%s\", \"wall_s\": %s}"
-           (json_escape id) (json_float dt)))
+           (Obs.Json.escape id) (json_float dt)))
     (List.rev !stage_times);
   Buffer.add_string buf "\n  ],\n";
   add_spans buf;
@@ -559,7 +527,7 @@ let write_json path ~resolved_jobs ~total ~metrics ~micro =
       Buffer.add_string buf
         (Printf.sprintf
            "\n    {\"name\": \"%s\", \"ns_per_run\": %s, \"r_square\": %s}"
-           (json_escape name) (json_float ns) (json_float r2)))
+           (Obs.Json.escape name) (json_float ns) (json_float r2)))
     micro;
   Buffer.add_string buf "\n  ]\n}\n";
   let oc = open_out path in

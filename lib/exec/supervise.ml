@@ -54,13 +54,16 @@ let run ?(retries = 2) ~classify ~describe ~task () =
   in
   go 0
 
-(* --- per-task event budget, handed to System.run* via domain-local
-   storage so the sweep runner does not thread it through every config
-   record --- *)
+(* --- per-task event budget, handed to every run driver via
+   domain-local storage so the sweep runner does not thread it through
+   every config record --- *)
 
 let budget_key = Domain.DLS.new_key (fun () -> None)
 
-let current_event_budget () = Domain.DLS.get budget_key
+let arm_event_budget sim =
+  match Domain.DLS.get budget_key with
+  | Some max_events -> Desim.Sim.set_event_budget sim ~max_events
+  | None -> ()
 
 let with_event_budget budget f =
   let prev = Domain.DLS.get budget_key in

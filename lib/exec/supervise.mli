@@ -46,11 +46,12 @@ val run :
 
 val with_event_budget : int option -> (unit -> 'a) -> 'a
 (** Run [f] with a per-task simulator event budget installed in
-    domain-local storage (restored afterwards).  [System.run*] consults
-    it via {!current_event_budget} and arms [Sim.set_event_budget], so a
-    pathological sweep point raises [Sim.Event_budget_exceeded] instead
-    of spinning forever. *)
+    domain-local storage (restored afterwards).  Every run driver
+    ([System.run*], [Degradation], [Fleet.Mux]) calls
+    {!arm_event_budget} on its simulator, so a pathological sweep point
+    raises [Sim.Event_budget_exceeded] instead of spinning forever. *)
 
-val current_event_budget : unit -> int option
-(** The budget installed by the nearest enclosing {!with_event_budget}
-    on this domain, if any. *)
+val arm_event_budget : Desim.Sim.t -> unit
+(** Install the budget of the nearest enclosing {!with_event_budget} on
+    this domain, if any, with [Desim.Sim.set_event_budget].  No-op when
+    no budget is installed. *)

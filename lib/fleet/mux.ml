@@ -126,13 +126,6 @@ type shard_result = {
   sim_time : float;
 }
 
-(* Mirror of System.arm_event_budget: honour the sweep supervisor's
-   per-point watchdog when one is installed. *)
-let arm_event_budget sim =
-  match Exec.Supervise.current_event_budget () with
-  | Some max_events -> Desim.Sim.set_event_budget sim ~max_events
-  | None -> ()
-
 let arrivals_c = Obs.Metrics.counter "fleet.mux.arrivals"
 let dummies_c = Obs.Metrics.counter "fleet.mux.dummies"
 let flows_hwm = Obs.Metrics.gauge "fleet.mux.flows"
@@ -190,7 +183,7 @@ let run_shard ?env cfg ~gateway =
     | Some e -> (e.sim, e.gw_buffers)
     | None -> (Desim.Sim.create (), None)
   in
-  arm_event_budget sim;
+  Exec.Supervise.arm_event_budget sim;
   let k = Array.length cfg.classes in
   let bounds = class_bounds cfg in
   let table = Flow_table.create ~lo ~flows:n () in
@@ -323,7 +316,6 @@ let run ?env_for cfg =
   let payload_sent = sum (fun s -> s.payload_sent) in
   let dummy_sent = sum (fun s -> s.dummy_sent) in
   let payload_delivered = sum (fun s -> s.payload_delivered) in
-  let emitted = payload_sent + dummy_sent in
   let mean_payload_latency =
     if payload_delivered = 0 then 0.0
     else
@@ -341,9 +333,7 @@ let run ?env_for cfg =
     payload_dropped = sum (fun s -> s.payload_dropped);
     payload_delivered;
     mean_payload_latency;
-    overhead =
-      (if emitted = 0 then 0.0
-       else float_of_int dummy_sent /. float_of_int emitted);
+    overhead = Padding.Qos.dummy_fraction ~payload_sent ~dummy_sent;
     events_processed = sum (fun s -> s.events_processed);
     duration = cfg.duration;
   }

@@ -53,13 +53,13 @@ let send t pkt =
     t.dropped <- t.dropped + 1;
     Obs.Metrics.incr m_dropped;
     if Obs.Trace.enabled () then
-      Tracebuf.record ~key:now
+      Tracebuf.record ~time:now
         ~code:
           (match pkt.Packet.kind with
           | Packet.Payload -> Tracebuf.drop_payload
           | Packet.Dummy -> Tracebuf.drop_dummy
           | Packet.Cross -> Tracebuf.drop_cross)
-        ~x:0.0 ~y:0.0
+        ~x:0.0
   end
   else begin
     let tx =

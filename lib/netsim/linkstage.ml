@@ -201,12 +201,12 @@ let[@inline] send t ~now ~tag ~tx =
   if t.depth >= t.qlimit then begin
     t.dropped <- t.dropped + 1;
     if Obs.Trace.enabled () then
-      Tracebuf.push t.trace ~key:now
+      Tracebuf.push t.trace ~time:now
         ~code:
           (if tag = neg_infinity then Tracebuf.drop_cross
            else if Float.is_nan tag then Tracebuf.drop_dummy
            else Tracebuf.drop_payload)
-        ~x:0.0 ~y:0.0
+        ~x:0.0
   end
   else begin
     let finish = serve t.regs ~now ~tx in

@@ -23,7 +23,7 @@ let observe t pkt ~counter ~code =
   let size = float_of_int pkt.Packet.size_bytes in
   Obs.Metrics.incr m_observed;
   Obs.Metrics.incr counter;
-  if Obs.Trace.enabled () then Tracebuf.record ~key:now ~code ~x:size ~y:0.0;
+  if Obs.Trace.enabled () then Tracebuf.record ~time:now ~code ~x:size;
   Fvec.push t.times now;
   Fvec.push t.sizes size
 

@@ -7,50 +7,40 @@
     a mid-run ordering tie forces a fallback to the event loop, and any
     events already emitted would then be duplicated by the rerun.  Stages
     instead record would-be events here — float-encoded, allocation-free —
-    and the orchestrator replays the merged buffers through
-    {!Obs.Trace.event} exactly once, transactionally, at flush time.
-
-    Every entry carries a [key]: the simulated time of the event-loop
-    event during which the record would have been inserted (insertion
-    order, not display order — a gateway fire inserts its [packet.sent]
-    record, stamped with the later emit time, at fire time).  Within one
-    buffer, entries are pushed in processing order and keys are
-    monotone; merging buffers by key reproduces the event loop's
-    insertion order whenever no two buffers share an exact key. *)
+    and the orchestrator {!replay}s the buffers through {!Obs.Trace.event}
+    exactly once, after the run has finished without a tie.  Each entry
+    carries its displayed time; {!Obs.Trace} orders a run's lines, so
+    buffers may be replayed in any order. *)
 
 type t
 
 val create : unit -> t
 val clear : t -> unit
-val length : t -> int
 
-val push : t -> key:float -> code:float -> x:float -> y:float -> unit
-(** Append one deferred event.  [code] is one of the constants below;
-    [x]/[y] are per-code payload fields (see {!emit}). *)
+val push : t -> time:float -> code:float -> x:float -> unit
+(** Append one deferred event displayed at [time].  [code] is one of the
+    constants below; [x] is its per-code payload field. *)
 
-val key : t -> int -> float
-(** Insertion-time key of entry [i] (unchecked; [i < length t]). *)
-
-val record : key:float -> code:float -> x:float -> y:float -> unit
+val record : time:float -> code:float -> x:float -> unit
 (** Write now the record a {!push} of the same arguments defers. *)
 
-val emit : t -> int -> unit
-(** Replay entry [i] through {!record}. *)
+val replay : t -> unit
+(** {!record} every entry, in push order. *)
 
 (** Entry codes (floats so buffers stay unboxed). *)
 
 val timer_fire : float
-(** [x] = gateway queue length after the pop; displayed at [key]. *)
+(** [x] = gateway queue length after the pop. *)
 
 val sent_payload : float
 val sent_dummy : float
-(** [x] = size in bytes, [y] = emit time (the displayed timestamp). *)
+(** [x] = size in bytes; displayed at the emit time. *)
 
 val observe_payload : float
 val observe_dummy : float
-(** [x] = size in bytes; displayed at [key]. *)
+(** [x] = size in bytes. *)
 
 val drop_payload : float
 val drop_dummy : float
 val drop_cross : float
-(** Link-queue drop of the given kind; displayed at [key]. *)
+(** Link-queue drop of the given kind; [x] unused. *)

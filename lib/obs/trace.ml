@@ -11,9 +11,24 @@ let path = ref None
 let pending : (string * string) list ref = ref []
 
 (* Current run of the calling domain: simulations are single-threaded, so
-   a domain-local slot is all the scoping we need. *)
-let current : (string * Buffer.t) option ref Domain.DLS.key =
+   a domain-local slot is all the scoping we need.  A run keeps each line
+   with the simulated time it was emitted at; [line] is the scratch
+   buffer every line is formatted in. *)
+type run = {
+  label : string;
+  line : Buffer.t;
+  mutable lines : (float * string) list;
+}
+
+let current : run option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
+
+(* The within-run order: simulated time, then the line's bytes.  It is a
+   function of the run's event multiset alone, so any two emitters of the
+   same events (the event loop and the fused kernels) write the same
+   bytes. *)
+let compare_lines (t1, l1) (t2, l2) =
+  match Float.compare t1 t2 with 0 -> String.compare l1 l2 | d -> d
 
 let enable ~path:p =
   Mutex.protect mutex (fun () ->
@@ -34,14 +49,17 @@ let with_run label f =
   else begin
     let slot = Domain.DLS.get current in
     let saved = !slot in
-    let buf = Buffer.create 4096 in
-    slot := Some (label, buf);
+    let run = { label; line = Buffer.create 256; lines = [] } in
+    slot := Some run;
     Fun.protect
       ~finally:(fun () ->
         slot := saved;
-        if Atomic.get on then
-          Mutex.protect mutex (fun () ->
-              pending := (label, Buffer.contents buf) :: !pending))
+        if Atomic.get on then begin
+          let chunk =
+            String.concat "" (List.map snd (List.sort compare_lines run.lines))
+          in
+          Mutex.protect mutex (fun () -> pending := (label, chunk) :: !pending)
+        end)
       f
   end
 
@@ -64,16 +82,19 @@ let event ~name ~t fields =
   if Atomic.get on then
     match !(Domain.DLS.get current) with
     | None -> ()
-    | Some (label, buf) ->
+    | Some run ->
+        let buf = run.line in
+        Buffer.clear buf;
         Buffer.add_string buf "{\"run\":\"";
-        Buffer.add_string buf (Json.escape label);
+        Buffer.add_string buf (Json.escape run.label);
         Buffer.add_string buf "\",\"t\":";
         Buffer.add_string buf (Printf.sprintf "%.12g" t);
         Buffer.add_string buf ",\"ev\":\"";
         Buffer.add_string buf (Json.escape name);
         Buffer.add_char buf '"';
         List.iter (add_field buf) fields;
-        Buffer.add_string buf "}\n"
+        Buffer.add_string buf "}\n";
+        run.lines <- (t, Buffer.contents buf) :: run.lines
 
 let flush () =
   if Atomic.get on then

@@ -8,6 +8,13 @@
     simulation, and a [--jobs 1] and [--jobs n] run of the same workload
     produce byte-identical traces.
 
+    Within a run, lines are written in simulated-time order: sorted by
+    the float [t] passed to {!event} (not its printed form), equal times
+    by the line's bytes.  The order is therefore a function of the run's
+    event multiset, not of the order the events were emitted in: two
+    emitters of the same events — the event loop and the fused kernels,
+    which replay deferred per-stage buffers — write identical bytes.
+
     File layout: the first line is the header [{"schema":"ta-trace/1"}];
     every other line is one event object with at least
     - ["run"] (string): label of the simulation run that emitted it,
@@ -37,7 +44,8 @@ val with_run : string -> (unit -> 'a) -> 'a
 
 val event : name:string -> t:float -> (string * field) list -> unit
 (** Emit one event at simulated time [t] into the current run buffer.
-    Dropped when tracing is disabled or no run is in scope. *)
+    Emission order is free: the run is sorted when {!with_run} commits
+    it.  Dropped when tracing is disabled or no run is in scope. *)
 
 val flush : unit -> unit
 (** Write header plus all buffered runs (sorted by label, then content)

@@ -100,15 +100,13 @@ let on_fire t () =
     end
   in
   if Obs.Trace.enabled () then begin
-    Netsim.Tracebuf.record ~key:now ~code:Netsim.Tracebuf.timer_fire
-      ~x:(float_of_int (Netsim.Ring.length t.queue))
-      ~y:0.0;
-    Netsim.Tracebuf.record ~key:now
+    Netsim.Tracebuf.record ~time:now ~code:Netsim.Tracebuf.timer_fire
+      ~x:(float_of_int (Netsim.Ring.length t.queue));
+    Netsim.Tracebuf.record ~time:emit_time
       ~code:
         (if sends_payload then Netsim.Tracebuf.sent_payload
          else Netsim.Tracebuf.sent_dummy)
       ~x:(float_of_int pkt.Netsim.Packet.size_bytes)
-      ~y:emit_time
   end;
   (* Strictly increasing emit times keep the multiply-armed event and the
      pending ring in lockstep: pops happen in push order. *)

@@ -216,14 +216,13 @@ let[@inline] on_fire t ~now =
     end
   in
   if Obs.Trace.enabled () then begin
-    Netsim.Tracebuf.push t.trace ~key:now ~code:Netsim.Tracebuf.timer_fire
-      ~x:(float_of_int (t.tail - t.queue))
-      ~y:0.0;
-    Netsim.Tracebuf.push t.trace ~key:now
+    Netsim.Tracebuf.push t.trace ~time:now ~code:Netsim.Tracebuf.timer_fire
+      ~x:(float_of_int (t.tail - t.queue));
+    Netsim.Tracebuf.push t.trace ~time:emit_time
       ~code:
         (if sends_payload then Netsim.Tracebuf.sent_payload
          else Netsim.Tracebuf.sent_dummy)
-      ~x:(float_of_int t.packet_size) ~y:emit_time
+      ~x:(float_of_int t.packet_size)
   end;
   push_pending t ~emit_time ~tag;
   (* Sim.every: the fire body runs before the next interval is drawn. *)

@@ -37,15 +37,6 @@ let kernel_hops t n =
           if i < len then t.kernel_hops.(i) else Netsim.Linkstage.create ());
   t.kernel_hops
 
-(* Supervision hook: when a sweep runner installed a per-task event
-   budget (Exec.Supervise.with_event_budget), arm the simulator's
-   watchdog so a pathological run raises Sim.Event_budget_exceeded
-   instead of spinning.  [get] resets the budget along with the rest. *)
-let arm_event_budget sim =
-  match Exec.Supervise.current_event_budget () with
-  | Some max_events -> Desim.Sim.set_event_budget sim ~max_events
-  | None -> ()
-
 let get ~fresh:want_fresh =
   let t = if want_fresh then fresh () else Domain.DLS.get key in
   (* Reset up front — not at run end — so state left by an aborted or

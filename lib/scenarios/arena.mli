@@ -32,12 +32,6 @@ val get : fresh:bool -> t
     (used by determinism tests to compare the two paths, and by callers
     that need two concurrent simulations on one domain). *)
 
-val arm_event_budget : Desim.Sim.t -> unit
-(** Install the per-task event budget published by the nearest enclosing
-    [Exec.Supervise.with_event_budget] (if any) on a simulator — the hook
-    through which {!Sweep}'s watchdog reaches every run driver.  No-op
-    when no budget is installed. *)
-
 val tap_buffers : t -> Netsim.Fvec.t * Netsim.Fvec.t
 (** The [(times, sizes)] pair for {!Netsim.Topology.chain}'s
     [tap_buffers]. *)

@@ -109,7 +109,7 @@ let run_faulty cfg ~piats =
   @@ fun () ->
   let p = cfg.profile in
   let sim = Desim.Sim.create () in
-  Arena.arm_event_budget sim;
+  Exec.Supervise.arm_event_budget sim;
   let root = Prng.Rng.create ~seed:cfg.seed in
   let rng_payload = Prng.Rng.split root in
   let rng_gateway = Prng.Rng.split root in

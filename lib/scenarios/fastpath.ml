@@ -8,20 +8,19 @@
    this module plays topology glue, tap, receiver and chunk loop.  It
    keeps no copy of a rule the event loop runs: the chain check and the
    cross streams come from [Netsim.Topology], the event budget from
-   [Arena], the chunk boundaries from [Starvation.drive], and the
+   [Exec.Supervise], the chunk boundaries from [Starvation.drive], and the
    metrics go out through the batch functions of the modules that own
    them.  So both paths reject the same configs and starve, stop and
    budget-trip at identical simulated times.
 
    Everything observable is buffered stage-locally during the run and
    flushed transactionally: registry counters as batched adds, the
-   ta-trace/1 stream as a key-ordered merge of per-stage deferred
-   buffers.  If any stage (or the trace merge) hits an exact time tie it
-   cannot order, nothing has been published yet — [try_run] returns
-   [None] and the caller reruns the config on the event loop, whose
-   (time, seq) queue order resolves the tie authoritatively. *)
-
-exception Trace_tie
+   ta-trace/1 stream as a replay of the per-stage deferred buffers (in
+   any order: [Obs.Trace] sorts each run by time).  If any stage hits an
+   exact time tie it cannot order, nothing has been published yet —
+   [try_run] returns [None] and the caller reruns the config on the
+   event loop, whose (time, seq) queue order resolves the tie
+   authoritatively. *)
 
 let enabled_flag = Atomic.make true
 let enabled () = Atomic.get enabled_flag
@@ -71,42 +70,6 @@ type outcome = {
   sim_time : float;
 }
 
-(* K-way merge of the per-stage deferred trace buffers by insertion-time
-   key, replayed through the live trace sink.  Keys are monotone within
-   a buffer (stable insertion order); an exact key shared by two
-   different buffers is a cross-stage insertion-order tie the event
-   queue would break by seq — bail out before emitting anything. *)
-let merge_pass bufs ~emit =
-  let k = Array.length bufs in
-  let idx = Array.make k 0 in
-  let remaining = ref 0 in
-  Array.iter (fun b -> remaining := !remaining + Netsim.Tracebuf.length b) bufs;
-  while !remaining > 0 do
-    let best = ref (-1) in
-    let best_key = ref infinity in
-    for j = 0 to k - 1 do
-      if idx.(j) < Netsim.Tracebuf.length bufs.(j) then begin
-        let key = Netsim.Tracebuf.key bufs.(j) idx.(j) in
-        if !best < 0 || key < !best_key then begin
-          best := j;
-          best_key := key
-        end
-        else if key = !best_key then raise Trace_tie
-      end
-    done;
-    if emit then Netsim.Tracebuf.emit bufs.(!best) idx.(!best);
-    idx.(!best) <- idx.(!best) + 1;
-    remaining := !remaining - 1
-  done
-
-let merge_traces bufs =
-  (* Two passes: the dry run proves the whole merge is tie-free BEFORE
-     the first event reaches the sink — a tie detected mid-emission
-     would leave a partial stream behind that the event-loop rerun then
-     duplicates. *)
-  merge_pass bufs ~emit:false;
-  merge_pass bufs ~emit:true
-
 let try_run ~fresh_arena ~scenario ~rng_payload ~rng_gateway ~rng_cross ~timer
     ~jitter ~payload_rate_pps ~packet_size ~hops ~tap_position ~target
     ~expected_rate =
@@ -114,7 +77,7 @@ let try_run ~fresh_arena ~scenario ~rng_payload ~rng_gateway ~rng_cross ~timer
   let n = Array.length hops in
   let arena = Arena.get ~fresh:fresh_arena in
   let sim = arena.Arena.sim in
-  Arena.arm_event_budget sim;
+  Exec.Supervise.arm_event_budget sim;
   let cross_streams = Netsim.Topology.cross_streams ~rng:rng_cross hops in
   let kgw = arena.Arena.kernel_gw in
   Padding.Kernel.configure kgw ~rng_payload ~rng_gateway ~timer ~jitter
@@ -154,11 +117,11 @@ let try_run ~fresh_arena ~scenario ~rng_payload ~rng_gateway ~rng_cross ~timer
       let dummy = Float.is_nan tag in
       if dummy then incr tap_dummy else incr tap_payload;
       if Obs.Trace.enabled () then
-        Netsim.Tracebuf.push arena.Arena.kernel_tap_trace ~key:t
+        Netsim.Tracebuf.push arena.Arena.kernel_tap_trace ~time:t
           ~code:
             (if dummy then Netsim.Tracebuf.observe_dummy
              else Netsim.Tracebuf.observe_payload)
-          ~x:size_f ~y:0.0;
+          ~x:size_f;
       Netsim.Fvec.push arena.Arena.tap_times t;
       Netsim.Fvec.push arena.Arena.tap_sizes size_f
     done
@@ -195,13 +158,11 @@ let try_run ~fresh_arena ~scenario ~rng_payload ~rng_gateway ~rng_cross ~timer
   in
   let flush ~with_utilization ~publish ~now =
     if Obs.Trace.enabled () then begin
-      let bufs =
-        Array.init (n + 2) (fun i ->
-            if i = 0 then Padding.Kernel.trace kgw
-            else if i = 1 then arena.Arena.kernel_tap_trace
-            else Netsim.Linkstage.trace stages.(i - 2))
-      in
-      merge_traces bufs
+      Netsim.Tracebuf.replay (Padding.Kernel.trace kgw);
+      Netsim.Tracebuf.replay arena.Arena.kernel_tap_trace;
+      for i = 0 to n - 1 do
+        Netsim.Tracebuf.replay (Netsim.Linkstage.trace stages.(i))
+      done
     end;
     Padding.Gateway.note_batch kgw;
     for i = 0 to n - 1 do
@@ -271,7 +232,7 @@ let try_run ~fresh_arena ~scenario ~rng_payload ~rng_gateway ~rng_cross ~timer
         mean_payload_latency = Stats.Descriptive.Acc.mean latency_acc;
         sim_time = now;
       }
-  with Padding.Kernel.Tie | Netsim.Linkstage.Tie | Trace_tie ->
+  with Padding.Kernel.Tie | Netsim.Linkstage.Tie ->
     (* Nothing was published before the tie was detected; the caller
        reruns the config on the event loop. *)
     None

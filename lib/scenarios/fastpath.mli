@@ -4,7 +4,7 @@
     chain topology, cross traffic absent or Poisson — through
     {!Padding.Kernel} and {!Netsim.Linkstage} instead of the discrete
     event loop, bit-identical to it at any [--jobs].  It owns only the
-    orchestration (chunks, inline tap and receiver, trace merge,
+    orchestration (chunks, inline tap and receiver, trace replay,
     transactional flush) and the [desim.kernel.*] counters; every rule
     it runs, and every other metric it publishes, belongs to a module
     the event loop calls too ({!Netsim.Topology}, {!Arena},

@@ -71,7 +71,7 @@ let streams seed =
 let drive ~fresh_arena ~scenario cfg ~sender ~target ~expected_rate =
   let arena = Arena.get ~fresh:fresh_arena in
   let sim = arena.Arena.sim in
-  Arena.arm_event_budget sim;
+  Exec.Supervise.arm_event_budget sim;
   let rng_payload, rng_gateway, rng_cross = streams cfg.seed in
   let receiver = Padding.Receiver.create sim () in
   let topo =
@@ -183,63 +183,6 @@ let run ?(fresh_arena = false) cfg ~piats =
           Fastpath.note_fallback Fastpath.Tie;
           event_loop ()
       | Some o -> o)
-
-(* Intra-run domain sharding: one logical PIAT collection split into
-   [shards] independent simulations with index-derived seeds, fanned out
-   on [Exec.Pool] and merged in shard order.  The decomposition is a
-   property of the run (the shard count and per-shard seeds never depend
-   on the worker count), so the merged result is byte-identical at any
-   [--jobs] — workers only change who executes which shard, never what a
-   shard computes. *)
-let run_sharded ?(fresh_arena = false) ?jobs ?(shards = 1) cfg ~piats =
-  if shards < 1 then invalid_arg "System.run_sharded: shards < 1";
-  if piats < shards then invalid_arg "System.run_sharded: piats < shards";
-  if shards = 1 then run ~fresh_arena cfg ~piats
-  else begin
-    let chunk = (piats + shards - 1) / shards in
-    let results =
-      Exec.Pool.parallel_init ?jobs shards (fun i ->
-          let piats_i = Stdlib.min chunk (piats - (i * chunk)) in
-          run ~fresh_arena
-            { cfg with seed = Prng.Rng.mix_seed cfg.seed i }
-            ~piats:piats_i)
-    in
-    let total_piats =
-      Array.fold_left (fun acc r -> acc + Array.length r.piats) 0 results
-    in
-    let piats_arr = Array.make total_piats 0.0 in
-    let pos = ref 0 in
-    Array.iter
-      (fun r ->
-        Array.blit r.piats 0 piats_arr !pos (Array.length r.piats);
-        pos := !pos + Array.length r.piats)
-      results;
-    let sum f = Array.fold_left (fun acc r -> acc + f r) 0 results in
-    let sim_time = Array.fold_left (fun acc r -> acc +. r.sim_time) 0.0 results in
-    (* Ratio metrics merge weighted: overhead by each shard's simulated
-       time, latency by the payload packets actually delivered. *)
-    let weighted num den =
-      let d = Array.fold_left (fun acc r -> acc +. den r) 0.0 results in
-      if d = 0.0 then 0.0
-      else Array.fold_left (fun acc r -> acc +. (num r *. den r)) 0.0 results /. d
-    in
-    {
-      piats = piats_arr;
-      (* Per-shard clocks restart at 0; a concatenated timestamp series
-         would be non-monotonic and meaningless, so the merged result
-         carries none. *)
-      timestamps = [||];
-      overhead = weighted (fun r -> r.overhead) (fun r -> r.sim_time);
-      payload_offered = sum (fun r -> r.payload_offered);
-      payload_delivered = sum (fun r -> r.payload_delivered);
-      payload_dropped_gw = sum (fun r -> r.payload_dropped_gw);
-      mean_payload_latency =
-        weighted
-          (fun r -> r.mean_payload_latency)
-          (fun r -> float_of_int r.payload_delivered);
-      sim_time;
-    }
-  end
 
 let run_mix ?(fresh_arena = false) ?(threshold = 8) ?(timeout = 0.5) cfg
     ~piats =

@@ -62,29 +62,6 @@ val run : ?fresh_arena:bool -> config -> piats:int -> result
     reject a bad config (NaN included) with the same [Invalid_argument]
     before the first event. *)
 
-val run_sharded :
-  ?fresh_arena:bool -> ?jobs:int -> ?shards:int -> config -> piats:int -> result
-(** [run_sharded ~shards cfg ~piats] collects the same PIAT budget as
-    {!run} but split across [shards] independent simulations, fanned out
-    on {!Exec.Pool} and merged in shard order.  Shard [i] runs with seed
-    [Prng.Rng.mix_seed cfg.seed i], so the decomposition — and therefore
-    the merged result — depends only on [(cfg.seed, shards, piats)]:
-    byte-identical at any [--jobs], which only changes how many shards
-    run concurrently.  [shards = 1] (the default) is exactly [run].
-
-    Merge semantics: [piats] are concatenated in shard order; payload
-    counters are summed; [overhead] is weighted by per-shard [sim_time]
-    and [mean_payload_latency] by per-shard [payload_delivered];
-    [sim_time] sums.  Because per-shard clocks restart at zero, the
-    merged [timestamps] is empty — sharded collection serves PIAT
-    statistics, not absolute-time series.  Note each shard pays its own
-    [warmup_piats], so prefer few large shards over many small ones.
-
-    Raises [Invalid_argument] if [shards < 1] or [piats < shards]; like
-    {!run}, raises [Starvation.Tap_starved] or
-    [Desim.Sim.Event_budget_exceeded] when a shard starves or overruns
-    an armed event budget. *)
-
 val run_unpadded : ?fresh_arena:bool -> config -> packets:int -> result
 (** Baseline without any gateway: the payload stream crosses the same hop
     chain in the clear ([timer]/[jitter] ignored, [piats] are payload

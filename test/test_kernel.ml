@@ -348,7 +348,8 @@ let onoff_cross =
 
 (* Every eligible configuration shape: CIT and all VIT laws, all jitter
    models, no hops / loaded chain / mid-chain tap / propagation /
-   queue-limit drops. *)
+   queue-limit drops.  Each one runs on the kernel, traced or not, so
+   every differential check below compares the two engines. *)
 let eligible_configs =
   let base = System.default_config in
   [
@@ -387,10 +388,24 @@ let eligible_configs =
     ( "chain_midtap",
       {
         base with
-        hops = [| hop ~cross:(poisson_cross 120.0) (); hop (); hop () |];
+        hops =
+          [|
+            hop ~cross:(poisson_cross 120.0) ();
+            hop ~bw:1_200_000.0 ();
+            hop ~bw:1_500_000.0 ();
+          |];
         tap_position = 1;
       } );
   ]
+
+(* [chain_midtap] with equal downstream bandwidths: back-to-back packets
+   finish one hop exactly when the next arrives, a link-stage tie. *)
+let chain_equal_bw =
+  {
+    System.default_config with
+    hops = [| hop ~cross:(poisson_cross 120.0) (); hop (); hop () |];
+    tap_position = 1;
+  }
 
 let filtered_snapshot () =
   (* The event-queue-depth gauge has a documented deterministic surrogate
@@ -414,17 +429,26 @@ let fallbacks reason =
   Obs.Metrics.Snapshot.counter_value (Obs.Metrics.snapshot ())
     ("desim.kernel.fallbacks{reason=" ^ reason ^ "}")
 
-let run_both ?(piats = 400) cfg =
+(* One run of [cfg] on the chosen engine: its result, filtered metric
+   totals, [desim.kernel.runs] and, when [traced], the ta-trace/1 bytes. *)
+let run_on ~kernel ~traced cfg =
+  let path = Filename.temp_file "kernel_trace" ".jsonl" in
   Obs.Metrics.reset ();
-  let rk = with_kernel true (fun () -> System.run ~fresh_arena:true cfg ~piats) in
-  let sk = snapshot_str () in
-  let kruns = kernel_runs () + fallbacks "tie" in
-  Obs.Metrics.reset ();
-  let re =
-    with_kernel false (fun () -> System.run ~fresh_arena:true cfg ~piats)
+  if traced then Obs.Trace.enable ~path;
+  let r =
+    Fun.protect
+      ~finally:(fun () -> Obs.Trace.disable ())
+      (fun () ->
+        let r =
+          with_kernel kernel (fun () ->
+              System.run ~fresh_arena:true cfg ~piats:400)
+        in
+        Obs.Trace.flush ();
+        r)
   in
-  let se = snapshot_str () in
-  (rk, sk, kruns, re, se)
+  let body = read_file path in
+  Sys.remove path;
+  (r, snapshot_str (), kernel_runs (), body)
 
 let check_results_equal name (rk : System.result) (re : System.result) =
   (* compare, not (=): mean latency can legitimately be computed from
@@ -432,52 +456,36 @@ let check_results_equal name (rk : System.result) (re : System.result) =
   if Stdlib.compare rk re <> 0 then
     Alcotest.failf "%s: kernel and event-loop results differ" name
 
-let test_differential_results () =
+(* Every eligible config on both engines: the kernel must have run, and
+   results, metric totals and trace bytes must match.  Traced, the trace
+   holds the same events in the same order, with the same timestamps. *)
+let differential ~traced () =
   List.iter
     (fun (name, cfg) ->
-      let rk, sk, kruns, re, se = run_both cfg in
+      let rk, sk, kruns, tk = run_on ~kernel:true ~traced cfg in
+      let re, se, _, te = run_on ~kernel:false ~traced cfg in
       check_results_equal name rk re;
       Alcotest.(check string) (name ^ ": metric totals") se sk;
-      (* Whether the kernel actually ran (vs tie-fallback) is config
-         dependent, but it must have either run or counted the tie. *)
-      Alcotest.(check int) (name ^ ": kernel attempted") 1 kruns)
+      Alcotest.(check int) (name ^ ": kernel ran") 1 kruns;
+      Alcotest.(check string) (name ^ ": trace bytes") te tk;
+      if traced && String.length tk < 10_000 then
+        Alcotest.failf "%s: trivial trace" name)
     eligible_configs
 
-let test_differential_trace () =
-  (* ta-trace/1 bytes must be identical: same events, same order, same
-     timestamps, for a config that exercises gateway + links + drops +
-     cross diversion. *)
-  let cfg = List.assoc "chain_loaded" eligible_configs in
-  let capture kernel =
-    let path = Filename.temp_file "kernel_trace" ".jsonl" in
-    Obs.Metrics.reset ();
-    Obs.Trace.enable ~path;
-    Fun.protect
-      ~finally:(fun () -> Obs.Trace.disable ())
-      (fun () ->
-        ignore
-          (with_kernel kernel (fun () ->
-               System.run ~fresh_arena:true cfg ~piats:400)
-            : System.result);
-        Obs.Trace.flush ());
-    let body = read_file path in
-    Sys.remove path;
-    body
-  in
-  let tk = capture true in
-  let te = capture false in
-  Alcotest.(check bool) "trace non-trivial" true (String.length tk > 10_000);
-  Alcotest.(check string) "identical trace bytes" te tk
-
 let test_differential_sharded_jobs () =
-  (* One logical collection split across 8 shards: byte-identical between
-     paths at jobs 1, 2 and 8 (shards mix kernel-eligible seeds with
-     tie-fallback seeds, so this also covers mixed execution). *)
-  let cfg = List.assoc "chain_loaded" eligible_configs in
+  (* Windowed collection shards one logical PIAT budget into independent
+     runs: byte-identical between paths at jobs 1, 2 and 8. *)
+  let base = List.assoc "chain_loaded" eligible_configs in
+  let plan =
+    Scenarios.Workload.window_plan ~sample_size:40 ~windows_per_shard:4
+      ~min_windows:4 ~max_windows:32 ()
+  in
   let run kernel jobs =
     Obs.Metrics.reset ();
     with_kernel kernel (fun () ->
-        with_jobs jobs (fun () -> System.run_sharded ~shards:8 cfg ~piats:320))
+        with_jobs jobs (fun () ->
+            Scenarios.Workload.collect_windowed ~base ~plan
+              ~features:Adversary.Feature.standard_set))
   in
   let reference = run false 1 in
   List.iter
@@ -485,6 +493,8 @@ let test_differential_sharded_jobs () =
       List.iter
         (fun kernel ->
           let r = run kernel jobs in
+          if kernel && kernel_runs () = 0 then
+            Alcotest.failf "jobs=%d: no shard ran on the kernel" jobs;
           if Stdlib.compare reference r <> 0 then
             Alcotest.failf "kernel=%b jobs=%d differs from evloop jobs=1"
               kernel jobs)
@@ -492,7 +502,13 @@ let test_differential_sharded_jobs () =
     [ 1; 2; 8 ]
 
 let test_fallback_reasons () =
-  (* Ineligible shapes must take the event loop and say why. *)
+  (* Ineligible shapes and kernel ties must take the event loop and say
+     why. *)
+  let tie, _, tie_runs, _ = run_on ~kernel:true ~traced:false chain_equal_bw in
+  Alcotest.(check int) "tie fallback" 1 (fallbacks "tie");
+  Alcotest.(check int) "tie: no kernel run" 0 tie_runs;
+  let evloop, _, _, _ = run_on ~kernel:false ~traced:false chain_equal_bw in
+  check_results_equal "tie" tie evloop;
   Obs.Metrics.reset ();
   let cbr = { System.default_config with payload_model = System.Cbr_payload } in
   ignore (with_kernel true (fun () -> System.run cbr ~piats:50) : System.result);
@@ -654,9 +670,9 @@ let suite =
     Alcotest.test_case "allocation: Kernel.advance per-fire ceiling" `Quick
       test_alloc_kernel;
     Alcotest.test_case "differential: results + metrics" `Quick
-      test_differential_results;
+      (differential ~traced:false);
     Alcotest.test_case "differential: trace bytes" `Quick
-      test_differential_trace;
+      (differential ~traced:true);
     Alcotest.test_case "differential: sharded at jobs 1/2/8" `Quick
       test_differential_sharded_jobs;
     Alcotest.test_case "fallback reasons counted" `Quick test_fallback_reasons;

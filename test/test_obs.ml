@@ -226,6 +226,52 @@ let test_json_roundtrip () =
       Alcotest.(check string) "escape/parse roundtrip" tricky s
   | _ -> Alcotest.fail "escaped string did not parse back"
 
+(* The within-run trace order belongs to Obs.Trace: lines sorted by the
+   float time, equal times by bytes, whatever the emission order. *)
+let test_trace_run_order () =
+  let events =
+    [
+      ("timer.fire", 0.5, [ ("q", Obs.Trace.I 2) ]);
+      ("tap.observe", 0.25, [ ("kind", Obs.Trace.S "dummy") ]);
+      ("timer.fire", 0.25, [ ("q", Obs.Trace.I 0) ]);
+      ("packet.sent", 1e-13, []);
+      ("tap.observe", 0.25, [ ("kind", Obs.Trace.S "payload") ]);
+      (* prints as t = 1 like the next one, but is the later float *)
+      ("packet.sent", 1.0 +. 1e-15, []);
+      ("timer.fire", 1.0, []);
+    ]
+  in
+  let write events =
+    let path = Filename.temp_file "ta_trace_order" ".jsonl" in
+    Obs.Trace.enable ~path;
+    Fun.protect
+      ~finally:(fun () -> Obs.Trace.disable ())
+      (fun () ->
+        Obs.Trace.with_run "r" (fun () ->
+            List.iter
+              (fun (name, t, fields) -> Obs.Trace.event ~name ~t fields)
+              events);
+        Obs.Trace.flush ());
+    let body = In_channel.with_open_bin path In_channel.input_all in
+    Sys.remove path;
+    String.split_on_char '\n' body |> List.filter (( <> ) "") |> List.tl
+  in
+  let line ev t rest = Printf.sprintf {|{"run":"r","t":%s,"ev":"%s"%s}|} t ev rest in
+  let expected =
+    [
+      line "packet.sent" "1e-13" "";
+      line "tap.observe" "0.25" {|,"kind":"dummy"|};
+      line "tap.observe" "0.25" {|,"kind":"payload"|};
+      line "timer.fire" "0.25" {|,"q":0|};
+      line "timer.fire" "0.5" {|,"q":2|};
+      line "timer.fire" "1" "";
+      line "packet.sent" "1" "";
+    ]
+  in
+  Alcotest.(check (list string)) "sorted by t, then bytes" expected (write events);
+  Alcotest.(check (list string))
+    "emission order is irrelevant" (write events) (write (List.rev events))
+
 let suite =
   [
     Alcotest.test_case "counter merge: any domain partition" `Quick
@@ -243,4 +289,6 @@ let suite =
     Alcotest.test_case "metric name/type clash rejected" `Quick
       test_name_type_clash;
     Alcotest.test_case "json codec roundtrip" `Quick test_json_roundtrip;
+    Alcotest.test_case "trace run: time order, then bytes" `Quick
+      test_trace_run_order;
   ]

@@ -179,66 +179,11 @@ let test_sliding_features_matches_batch () =
         disjoint.Adversary.Dataset.w_variances.(k))
     batch
 
-(* --- System.run_sharded: delegation, merge accounting, jobs identity --- *)
+(* --- Workload.collect_windowed: determinism and early stop --- *)
 
 let cfg ~seed =
   { Scenarios.System.default_config with Scenarios.System.seed;
     warmup_piats = 20 }
-
-let test_run_sharded_delegates () =
-  let r1 = Scenarios.System.run (cfg ~seed:21) ~piats:150 in
-  let r2 = Scenarios.System.run_sharded ~shards:1 (cfg ~seed:21) ~piats:150 in
-  Alcotest.(check bool) "shards=1 is exactly run" true (r1 = r2)
-
-let test_run_sharded_merge () =
-  let sharded =
-    Scenarios.System.run_sharded ~shards:4 (cfg ~seed:22) ~piats:150
-  in
-  Alcotest.(check int) "all piats collected" 150
-    (Array.length sharded.Scenarios.System.piats);
-  Alcotest.(check (array (float 0.0))) "no merged timestamps" [||]
-    sharded.Scenarios.System.timestamps;
-  (* Counters are sums of the per-shard runs (chunks of 38,38,38,36). *)
-  let manual =
-    List.init 4 (fun i ->
-        Scenarios.System.run
-          { (cfg ~seed:22) with
-            Scenarios.System.seed = Prng.Rng.mix_seed 22 i }
-          ~piats:(if i = 3 then 150 - (3 * 38) else 38))
-  in
-  Alcotest.(check int) "payload_offered sums"
-    (List.fold_left
-       (fun acc r -> acc + r.Scenarios.System.payload_offered)
-       0 manual)
-    sharded.Scenarios.System.payload_offered;
-  close "sim_time sums"
-    (List.fold_left (fun acc r -> acc +. r.Scenarios.System.sim_time) 0.0 manual)
-    sharded.Scenarios.System.sim_time;
-  (* Shard piats appear concatenated in shard order. *)
-  let concat =
-    Array.concat (List.map (fun r -> r.Scenarios.System.piats) manual)
-  in
-  Alcotest.(check bool) "piats concatenated in shard order" true
-    (concat = sharded.Scenarios.System.piats);
-  Alcotest.check_raises "piats < shards rejected"
-    (Invalid_argument "System.run_sharded: piats < shards") (fun () ->
-      ignore (Scenarios.System.run_sharded ~shards:8 (cfg ~seed:22) ~piats:4))
-
-let test_run_sharded_jobs_identity () =
-  let at jobs =
-    Exec.Pool.with_jobs jobs (fun () ->
-        Scenarios.System.run_sharded ~shards:4 (cfg ~seed:23) ~piats:200)
-  in
-  let r1 = at 1 in
-  List.iter
-    (fun jobs ->
-      Alcotest.(check bool)
-        (Printf.sprintf "jobs=%d bit-identical to jobs=1" jobs)
-        true
-        (at jobs = r1))
-    [ 2; 8 ]
-
-(* --- Workload.collect_windowed: determinism and early stop --- *)
 
 let features = Adversary.Feature.standard_set
 
@@ -375,12 +320,6 @@ let suite =
     Alcotest.test_case "sliding_count" `Quick test_sliding_count;
     Alcotest.test_case "sliding_features vs batch" `Quick
       test_sliding_features_matches_batch;
-    Alcotest.test_case "run_sharded shards=1 = run" `Quick
-      test_run_sharded_delegates;
-    Alcotest.test_case "run_sharded merge accounting" `Quick
-      test_run_sharded_merge;
-    Alcotest.test_case "run_sharded jobs identity" `Quick
-      test_run_sharded_jobs_identity;
     Alcotest.test_case "collect_windowed jobs identity" `Quick
       test_collect_windowed_jobs_identity;
     Alcotest.test_case "collect_windowed early stop" `Quick
