@@ -6,27 +6,43 @@ open Cmdliner
 
 let fmt = Format.std_formatter
 
-(* Reject bad numbers at the Cmdliner level: a non-positive scale used to
-   propagate until Sim.every raised Invalid_argument deep inside a run. *)
-let pos_float_conv ~what =
+(* Reject bad numbers at the Cmdliner level (exit 2): a non-positive
+   scale used to propagate until Sim.every raised Invalid_argument deep
+   inside a run.  [ok] must be false on NaN. *)
+let float_conv ~what ~expect ok =
   let parse s =
     match float_of_string_opt s with
-    | Some f when f > 0.0 && Float.is_finite f -> Ok f
-    | Some _ -> Error (`Msg (Printf.sprintf "%s must be a positive finite number, got %s" what s))
-    | None -> Error (`Msg (Printf.sprintf "invalid %s %S (expected a number)" what s))
+    | Some f when ok f -> Ok f
+    | Some _ ->
+        Error (`Msg (Printf.sprintf "%s must be %s, got %s" what expect s))
+    | None ->
+        Error (`Msg (Printf.sprintf "invalid %s %S (expected a number)" what s))
   in
   Arg.conv (parse, fun ppf f -> Format.fprintf ppf "%g" f)
 
-let pos_int_conv ~what =
+let int_conv ~what ~expect ok =
   let parse s =
     match int_of_string_opt s with
-    | Some i when i >= 1 -> Ok i
-    | Some i -> Error (`Msg (Printf.sprintf "%s must be >= 1, got %d" what i))
+    | Some i when ok i -> Ok i
+    | Some _ ->
+        Error (`Msg (Printf.sprintf "%s must be %s, got %s" what expect s))
     | None ->
         Error
           (`Msg (Printf.sprintf "invalid %s %S (expected an integer)" what s))
   in
   Arg.conv (parse, Format.pp_print_int)
+
+let pos_float_conv ~what =
+  float_conv ~what ~expect:"a positive finite number" (fun f ->
+      f > 0.0 && Float.is_finite f)
+
+let pos_int_conv ~what = int_conv ~what ~expect:">= 1" (fun i -> i >= 1)
+
+(* Every feature statistic needs two PIATs (the sample variance). *)
+let samples_arg =
+  let size = int_conv ~what:"sample size" ~expect:">= 2" (fun n -> n >= 2) in
+  Arg.(value & opt size 1000
+       & info [ "n"; "samples" ] ~docv:"N" ~doc:"Sample size (>= 2).")
 
 let seed_conv =
   let parse s =
@@ -428,53 +444,56 @@ let ablations_cmd =
 
 let theory_cmd =
   let r_arg =
-    Arg.(required & opt (some float) None & info [ "r"; "ratio" ] ~docv:"RATIO"
+    let ratio =
+      float_conv ~what:"r" ~expect:"a finite number >= 1" (fun r ->
+          r >= 1.0 && Float.is_finite r)
+    in
+    Arg.(required & opt (some ratio) None & info [ "r"; "ratio" ] ~docv:"RATIO"
            ~doc:"Variance ratio r >= 1.")
   in
-  let n_arg =
-    Arg.(value & opt int 1000 & info [ "n"; "samples" ] ~docv:"N" ~doc:"Sample size.")
-  in
   let run r n =
-    if r < 1.0 then `Error (false, "r must be >= 1")
-    else begin
-      Format.fprintf fmt "r = %.6f, n = %d@." r n;
-      Format.fprintf fmt "  v_mean     = %.4f (independent of n)@."
-        (Analytical.Theorems.v_mean ~r);
-      Format.fprintf fmt "  v_variance = %.4f  (C_Y = %.4g)@."
-        (Analytical.Theorems.v_variance ~r ~n)
-        (Analytical.Theorems.c_variance ~r);
-      Format.fprintf fmt "  v_entropy  = %.4f  (C_H = %.4g)@."
-        (Analytical.Theorems.v_entropy ~r ~n)
-        (Analytical.Theorems.c_entropy ~r);
-      Format.fprintf fmt "  n for 99%% detection: variance %.3e, entropy %.3e@."
-        (Analytical.Theorems.n_for_detection_variance ~r ~p:0.99)
-        (Analytical.Theorems.n_for_detection_entropy ~r ~p:0.99);
-      let exact =
-        Analytical.Bayes_numeric.sample_variance_exact ~sigma2_l:1.0
-          ~sigma2_h:r ~n
-      in
-      let bracket =
-        Analytical.Bounds.sample_variance_bracket ~sigma2_l:1.0 ~sigma2_h:r ~n
-      in
-      Format.fprintf fmt
-        "  sample-variance exact rate %.4f; Bhattacharyya bracket [%.4f, \
-         %.4f]@."
-        exact bracket.Analytical.Bounds.lower bracket.Analytical.Bounds.upper;
-      `Ok ()
-    end
+    Format.fprintf fmt "r = %.6f, n = %d@." r n;
+    Format.fprintf fmt "  v_mean     = %.4f (independent of n)@."
+      (Analytical.Theorems.v_mean ~r);
+    Format.fprintf fmt "  v_variance = %.4f  (C_Y = %.4g)@."
+      (Analytical.Theorems.v_variance ~r ~n)
+      (Analytical.Theorems.c_variance ~r);
+    Format.fprintf fmt "  v_entropy  = %.4f  (C_H = %.4g)@."
+      (Analytical.Theorems.v_entropy ~r ~n)
+      (Analytical.Theorems.c_entropy ~r);
+    Format.fprintf fmt "  n for 99%% detection: variance %.3e, entropy %.3e@."
+      (Analytical.Theorems.n_for_detection_variance ~r ~p:0.99)
+      (Analytical.Theorems.n_for_detection_entropy ~r ~p:0.99);
+    let exact =
+      Analytical.Bayes_numeric.sample_variance_exact ~sigma2_l:1.0
+        ~sigma2_h:r ~n
+    in
+    let bracket =
+      Analytical.Bounds.sample_variance_bracket ~sigma2_l:1.0 ~sigma2_h:r ~n
+    in
+    Format.fprintf fmt
+      "  sample-variance exact rate %.4f; Bhattacharyya bracket [%.4f, \
+       %.4f]@."
+      exact bracket.Analytical.Bounds.lower bracket.Analytical.Bounds.upper
   in
   Cmd.v
     (Cmd.info "theory" ~doc:"Evaluate the closed-form detection rates.")
-    Term.(ret (const run $ r_arg $ n_arg))
+    Term.(const run $ r_arg $ samples_arg)
 
 let design_cmd =
   let vmax_arg =
-    Arg.(value & opt float 0.55 & info [ "vmax" ] ~docv:"RATE"
+    let rate =
+      float_conv ~what:"vmax" ~expect:"in (0.5, 1)" (fun v ->
+          v > 0.5 && v < 1.0)
+    in
+    Arg.(value & opt rate 0.55 & info [ "vmax" ] ~docv:"RATE"
            ~doc:"Tolerated detection rate in (0.5, 1).")
   in
   let nmax_arg =
-    Arg.(value & opt int 1_000_000 & info [ "nmax" ] ~docv:"N"
-           ~doc:"Adversary's sample-size budget.")
+    let budget = int_conv ~what:"nmax" ~expect:">= 2" (fun n -> n >= 2) in
+    Arg.(value & opt budget 1_000_000
+         & info [ "nmax" ] ~docv:"N"
+             ~doc:"Adversary's sample-size budget (>= 2).")
   in
   let run vmax nmax seed =
     let seed = Option.value seed ~default:4242 in
@@ -482,64 +501,76 @@ let design_cmd =
     Format.fprintf fmt
       "Recommended VIT sigma_T = %.3f us (target detection <= %.3f against \
        n <= %d)@."
-      (sigma_t *. 1e6) vmax nmax;
-    `Ok ()
+      (sigma_t *. 1e6) vmax nmax
   in
   Cmd.v
     (Cmd.info "design" ~doc:"Recommend a VIT sigma_T for a security budget.")
-    Term.(ret (const run $ vmax_arg $ nmax_arg $ seed_arg))
+    Term.(const run $ vmax_arg $ nmax_arg $ seed_arg)
 
 let evaluate_cmd =
+  let spec_conv parse print =
+    Arg.conv
+      ( (fun s -> Result.map_error (fun e -> `Msg e) (parse s)),
+        fun ppf v -> Format.pp_print_string ppf (print v) )
+  in
   let padding_arg =
+    let parse s =
+      match String.split_on_char ':' s with
+      | [ "cit" ] -> Ok Linkpad.Cit
+      | [ "vit"; us ] -> (
+          match float_of_string_opt us with
+          | Some v when v > 0.0 && Float.is_finite v ->
+              Ok (Linkpad.Vit { sigma_t = v *. 1e-6 })
+          | _ ->
+              Error "vit sigma must be a positive finite number of microseconds")
+      | _ -> Error "padding must be 'cit' or 'vit:SIGMA_US'"
+    in
+    let print = function
+      | Linkpad.Cit -> "cit"
+      | Linkpad.Vit { sigma_t } -> Printf.sprintf "vit:%g" (sigma_t *. 1e6)
+    in
     let doc = "Padding scheme: 'cit' or 'vit:SIGMA_US'." in
-    Arg.(value & opt string "cit" & info [ "padding" ] ~docv:"SCHEME" ~doc)
+    Arg.(value
+         & opt (spec_conv parse print) Linkpad.Cit
+         & info [ "padding" ] ~docv:"SCHEME" ~doc)
   in
   let where_arg =
+    let parse s =
+      match String.split_on_char ':' s with
+      | [ "gw" ] -> Ok Linkpad.At_sender_gateway
+      | [ "router"; u ] -> (
+          match float_of_string_opt u with
+          | Some u when u >= 0.0 && u < 1.0 ->
+              Ok (Linkpad.Behind_lab_router { utilization = u })
+          | _ -> Error "router utilization must be in [0, 1)")
+      | _ -> Error "where must be 'gw' or 'router:UTIL'"
+    in
+    let print = function
+      | Linkpad.At_sender_gateway -> "gw"
+      | Linkpad.Behind_lab_router { utilization } ->
+          Printf.sprintf "router:%g" utilization
+      | Linkpad.Across_path _ -> "path"
+    in
     let doc = "Observation point: 'gw' or 'router:UTIL'." in
-    Arg.(value & opt string "gw" & info [ "where" ] ~docv:"WHERE" ~doc)
+    Arg.(value
+         & opt (spec_conv parse print) Linkpad.At_sender_gateway
+         & info [ "where" ] ~docv:"WHERE" ~doc)
   in
-  let n_arg =
-    Arg.(value & opt int 1000 & info [ "n"; "samples" ] ~docv:"N" ~doc:"Sample size.")
-  in
-  let parse_padding s =
-    match String.split_on_char ':' s with
-    | [ "cit" ] -> Ok Linkpad.Cit
-    | [ "vit"; us ] -> (
-        match float_of_string_opt us with
-        | Some v when v > 0.0 -> Ok (Linkpad.Vit { sigma_t = v *. 1e-6 })
-        | _ -> Error "vit sigma must be a positive number of microseconds")
-    | _ -> Error "padding must be 'cit' or 'vit:SIGMA_US'"
-  in
-  let parse_where s =
-    match String.split_on_char ':' s with
-    | [ "gw" ] -> Ok Linkpad.At_sender_gateway
-    | [ "router"; u ] -> (
-        match float_of_string_opt u with
-        | Some u when u >= 0.0 && u < 1.0 ->
-            Ok (Linkpad.Behind_lab_router { utilization = u })
-        | _ -> Error "router utilization must be in [0, 1)")
-    | _ -> Error "where must be 'gw' or 'router:UTIL'"
-  in
-  let run padding where n seed =
-    match (parse_padding padding, parse_where where) with
-    | Error e, _ | _, Error e -> `Error (false, e)
-    | Ok padding, Ok observation ->
-        let spec =
-          {
-            Linkpad.default_spec with
-            Linkpad.padding;
-            observation;
-            sample_size = n;
-            seed = Option.value seed ~default:42;
-          }
-        in
-        let report = Linkpad.evaluate spec in
-        Linkpad.pp_report fmt report;
-        `Ok ()
+  let run padding observation n seed =
+    let spec =
+      {
+        Linkpad.default_spec with
+        Linkpad.padding;
+        observation;
+        sample_size = n;
+        seed = Option.value seed ~default:42;
+      }
+    in
+    Linkpad.pp_report fmt (Linkpad.evaluate spec)
   in
   Cmd.v
     (Cmd.info "evaluate" ~doc:"Evaluate a custom padding configuration.")
-    Term.(ret (const run $ padding_arg $ where_arg $ n_arg $ seed_arg))
+    Term.(const run $ padding_arg $ where_arg $ samples_arg $ seed_arg)
 
 let setup_cmd =
   let run () =

@@ -1,7 +1,8 @@
 (* talint — the repo's determinism & domain-safety lint pass, now
    whole-program: per-file rules plus the cross-module call-graph passes
    (E001 exception escape, T001 transitive determinism, A001 zero-alloc
-   hot paths) and the lint/BASELINE.json waiver workflow.
+   hot paths, M001 one registration per metric, U001 exports no
+   executable reaches) and the lint/BASELINE.json waiver workflow.
 
      dune build @lint                            # the usual gate
      dune exec bin/talint.exe -- --format json   # talint/2 report
@@ -27,7 +28,7 @@ let args =
       " report format (json = schema talint/2)" );
     ( "--cache",
       Arg.Set_string cache,
-      "PATH incremental summary cache (talint-cache/2); created if absent" );
+      "PATH incremental summary cache (talint-cache/3); created if absent" );
     ("--rules", Arg.Set list_rules, " list rule ids and exit");
   ]
 

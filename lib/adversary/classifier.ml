@@ -32,9 +32,6 @@ let train ?priors ~classes () =
   { classes }
 
 let num_classes t = Array.length t.classes
-let class_name t i = t.classes.(i).name
-let prior t i = t.classes.(i).prior
-let kde t i = t.classes.(i).kde
 
 (* Inlined so a class's score is not boxed on its way back to
    [classify]. *)
@@ -51,16 +48,6 @@ let classify t x =
     end
   done;
   !best
-
-let posteriors t x =
-  let scores = Array.map (fun c -> log_score c x) t.classes in
-  let max_s = Array.fold_left Float.max Float.neg_infinity scores in
-  if Float.is_finite max_s then begin
-    let weights = Array.map (fun s -> exp (s -. max_s)) scores in
-    let total = Array.fold_left ( +. ) 0.0 weights in
-    Array.map (fun w -> w /. total) weights
-  end
-  else Array.make (Array.length t.classes) (1.0 /. float_of_int (Array.length t.classes))
 
 let correct_counts t cases =
   let m = num_classes t in
@@ -87,6 +74,7 @@ let weighted_accuracy t ~correct ~total =
   done;
   !acc
 
+(* talint: allow U001 — tests read it to observe live accuracy *)
 let accuracy t cases =
   let correct, total = correct_counts t cases in
   weighted_accuracy t ~correct ~total

@@ -16,16 +16,9 @@ val train :
     classes length mismatch. *)
 
 val num_classes : t -> int
-val class_name : t -> int -> string
-val prior : t -> int -> float
-val kde : t -> int -> Stats.Kde.t
 
 val classify : t -> float -> int
 (** Index of the maximum-posterior class (ties go to the lower index). *)
-
-val posteriors : t -> float -> float array
-(** Normalized posterior P(class | feature); uniform if all densities
-    underflow. *)
 
 val accuracy : t -> (int * float array) array -> float
 (** [accuracy t cases] with [cases.(i) = (true class index, feature

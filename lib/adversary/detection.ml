@@ -96,17 +96,3 @@ let estimate_windowed ?priors ?backend ~features ~sample_size
       estimate_on_features ?priors ?backend ~feature ~sample_size
         ~named_features ())
     features
-
-let estimate_features_sliding ?priors ?backend ?stride ~features ~reference
-    ~sample_size ~classes () =
-  let stride = Option.value stride ~default:sample_size in
-  let entropy_bin_widths = entropy_bin_widths features in
-  let named_windows =
-    Array.map
-      (fun (name, trace) ->
-        ( name,
-          Dataset.sliding_features ~reference ~sample_size ~stride
-            ~entropy_bin_widths trace ))
-      classes
-  in
-  estimate_windowed ?priors ?backend ~features ~sample_size ~named_windows ()

@@ -77,22 +77,3 @@ val estimate_windowed :
     {!Dataset.append_windowed}): per feature, the series is split
     alternating into train/test halves and scored exactly as
     {!estimate_on_features}. *)
-
-val estimate_features_sliding :
-  ?priors:float array ->
-  ?backend:[ `Kde | `Gaussian ] ->
-  ?stride:int ->
-  features:Feature.kind list ->
-  reference:float ->
-  sample_size:int ->
-  classes:(string * float array) array ->
-  unit ->
-  result list
-(** Sliding-window variant of {!estimate_features}: windows start every
-    [stride] PIATs (default [sample_size], i.e. the classic disjoint
-    slicing) and features are extracted incrementally by
-    {!Stats.Stream.Window} — one long trace yields
-    [1 + (len - sample_size) / stride] overlapping sample windows.
-    Overlapping windows are correlated, which leaves the detection-rate
-    estimate unbiased but makes its nominal confidence interval slightly
-    optimistic; see EXPERIMENTS.md. *)

@@ -25,14 +25,3 @@ let gap_fraction ~tau piats =
       piats;
     float_of_int !gaps /. float_of_int n
   end
-
-let folded_variance ~tau piats =
-  let folded = fold ~tau piats in
-  if Array.length folded < 2 then 0.0
-  else Feature.extract Feature.Sample_variance ~reference:tau folded
-
-let windowed_features ~tau ~sample_size piats =
-  if sample_size < 2 then invalid_arg "Gaps.windowed_features: sample_size < 2";
-  let windows = Array.length piats / sample_size in
-  Array.init windows (fun w ->
-      folded_variance ~tau (Array.sub piats (w * sample_size) sample_size))

@@ -26,14 +26,3 @@ val fold : tau:float -> float array -> float array
 val gap_fraction : tau:float -> float array -> float
 (** Fraction of PIATs with [k <> 1] — a direct fault-intensity estimate
     the adversary gets for free; 0.0 on an empty array. *)
-
-val folded_variance : tau:float -> float array -> float
-(** Sample variance of {!fold}; 0.0 when fewer than 2 PIATs survive the
-    fold (a degenerate window carries no usable leak). *)
-
-val windowed_features :
-  tau:float -> sample_size:int -> float array -> float array
-(** Slice a PIAT trace into consecutive [sample_size]-windows (tail
-    remainder discarded) and return {!folded_variance} of each — the
-    per-window feature values to hand to
-    {!Detection.estimate_on_features}.  [sample_size >= 2]. *)

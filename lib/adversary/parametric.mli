@@ -16,9 +16,6 @@ val train :
     training feature collapses to a point). *)
 
 val num_classes : t -> int
-val class_name : t -> int -> string
-val class_mu : t -> int -> float
-val class_sigma : t -> int -> float
 
 val classify : t -> float -> int
 (** Maximum posterior under the fitted normals (ties to lower index). *)

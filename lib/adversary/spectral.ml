@@ -1,9 +1,5 @@
 type kind = Spectral_entropy | Spectral_power
 
-let name = function
-  | Spectral_entropy -> "spectral-entropy"
-  | Spectral_power -> "spectral-power"
-
 let extract kind window =
   if Array.length window < 4 then invalid_arg "Spectral.extract: need n >= 4";
   match kind with

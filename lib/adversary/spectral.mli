@@ -11,8 +11,6 @@ type kind =
   | Spectral_entropy
   | Spectral_power
 
-val name : kind -> string
-
 val extract : kind -> float array -> float
 (** Feature of one PIAT window; requires length >= 4. *)
 

@@ -91,6 +91,7 @@ let sample_entropy_normal_approx ~sigma2_l ~sigma2_h ~n =
   let s = sqrt (1.0 /. (2.0 *. float_of_int n)) in
   two_normal ~mu0:(h_of sigma2_l) ~s0:s ~mu1:(h_of sigma2_h) ~s1:s ()
 
+(* talint: allow U001 — oracle: numeric check of the two-normal rate *)
 let detection_max_integral ~f0 ~f1 ?(p0 = 0.5) ~lo ~hi () =
   if p0 <= 0.0 || p0 >= 1.0 then invalid_arg "Bayes_numeric: p0 out of (0,1)";
   let p1 = 1.0 -. p0 in

@@ -1,25 +1,9 @@
 type bracket = { lower : float; upper : float }
 
-let bhattacharyya_normal ~mu0 ~s0 ~mu1 ~s1 =
-  if s0 <= 0.0 || s1 <= 0.0 then invalid_arg "Bounds: sigma <= 0";
-  let v0 = s0 *. s0 and v1 = s1 *. s1 in
-  let dmu = mu0 -. mu1 in
-  let d_b =
-    (0.25 *. dmu *. dmu /. (v0 +. v1))
-    +. (0.5 *. log ((v0 +. v1) /. (2.0 *. s0 *. s1)))
-  in
-  exp (-.d_b)
-
 let bhattacharyya_gamma_same_shape ~shape ~scale0 ~scale1 =
   if shape <= 0.0 then invalid_arg "Bounds: shape <= 0";
   if scale0 <= 0.0 || scale1 <= 0.0 then invalid_arg "Bounds: scale <= 0";
   (2.0 *. sqrt (scale0 *. scale1) /. (scale0 +. scale1)) ** shape
-
-let kl_normal ~mu0 ~s0 ~mu1 ~s1 =
-  if s0 <= 0.0 || s1 <= 0.0 then invalid_arg "Bounds: sigma <= 0";
-  let v0 = s0 *. s0 and v1 = s1 *. s1 in
-  let dmu = mu1 -. mu0 in
-  log (s1 /. s0) +. ((v0 +. (dmu *. dmu)) /. (2.0 *. v1)) -. 0.5
 
 let detection_bracket_of_rho rho =
   if rho < 0.0 || rho > 1.0 +. 1e-12 then
@@ -28,14 +12,6 @@ let detection_bracket_of_rho rho =
   let err_upper = rho /. 2.0 in
   let err_lower = 0.5 *. (1.0 -. sqrt (1.0 -. (rho *. rho))) in
   { lower = 1.0 -. err_upper; upper = 1.0 -. err_lower }
-
-let sample_mean_bracket ~sigma_l ~sigma_h =
-  if sigma_l <= 0.0 then invalid_arg "Bounds: sigma_l <= 0";
-  if sigma_h < sigma_l then invalid_arg "Bounds: sigma_h < sigma_l";
-  (* Equal means; any common sample size rescales both sigmas and cancels
-     out of rho. *)
-  detection_bracket_of_rho
-    (bhattacharyya_normal ~mu0:0.0 ~s0:sigma_l ~mu1:0.0 ~s1:sigma_h)
 
 let sample_variance_bracket ~sigma2_l ~sigma2_h ~n =
   if n < 2 then invalid_arg "Bounds: n < 2";

@@ -14,26 +14,14 @@
 type bracket = { lower : float; upper : float }
 (** [lower <= exact detection rate <= upper]. *)
 
-val bhattacharyya_normal :
-  mu0:float -> s0:float -> mu1:float -> s1:float -> float
-(** ρ for two normals; [s0, s1 > 0].  1 when identical, → 0 as they
-    separate. *)
-
 val bhattacharyya_gamma_same_shape :
   shape:float -> scale0:float -> scale1:float -> float
 (** ρ = (2√(θ₀θ₁)/(θ₀+θ₁))^k for Gamma(k, θ₀) vs Gamma(k, θ₁);
     [shape > 0], scales > 0. *)
 
-val kl_normal : mu0:float -> s0:float -> mu1:float -> s1:float -> float
-(** KL(N₀ ‖ N₁) in nats; the asymptotic exponent of the error of a
-    likelihood-ratio adversary collecting iid observations. *)
-
 val detection_bracket_of_rho : float -> bracket
 (** Convert a Bhattacharyya coefficient (in [0,1]) into detection-rate
     bounds for equal priors. *)
-
-val sample_mean_bracket : sigma_l:float -> sigma_h:float -> bracket
-(** Bounds for the sample-mean feature (independent of n). *)
 
 val sample_variance_bracket :
   sigma2_l:float -> sigma2_h:float -> n:int -> bracket

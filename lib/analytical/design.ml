@@ -48,17 +48,6 @@ let required_sigma_t req =
     ensure root 1e-12 0
   end
 
-let achievable_sample_size ~sigma_t ~req =
-  validate req;
-  if sigma_t < 0.0 then invalid_arg "Design: sigma_t < 0";
-  let r = r_of_sigma_t req sigma_t in
-  if r <= 1.0 then Float.infinity
-  else
-    let n_var = Theorems.n_for_detection_variance ~r ~p:req.v_max in
-    let n_ent = Theorems.n_for_detection_entropy ~r ~p:req.v_max in
-    (* The adversary uses whichever feature needs fewer samples. *)
-    Float.min n_var n_ent
-
 let overhead_fraction ~payload_rate_pps ~timer_mean =
   if payload_rate_pps < 0.0 then invalid_arg "Design: payload_rate < 0";
   if timer_mean <= 0.0 then invalid_arg "Design: timer_mean <= 0";

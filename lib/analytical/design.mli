@@ -24,11 +24,6 @@ val required_sigma_t : requirement -> float
     already satisfies it.  Raises [Invalid_argument] on a malformed
     requirement. *)
 
-val achievable_sample_size : sigma_t:float -> req:requirement -> float
-(** Given a σ_T, the sample size at which the worst feature first exceeds
-    [req.v_max] (real-valued; the adversary needs more than this).  +∞ when
-    even unbounded sampling stays below the budget (r = 1). *)
-
 val overhead_fraction : payload_rate_pps:float -> timer_mean:float -> float
 (** Bandwidth accounting for the guideline discussion: fraction of padded
     packets that are dummies when a payload stream of the given rate rides

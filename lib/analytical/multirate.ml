@@ -12,14 +12,6 @@ let check_increasing sigma2s =
       invalid_arg "Multirate: variances must be strictly increasing"
   done
 
-let pairwise_r ~sigma2s =
-  check_sigma2s sigma2s;
-  let m = Array.length sigma2s in
-  Array.init m (fun i ->
-      Array.init m (fun j ->
-          let a = sigma2s.(i) and b = sigma2s.(j) in
-          Float.max a b /. Float.min a b))
-
 (* Crossing of the same-shape gamma laws of S^2 for adjacent classes:
    identical to the two-class threshold with those variances. *)
 let thresholds_variance ~sigma2s ~n =
@@ -57,11 +49,3 @@ let mary_variance_exact ~sigma2s ~n =
     acc := !acc +. confusion.(i).(i)
   done;
   !acc /. float_of_int m
-
-let mary_max_integral ~pdfs ~lo ~hi =
-  let m = Array.length pdfs in
-  if m < 2 then invalid_arg "Multirate: need >= 2 pdfs";
-  Stats.Integrate.simpson ~eps:1e-10
-    (fun x -> Array.fold_left (fun acc f -> Float.max acc (f x)) 0.0 pdfs)
-    ~lo ~hi
-  /. float_of_int m

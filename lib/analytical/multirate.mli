@@ -7,10 +7,6 @@
     crossings.  That makes the exact m-ary detection rate a finite sum of
     regularized incomplete gammas. *)
 
-val pairwise_r : sigma2s:float array -> float array array
-(** [r.(i).(j)] = σ²_max/σ²_min for classes i, j (diagonal 1).  Input
-    variances must be positive; order free. *)
-
 val thresholds_variance : sigma2s:float array -> n:int -> float array
 (** The m−1 adjacent decision thresholds for the sample-variance feature
     at sample size [n >= 2]; input must be strictly increasing and
@@ -21,12 +17,6 @@ val mary_variance_exact : sigma2s:float array -> n:int -> float
 (** Exact equal-prior m-ary Bayes detection rate for the sample-variance
     feature.  Reduces to {!Bayes_numeric.sample_variance_exact} at m = 2.
     Requires m >= 2, strictly increasing positive variances. *)
-
-val mary_max_integral :
-  pdfs:(float -> float) array -> lo:float -> hi:float -> float
-(** Numeric equal-prior m-ary Bayes detection rate
-    (1/m)∫ max_i f_i over [lo, hi] — the oracle for arbitrary feature
-    laws (used for the mean feature's nested normals). *)
 
 val confusion_variance_exact :
   sigma2s:float array -> n:int -> float array array

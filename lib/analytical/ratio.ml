@@ -15,15 +15,6 @@ let make ?(sigma_t = 0.0) ?(sigma_net = 0.0) ~sigma_gw_low ~sigma_gw_high () =
 
 let sq x = x *. x
 
-let sigma_low c = sqrt (sq c.sigma_t +. sq c.sigma_net +. sq c.sigma_gw_low)
-let sigma_high c = sqrt (sq c.sigma_t +. sq c.sigma_net +. sq c.sigma_gw_high)
-
 let r c =
   let base = sq c.sigma_t +. sq c.sigma_net in
   (base +. sq c.sigma_gw_high) /. (base +. sq c.sigma_gw_low)
-
-let r_of_variances ~var_low ~var_high =
-  if var_low <= 0.0 then invalid_arg "Ratio.r_of_variances: var_low <= 0";
-  if var_high < var_low then
-    invalid_arg "Ratio.r_of_variances: var_high < var_low";
-  var_high /. var_low

@@ -24,11 +24,3 @@ val make :
 
 val r : components -> float
 (** The ratio; always >= 1 by the constructor's constraints. *)
-
-val r_of_variances : var_low:float -> var_high:float -> float
-(** Direct ratio of measured PIAT variances (>= each other, > 0). *)
-
-val sigma_low : components -> float
-(** √(σ_T² + σ_net² + σ²_gw,l) — the composed PIAT σ under the low rate. *)
-
-val sigma_high : components -> float

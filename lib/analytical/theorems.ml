@@ -12,6 +12,7 @@ let v_mean ~r =
     let a = sqrt (r *. log r /. (r -. 1.0)) in
     phi a -. phi (a /. sqrt r) +. 0.5
 
+(* talint: allow U001 — DESIGN.md §1 documents it as a reference *)
 let v_mean_paper_printed ~r =
   check_r r;
   1.0 -. (1.0 /. (sqrt 2.0 *. ((1.0 /. sqrt r) +. sqrt r)))

@@ -164,8 +164,6 @@ let pop t =
     Some (time, payload)
   end
 
-let peek_time t = if t.len = 0 then None else Some (Float.Array.get t.times 0)
-
 let clear t =
   t.len <- 0;
   t.next_seq <- 0;

@@ -36,9 +36,6 @@ val pop_exn : 'a t -> 'a
     Read {!min_time} first if the timestamp is needed.  Raises
     [Invalid_argument] when empty. *)
 
-val peek_time : 'a t -> float option
-(** Earliest timestamp without removing it. *)
-
 val clear : 'a t -> unit
 (** Empty the queue and reset the tie-break counter, keeping the
     allocated capacity — the arena-reuse hook for sweep harnesses.  A

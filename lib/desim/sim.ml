@@ -34,6 +34,7 @@ let reset ?(start_time = 0.0) t =
   t.budget_limit <- max_int
 
 let now t = t.clock
+(* talint: allow U001 — tests read it to observe the live queue *)
 let pending t = Event_queue.size t.queue
 let events_processed t = t.events_processed
 let queue_hwm t = t.queue_hwm
@@ -103,18 +104,6 @@ let every t ?start ~interval f =
   enqueue t ~time:first ev;
   ev
 
-let step t =
-  let q = t.queue in
-  if Event_queue.is_empty q then false
-  else begin
-    let time = Event_queue.min_time q in
-    let ev = Event_queue.pop_exn q in
-    t.clock <- time;
-    t.events_processed <- t.events_processed + 1;
-    if not ev.cancelled then ev.run ();
-    true
-  end
-
 exception Event_budget_exceeded of { max_events : int }
 
 let set_event_budget t ~max_events =
@@ -135,7 +124,7 @@ let run_until t ~time =
   if Float.is_nan time then invalid_arg "Sim.run_until: NaN time";
   check_budget t;
   let q = t.queue in
-  (* Open-coded [step] on the allocation-free queue primitives: per event
+  (* One event at a time on the allocation-free queue primitives: per event
      the loop performs one min_time read, one pop and the callback — no
      options, no tuples. *)
   let continue = ref true in
@@ -154,10 +143,3 @@ let run_until t ~time =
   done;
   if time > t.clock then t.clock <- time;
   check_budget t
-
-let run_all ?(max_events = 100_000_000) t =
-  let count = ref 0 in
-  while step t do
-    incr count;
-    if !count > max_events then raise (Event_budget_exceeded { max_events })
-  done

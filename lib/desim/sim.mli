@@ -96,8 +96,8 @@ val run_until : t -> time:float -> unit
     has chunk granularity and zero hot-path cost. *)
 
 exception Event_budget_exceeded of { max_events : int }
-(** Raised by {!run_all} and by {!run_until} (when armed via
-    {!set_event_budget}) once the event budget is exhausted — the
+(** Raised by {!run_until} (when armed via {!set_event_budget}) once
+    the event budget is exhausted — the
     runaway-self-scheduling / poison-sweep-point guard. *)
 
 val set_event_budget : t -> max_events:int -> unit
@@ -107,8 +107,3 @@ val set_event_budget : t -> max_events:int -> unit
     arena-reused across runs, so budgets never leak between runs) and is
     measured against events since creation, the last {!reset} or the last
     {!publish_metrics}.  Raises [Invalid_argument] if [max_events < 1]. *)
-
-val run_all : ?max_events:int -> t -> unit
-(** Drain the queue completely; [max_events] (default 100 million) guards
-    against runaway self-scheduling loops by raising
-    {!Event_budget_exceeded}. *)

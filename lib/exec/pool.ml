@@ -40,6 +40,7 @@ let set_default_jobs n =
   Atomic.set default n;
   Atomic.set tokens (n - 1)
 
+(* talint: allow U001 — tests read it to observe the live token budget *)
 let spare_tokens () =
   ignore (default_jobs ());
   Stdlib.max 0 (Atomic.get tokens)
@@ -146,10 +147,6 @@ let parallel_init ?jobs n g = run_indexed ?jobs n g
 let parallel_map ?jobs f xs =
   let arr = Array.of_list xs in
   Array.to_list (run_indexed ?jobs (Array.length arr) (fun i -> f arr.(i)))
-
-let parallel_mapi ?jobs f xs =
-  let arr = Array.of_list xs in
-  Array.to_list (run_indexed ?jobs (Array.length arr) (fun i -> f i arr.(i)))
 
 let both ?jobs f g =
   match run_indexed ?jobs 2 (fun i -> if i = 0 then `A (f ()) else `B (g ())) with

@@ -5,7 +5,7 @@
     Design contract: every task must be a pure function of its index (and
     of data captured at fan-out time) — in particular, any randomness must
     come from an RNG the task creates itself from a seed derived from its
-    index (see {!Seed.derive} and {!Prng.Rng.mix_seed}).  Under that
+    index (see {!Prng.Rng.mix_seed}).  Under that
     contract the combinators here return results that are {b bit-identical
     to the sequential run at any worker count}: results are stored by task
     index, so neither domain scheduling nor completion order can leak into
@@ -51,9 +51,6 @@ val parallel_map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
     raise, every remaining task still runs, the domains are joined, and
     the exception of the {e lowest-indexed} failing task is re-raised —
     deterministic regardless of scheduling. *)
-
-val parallel_mapi : ?jobs:int -> (int -> 'a -> 'b) -> 'a list -> 'b list
-(** [List.mapi], parallelized as {!parallel_map}. *)
 
 val parallel_init : ?jobs:int -> int -> (int -> 'a) -> 'a array
 (** [Array.init], parallelized as {!parallel_map}. *)

@@ -39,7 +39,6 @@ val stop : t -> unit
 (** Stop the current incarnation and cancel all pending crash/restart
     events. *)
 
-val is_up : t -> bool
 val crashes : t -> int
 
 val downtime : t -> float

@@ -128,11 +128,16 @@ let send t pkt =
   end
 
 let port t = send t
+(* talint: allow U001 — tests read it to observe the live wire *)
 let offered t = t.offered
+(* talint: allow U001 — tests read it to observe the live wire *)
 let passed t = t.passed
 let lost t = t.lost
+(* talint: allow U001 — tests read it to observe the live wire *)
 let duplicated t = t.duplicated
+(* talint: allow U001 — tests read it to observe the live wire *)
 let reordered t = t.reordered
 
+(* talint: allow U001 — tests read it to observe the live wire *)
 let loss_rate t =
   if t.offered = 0 then 0.0 else float_of_int t.lost /. float_of_int t.offered

@@ -2,13 +2,10 @@
 
     An outage injector wraps a {!Netsim.Link.port}: while the link is up,
     packets flow through untouched; while it is down, they are dropped and
-    counted.  Downtime windows come either from an explicit schedule
-    ({!schedule}) or from a random flapping process ({!flap}) with
-    exponential up/down holding times.
-
-    Overlapping windows nest: the link is down while {e any} window is
-    open.  Every hole the injector punches in the cover stream is visible
-    to the tap downstream — that visibility is the point. *)
+    counted.  Downtime windows come from a random flapping process
+    ({!flap}) with exponential up/down holding times.  Every hole the
+    injector punches in the cover stream is visible to the tap
+    downstream — that visibility is the point. *)
 
 type t
 
@@ -16,11 +13,6 @@ val create : Desim.Sim.t -> dest:Netsim.Link.port -> unit -> t
 
 val port : t -> Netsim.Link.port
 val is_up : t -> bool
-
-val schedule : t -> at:float -> duration:float -> unit
-(** Open a downtime window \[[at], [at + duration]) at an absolute
-    simulation time.  Raises [Invalid_argument] if [at] is in the past or
-    [duration <= 0]. *)
 
 val flap :
   t -> rng:Prng.Rng.t -> mean_up:float -> mean_down:float -> unit
@@ -30,9 +22,8 @@ val flap :
     At most one flapping process per injector; calling twice raises. *)
 
 val stop_flapping : t -> unit
-(** Cancel the flapping process (scheduled windows still apply). *)
+(** Cancel the flapping process. *)
 
-val forwarded : t -> int
 val dropped : t -> int
 (** Packets discarded while down. *)
 

@@ -15,8 +15,8 @@
 type t
 
 type snapshot = t
-(** A snapshot is just a table the producer no longer mutates; {!snapshot}
-    deep-copies a live table into one. *)
+(** A snapshot is just a table its producer no longer mutates (a
+    finished shard's table). *)
 
 val create : ?lo:int -> flows:int -> unit -> t
 (** A zeroed table covering the global flow-id window
@@ -37,10 +37,6 @@ val record : t -> flow:int -> bytes:int -> now:float -> unit
     last-activity set to [now].  Raises [Invalid_argument] when [flow]
     is outside the table's window. *)
 
-val record_dummy : t -> flow:int -> unit
-(** Count one cover dummy against [flow] without touching its
-    last-activity time (dummies cover silence; they are not activity). *)
-
 val spread_dummies : t -> count:int -> unit
 (** Amortize [count] link-level dummies evenly across every flow in the
     window (the remainder goes to the lowest ids) — the accounting for a
@@ -59,18 +55,12 @@ val dummies : t -> flow:int -> float
 val last_activity : t -> flow:int -> float
 (** [neg_infinity] until the first {!record}. *)
 
-val clear : t -> unit
-(** Zero every column in place, keeping the storage. *)
-
 val total_packets : t -> float
 val total_bytes : t -> float
 val total_dummies : t -> float
 
 val active : t -> since:float -> int
 (** Flows whose last activity is at or after [since]. *)
-
-val snapshot : t -> snapshot
-(** Deep copy, so the live table can keep mutating. *)
 
 val merge : snapshot -> snapshot -> snapshot
 (** Fresh table over the union of the two windows; counters add,

@@ -94,6 +94,7 @@ let class_bounds cfg =
   done;
   bounds
 
+(* talint: allow U001 — oracle: the class each flow's row must record *)
 let class_of_flow cfg flow =
   if flow < 0 || flow >= cfg.flows then
     invalid_arg "Fleet.Mux.class_of_flow: flow out of range";

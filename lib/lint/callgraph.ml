@@ -14,6 +14,8 @@
      4. unwrapped global: [Module.fn] where [Module] belongs to an
         unwrapped library.
 
+   A call none of these resolve is retried under each of the file's
+   top-level [open]s, last first ([open Scenarios] then [System.run]).
    Anything else (function values, functors, stdlib) stays unresolved.
    Unresolved calls whose head looks like a project module are counted
    in {!stats} so a resolution regression is visible in the report. *)
@@ -44,7 +46,6 @@ type t = {
 let nodes t = t.nodes
 let succ t i = t.succ.(i)
 let stats t = t.stats
-let summary_of_file t file = Hashtbl.find_opt t.by_file file
 
 let suppress_for t file =
   match Hashtbl.find_opt t.suppress_cache file with
@@ -59,10 +60,6 @@ let suppress_for t file =
       s
 
 let is_project_exception t name = Hashtbl.mem t.exceptions name
-
-let project_exceptions t =
-  Hashtbl.fold (fun k _ acc -> k :: acc) t.exceptions []
-  |> List.sort_uniq String.compare
 
 let qual (s : Symtab.t) (f : Symtab.fn) =
   String.concat "." ((s.s_module :: f.fn_path) @ [ f.fn_name ])
@@ -138,12 +135,12 @@ let build (summaries : Symtab.t list) =
             | None -> None)
         | _ -> None)
   in
-  let resolve (caller : node) (c : Symtab.call) =
+  let resolve_path (caller : node) callee =
     let file = caller.n_summary.Symtab.s_file in
     let cpath = caller.n_fn.Symtab.fn_path in
     (* 1. caller-submodule-relative, walking outward to file scope *)
     let rec relative prefix =
-      match lookup_in file (prefix @ c.callee) with
+      match lookup_in file (prefix @ callee) with
       | Some id -> Some id
       | None -> (
           match prefix with
@@ -154,7 +151,7 @@ let build (summaries : Symtab.t list) =
     | Some id -> Some id
     | None -> (
         let lib = caller.n_summary.Symtab.s_lib in
-        match c.callee with
+        match callee with
         | m :: (_ :: _ as rest) -> (
             (* 2. same-library sibling module *)
             let sibling =
@@ -179,6 +176,15 @@ let build (summaries : Symtab.t list) =
                     | Some s -> lookup_in s.Symtab.s_file rest
                     | None -> None)))
         | _ -> None)
+  in
+  let resolve (caller : node) (c : Symtab.call) =
+    List.fold_left
+      (fun found o ->
+        match found with
+        | Some _ -> found
+        | None -> resolve_path caller (o @ c.Symtab.callee))
+      (resolve_path caller c.Symtab.callee)
+      (List.rev caller.n_summary.Symtab.s_opens)
   in
   let known_head = function
     | m :: _ :: _ ->

@@ -30,7 +30,6 @@ val succ : t -> int -> (int * Symtab.call) list
 (** Resolved outgoing edges of a node, with the originating call site. *)
 
 val stats : t -> stats
-val summary_of_file : t -> string -> Symtab.t option
 
 val suppress_for : t -> string -> Suppress.t
 (** Memoised suppression table of a linked file (empty for unknown
@@ -40,8 +39,6 @@ val suppress_for : t -> string -> Suppress.t
 val is_project_exception : t -> string -> bool
 (** Is this exception name declared by any linked file?  (E001 only
     audits project exceptions, never [Invalid_argument] and friends.) *)
-
-val project_exceptions : t -> string list
 
 val reach :
   t -> roots:int list -> enter:(node -> bool) -> (int, int) Hashtbl.t

@@ -5,8 +5,10 @@
    Pipeline: list .ml files -> load the summary cache (if any) -> parse
    and summarise only the files whose MD5 key changed -> rewrite the
    cache -> link the call graph -> run the whole-program passes (E001 /
-   T001 / A001 / M001) -> apply lint/BASELINE.json waivers -> sort.  A warm run
-   on an unchanged tree does no parsing at all. *)
+   T001 / A001 / M001 / U001) -> apply lint/BASELINE.json waivers -> sort.
+   A warm run on an unchanged tree does no parsing at all.  perfbench/
+   and examples/ are summarised only as U001 roots: no finding is ever
+   reported in them. *)
 
 exception Error of string
 
@@ -26,7 +28,7 @@ let find_root ?from () =
   in
   up start 0
 
-(* Walk one top-level subtree ([lib], [bin] or [bench]), returning
+(* Walk one top-level subtree ([lib], [bin], [bench], ...), returning
    root-relative paths of the .ml files, skipping dot- and
    underscore-prefixed entries (_build, .git, editor droppings). *)
 let list_ml_files root sub =
@@ -57,6 +59,7 @@ let role_of_rel rel =
   | "lib" :: _ -> Some (Rules.Lib "")
   | "bin" :: _ -> Some Rules.Bin
   | "bench" :: _ -> Some Rules.Bench
+  | ("perfbench" | "examples") :: _ -> Some Rules.Root_only
   | _ -> None
 
 let read_file abs =
@@ -204,11 +207,49 @@ let metric_once summaries =
         s.Symtab.s_metrics)
     summaries
 
+(* U001: a val exported by a lib/ .mli whose binding no root reaches.
+   Roots are every binding outside lib/ and lib/'s init blocks. *)
+let unreached graph =
+  let nodes = Callgraph.nodes graph in
+  let in_lib (n : Callgraph.node) =
+    match n.n_summary.Symtab.s_role with Rules.Lib _ -> true | _ -> false
+  in
+  let roots =
+    Array.to_list nodes
+    |> List.filter_map (fun (n : Callgraph.node) ->
+           if in_lib n && n.n_fn.Symtab.fn_name <> "(init)" then None
+           else Some n.n_id)
+  in
+  let reached = Callgraph.reach graph ~roots ~enter:(fun _ -> true) in
+  Array.to_list nodes
+  |> List.filter_map (fun (n : Callgraph.node) ->
+         let s = n.n_summary and f = n.n_fn in
+         let line = f.Symtab.fn_line in
+         if
+           in_lib n && f.Symtab.fn_path = []
+           && List.mem_assoc f.Symtab.fn_name s.Symtab.s_mli_vals
+           && (not (Hashtbl.mem reached n.n_id))
+           && not
+                (Suppress.allows
+                   (Callgraph.suppress_for graph s.Symtab.s_file)
+                   ~line ~rule:"U001")
+         then
+           Some
+             (Finding.v ~rule:"U001" ~file:s.Symtab.s_file ~line
+                ~col:f.Symtab.fn_col
+                (Printf.sprintf
+                   "exported %s is reached by no executable (bin/, bench/, \
+                    perfbench/, examples/); delete it, or keep it with an \
+                    in-place U001 allow comment that says why"
+                   n.n_qual))
+         else None)
+
 let run ?cache_path ~root () =
   if not (Sys.file_exists root && Sys.is_directory root) then
     raise (Error (Printf.sprintf "root %S is not a directory" root));
   let files =
-    List.concat_map (list_ml_files root) [ "lib"; "bin"; "bench" ]
+    List.concat_map (list_ml_files root)
+      [ "lib"; "bin"; "bench"; "perfbench"; "examples" ]
     |> List.sort String.compare
   in
   let libs = scan_dune_libs root in
@@ -242,7 +283,7 @@ let run ?cache_path ~root () =
                       match Hashtbl.find_opt libs sub with
                       | Some { li_name; li_wrapped } -> (li_name, li_wrapped)
                       | None -> (sub, true))
-                  | Rules.Bin | Rules.Bench -> ("", true)
+                  | Rules.Bin | Rules.Bench | Rules.Root_only -> ("", true)
                 in
                 Some
                   (Symtab.summarize ~role ~lib ~wrapped ~file:rel ~source
@@ -261,15 +302,21 @@ let run ?cache_path ~root () =
       (read_file_opt (Filename.concat root hot_paths_file))
       ~default:""
   in
+  let linted (s : Symtab.t) = s.Symtab.s_role <> Rules.Root_only in
+  let in_linted (f : Finding.t) =
+    role_of_rel f.Finding.file <> Some Rules.Root_only
+  in
   let e001 = Escape.run graph in
-  let t001 = Taint.run graph in
+  let t001 = List.filter in_linted (Taint.run graph) in
   let a001 = Alloccheck.run graph ~manifest in
-  let m001 = metric_once summaries in
+  let m001 = metric_once (List.filter linted summaries) in
+  let u001 = unreached graph in
   let baseline_text =
     read_file_opt (Filename.concat root Baseline.file_name)
   in
   let live, baselined =
-    Baseline.apply ~text:baseline_text (per_file @ e001 @ t001 @ a001 @ m001)
+    Baseline.apply ~text:baseline_text
+      (per_file @ e001 @ t001 @ a001 @ m001 @ u001)
   in
   let live = List.sort Finding.compare live in
   let baselined = List.sort Finding.compare baselined in
@@ -284,12 +331,13 @@ let run ?cache_path ~root () =
              (fun (f : Finding.t) ->
                not
                  (List.mem f.Finding.rule
-                    [ "E001"; "T001"; "A001"; "M001"; "B001" ]))
+                    [ "E001"; "T001"; "A001"; "M001"; "U001"; "B001" ]))
              live) );
       ("E001", count_rule "E001");
       ("T001", count_rule "T001");
       ("A001", count_rule "A001");
       ("M001", count_rule "M001");
+      ("U001", count_rule "U001");
       ("B001", count_rule "B001");
     ]
   in

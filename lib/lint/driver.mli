@@ -1,15 +1,19 @@
 (** Source-tree walker, incremental summary cache and report rendering
     for talint.
 
-    The driver walks [lib/], [bin/] and [bench/] under a project root,
-    summarises every [.ml] file ({!Symtab}), links the whole-program
-    call graph ({!Callgraph}) and runs the per-file rules plus the
-    interprocedural passes ({!Escape} E001, {!Taint} T001, {!Alloccheck}
-    A001) and the one-registration-per-metric check (M001: a metric
-    name and label registered by more than one call), then applies the
-    [lint/BASELINE.json] waivers ({!Baseline}).
+    The driver walks [lib/], [bin/], [bench/], [perfbench/] and
+    [examples/] under a project root, summarises every [.ml] file
+    ({!Symtab}), links the whole-program call graph ({!Callgraph}) and
+    runs the per-file rules plus the interprocedural passes ({!Escape}
+    E001, {!Taint} T001, {!Alloccheck} A001), the
+    one-registration-per-metric check (M001: a metric name and label
+    registered by more than one call) and the reachability check (U001:
+    a [val] a [lib/] [.mli] exports that no binding outside [lib/] and
+    no [lib/] init block reaches), then applies the
+    [lint/BASELINE.json] waivers ({!Baseline}).  [perfbench/] and
+    [examples/] are U001 roots only: no finding is reported in them.
     With [?cache_path], per-file summaries are round-tripped through a
-    [talint-cache/2] JSON file keyed on source+mli MD5, so a warm run on
+    [talint-cache/3] JSON file keyed on source+mli MD5, so a warm run on
     an unchanged tree re-parses nothing.  It never writes to any
     channel itself. *)
 
@@ -28,7 +32,7 @@ type summary = {
   cg : Callgraph.stats;
   pass_counts : (string * int) list;
       (** live findings per source: ["file"] (lexical rules), then
-          ["E001"], ["T001"], ["A001"], ["M001"], ["B001"] *)
+          ["E001"], ["T001"], ["A001"], ["M001"], ["U001"], ["B001"] *)
   findings : Finding.t list;
       (** live (unbaselined) findings, sorted by file, line, col, rule *)
   baselined : Finding.t list;  (** waived by [lint/BASELINE.json] *)

@@ -101,7 +101,7 @@ let run (g : Callgraph.t) =
     (fun i (nd : Callgraph.node) ->
       let s = nd.n_summary in
       match s.Symtab.s_role with
-      | Rules.Bin | Rules.Bench -> ()
+      | Rules.Bin | Rules.Bench | Rules.Root_only -> ()
       | Rules.Lib _ ->
           if
             s.Symtab.s_has_mli

@@ -4,13 +4,14 @@
    domain-safety properties the repo cares about, and keeps the pass
    dependency-free and fast. *)
 
-type role = Lib of string | Bin | Bench
+type role = Lib of string | Bin | Bench | Root_only
 
 let role_to_string = function
   | Lib "" -> "lib"
   | Lib sub -> "lib/" ^ sub
   | Bin -> "bin"
   | Bench -> "bench"
+  | Root_only -> "root-only"
 
 type input = { role : role; file : string; source : string; mli_exists : bool }
 
@@ -70,6 +71,12 @@ let all_rules =
         "whole-program: every metric (name, label) is registered by one \
          Obs.Metrics.{counter,counter_labeled,gauge,histogram} call across \
          lib/, bin/ and bench/, in the module that owns it" };
+    { id = "U001";
+      summary =
+        "whole-program: every val a lib/ .mli exports is reached from an \
+         executable root (any binding in bin/, bench/, perfbench/ or \
+         examples/, or a lib/ init block); delete the rest or waive in \
+         place" };
     { id = "B001";
       summary =
         "baseline hygiene: lint/BASELINE.json entry is malformed or \
@@ -79,16 +86,16 @@ let all_rules =
 
 (* --- rule applicability by role --- *)
 
-let d001_applies = function Lib sub -> sub <> "prng" | Bin | Bench -> false
-let d002_applies = function Lib sub -> sub <> "obs" | Bin -> true | Bench -> false
-let d004_applies = function
-  | Lib ("stats" | "adversary") -> true
-  | Lib _ | Bin | Bench -> false
-let d003_applies = function Lib _ -> true | Bin | Bench -> false
-let r001_applies = function Lib sub -> sub <> "obs" | Bin | Bench -> false
-let p001_applies = function Lib sub -> sub <> "exec" | Bin | Bench -> true
-let s001_applies = function Lib _ -> true | Bin | Bench -> false
-let s002_applies = function Lib _ -> true | Bin | Bench -> false
+(* [Root_only] files (perfbench/, examples/) are U001 roots, never linted. *)
+let d001_applies = function Lib sub -> sub <> "prng" | _ -> false
+let d002_applies = function Lib sub -> sub <> "obs" | Bin -> true | _ -> false
+let d004_applies = function Lib ("stats" | "adversary") -> true | _ -> false
+let d003_applies = function Lib _ -> true | _ -> false
+let r001_applies = function Lib sub -> sub <> "obs" | _ -> false
+let p001_applies = function
+  | Lib sub -> sub <> "exec" | Bin | Bench -> true | Root_only -> false
+let s001_applies = function Lib _ -> true | _ -> false
+let s002_applies = function Lib _ -> true | _ -> false
 
 (* --- identifier tables --- *)
 
@@ -207,7 +214,7 @@ let check input =
     | "Random" :: "self_init" :: _ ->
         add ~rule:"D001" ~loc
           "Random.self_init makes runs unreproducible; seeds must be \
-           explicit (Exec.Seed / Rng.mix_seed)"
+           explicit (Rng.mix_seed)"
     | "Random" :: _ when d001_applies input.role ->
         add ~rule:"D001" ~loc
           (Printf.sprintf

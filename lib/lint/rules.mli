@@ -16,15 +16,19 @@
 
     The whole-program pass ids ([E001] exception escape, [T001]
     transitive determinism, [A001] zero-alloc hot paths, [M001] one
-    registration per metric, [B001] baseline hygiene) are listed in
-    {!all_rules} but implemented in {!Escape}/{!Taint}/{!Alloccheck}
-    over the {!Callgraph}, in {!Driver} over the {!Symtab} summaries,
-    and in {!Baseline}. *)
+    registration per metric, [U001] exports no executable reaches,
+    [B001] baseline hygiene) are listed in {!all_rules} but implemented
+    in {!Escape}/{!Taint}/{!Alloccheck} over the {!Callgraph}, in
+    {!Driver} over the {!Symtab} summaries and the {!Callgraph}, and in
+    {!Baseline}. *)
 
 type role =
   | Lib of string  (** subdirectory under [lib/], e.g. [Lib "desim"] *)
   | Bin
   | Bench
+  | Root_only
+      (** [perfbench/] and [examples/]: summarised as U001 roots for the
+          call graph, never linted *)
 
 val role_to_string : role -> string
 

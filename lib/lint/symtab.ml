@@ -70,6 +70,7 @@ type t = {
   s_funcs : fn list;
   s_exceptions : string list;         (* exceptions declared in this .ml *)
   s_mli_vals : (string * string) list;  (* exported val -> attached doc *)
+  s_opens : string list list;  (* top-level [open] paths, in source order *)
   s_suppress : (int * string) list;
   s_findings : Finding.t list;  (* per-file lexical findings, pre-filtered *)
   s_metrics : site list;  (* metric registrations; s_what = "name{k=v}" *)
@@ -248,9 +249,8 @@ let collect ~mutables body_exprs =
     match List.rev path with
     | "mapi" :: "Sweep" :: _ -> true
     | ("run" | "with_event_budget") :: "Supervise" :: _ -> true
-    | ( "parallel_map" | "parallel_mapi" | "parallel_init" | "both"
-      | "with_jobs" )
-      :: "Pool" :: _ ->
+    | ("parallel_map" | "parallel_init" | "both" | "with_jobs") :: "Pool" :: _
+      ->
         true
     | _ -> false
   in
@@ -456,8 +456,10 @@ let metric_registrations structure =
 
 let summarize ~role ~lib ~wrapped ~file ~source ~mli_source =
   let findings =
-    Rules.check
-      { Rules.role; file; source; mli_exists = mli_source <> None }
+    if role = Rules.Root_only then []
+    else
+      Rules.check
+        { Rules.role; file; source; mli_exists = mli_source <> None }
   in
   let sup = Suppress.scan source in
   let parsed, structure =
@@ -470,6 +472,7 @@ let summarize ~role ~lib ~wrapped ~file ~source ~mli_source =
   let mutables = toplevel_mutables structure in
   let funcs = ref [] in
   let exceptions = ref [] in
+  let opens = ref [] in
   let add_fn path name loc expr_ =
     let arity, opt, bodies = strip_params expr_ in
     let line, col = pos_of loc in
@@ -523,6 +526,9 @@ let summarize ~role ~lib ~wrapped ~file ~source ~mli_source =
         | Pstr_exception te ->
             exceptions :=
               exception_name te.ptyexn_constructor :: !exceptions
+        | Pstr_open { popen_expr = { pmod_desc = Pmod_ident { txt; _ }; _ }; _ }
+          when path = [] ->
+            opens := Rules.normalize txt :: !opens
         | _ -> ())
       items
   in
@@ -538,6 +544,7 @@ let summarize ~role ~lib ~wrapped ~file ~source ~mli_source =
     s_funcs = List.rev !funcs;
     s_exceptions = List.sort_uniq String.compare !exceptions;
     s_mli_vals = mli_vals mli_source file;
+    s_opens = List.rev !opens;
     s_suppress = Suppress.entries sup;
     s_findings = findings;
     s_metrics = metric_registrations structure;
@@ -546,9 +553,9 @@ let summarize ~role ~lib ~wrapped ~file ~source ~mli_source =
 
 let suppress t = Suppress.of_entries t.s_suppress
 
-(* --- cache (de)serialisation: talint-cache/2 --- *)
+(* --- cache (de)serialisation: talint-cache/3 --- *)
 
-let cache_schema = "talint-cache/2"
+let cache_schema = "talint-cache/3"
 
 let jstr s = "\"" ^ Obs.Json.escape s ^ "\""
 
@@ -628,6 +635,12 @@ let to_json_buf buf t =
       if i > 0 then Buffer.add_char buf ',';
       Buffer.add_string buf (Printf.sprintf "[%s,%s]" (jstr n) (jstr d)))
     t.s_mli_vals;
+  Buffer.add_string buf "],\"opens\":[";
+  List.iteri
+    (fun i o ->
+      if i > 0 then Buffer.add_char buf ',';
+      Buffer.add_string buf (jstr (String.concat "." o)))
+    t.s_opens;
   Buffer.add_string buf "],\"suppress\":[";
   List.iteri
     (fun i (l, r) ->
@@ -670,6 +683,7 @@ let jarr_of = function Obs.Json.Arr l -> l | _ -> raise Bad_cache
 let role_of_string = function
   | "bin" -> Rules.Bin
   | "bench" -> Rules.Bench
+  | "root-only" -> Rules.Root_only
   | s ->
       if s = "lib" then Rules.Lib ""
       else if String.length s > 4 && String.sub s 0 4 = "lib/" then
@@ -686,8 +700,9 @@ let site_of_json = function
           s_what = jstr_of (jget "w" j);
         }
 
+let split_path s = if s = "" then [] else String.split_on_char '.' s
+
 let fn_of_json j =
-  let split_path s = if s = "" then [] else String.split_on_char '.' s in
   {
     fn_path = split_path (jstr_of (jget "path" j));
     fn_name = jstr_of (jget "name" j);
@@ -750,6 +765,8 @@ let of_json j =
           | Obs.Json.Arr [ n; d ] -> (jstr_of n, jstr_of d)
           | _ -> raise Bad_cache)
         (jarr_of (jget "mli_vals" j));
+    s_opens =
+      List.map (fun o -> split_path (jstr_of o)) (jarr_of (jget "opens" j));
     s_suppress =
       List.map
         (function

@@ -6,7 +6,7 @@
     directly-raised and caught exceptions, allocation sites, and
     D001/D002 primitive uses.  Summaries are purely file-local, so the
     incremental driver can key each one on the MD5 of the file pair
-    (source + [.mli]) and round-trip it through the [talint-cache/2]
+    (source + [.mli]) and round-trip it through the [talint-cache/3]
     JSON cache; {!Callgraph} links them across files afterwards. *)
 
 type site = { s_line : int; s_col : int; s_what : string }
@@ -56,6 +56,9 @@ type t = {
   s_funcs : fn list;
   s_exceptions : string list;
   s_mli_vals : (string * string) list;  (** exported val -> doc comment *)
+  s_opens : string list list;
+      (** top-level [open] paths in source order; {!Callgraph} retries an
+          unresolved call under each *)
   s_suppress : (int * string) list;
   s_findings : Finding.t list;  (** per-file lexical findings *)
   s_metrics : site list;
@@ -87,7 +90,7 @@ val suppress : t -> Suppress.t
 (** Rebuild the suppression table from the cached entries. *)
 
 val cache_schema : string
-(** ["talint-cache/2"]. *)
+(** ["talint-cache/3"]. *)
 
 val to_json_buf : Buffer.t -> t -> unit
 (** Append the summary as one JSON object (cache write path). *)

@@ -32,8 +32,7 @@ let is_target (nd : Callgraph.node) =
   (base = "sweep.ml" && fn = "mapi")
   || base = "pool.ml"
      && List.mem fn
-          [ "parallel_map"; "parallel_mapi"; "parallel_init"; "both";
-            "with_jobs" ]
+          [ "parallel_map"; "parallel_init"; "both"; "with_jobs" ]
 
 let sanctioned (nd : Callgraph.node) =
   match nd.n_summary.Symtab.s_role with

@@ -22,5 +22,4 @@ let get t i =
 let unsafe_get t i = Array.unsafe_get t.data i
 
 let to_array t = Array.sub t.data 0 t.len
-let last t = if t.len = 0 then None else Some t.data.(t.len - 1)
 let clear t = t.len <- 0

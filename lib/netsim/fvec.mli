@@ -24,5 +24,4 @@ val unsafe_get : t -> int -> float
 (** Unchecked read for loops that already bound the index by {!length}. *)
 
 val to_array : t -> float array
-val last : t -> float option
 val clear : t -> unit

@@ -29,5 +29,7 @@ let create sim ~bandwidth_bps ?propagation ?queue_limit ~dest () =
 
 let port t = Link.port t.link
 let link t = t.link
+(* talint: allow U001 — tests read it to observe the live router *)
 let forwarded t = t.forwarded
+(* talint: allow U001 — tests read it to observe the live router *)
 let diverted t = t.diverted

@@ -48,7 +48,3 @@ let note_batch ~observed ~payload ~dummy =
 let count t = Fvec.length t.times
 let timestamps t = Fvec.to_array t.times
 let sizes t = Array.map int_of_float (Fvec.to_array t.sizes)
-
-let clear t =
-  Fvec.clear t.times;
-  Fvec.clear t.sizes

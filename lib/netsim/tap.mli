@@ -37,6 +37,3 @@ val sizes : t -> int array
 (** Sizes (bytes) of recorded packets, in order — the other observable the
     paper's §3.2 remark (3) assumes away by making packets constant-size;
     exposed so the size-padding extension can mount size-based attacks. *)
-
-val clear : t -> unit
-(** Forget recorded timestamps (the tap keeps forwarding). *)

@@ -30,6 +30,7 @@ let load ~path =
       let created = ref 0.0 in
       let values = ref [] in
       let lineno = ref 0 in
+      let fail msg = raise (Parse_error { path; line = !lineno; msg }) in
       (try
          while true do
            incr lineno;
@@ -42,20 +43,21 @@ let load ~path =
              match parse_header_field line "created_unix" with
              | Some v -> (
                  match float_of_string_opt v with
-                 | Some f -> created := f
-                 | None ->
-                     raise
-                       (Parse_error
-                          { path; line = !lineno; msg = "bad header (created_unix is not a float)" }))
+                 | Some f when Float.is_finite f -> created := f
+                 | Some _ -> fail "bad header (created_unix is not finite)"
+                 | None -> fail "bad header (created_unix is not a float)")
              | None -> ()
            end
            else
-             match float_of_string_opt line with
-             | Some v -> values := v :: !values
-             | None ->
-                 raise
-                   (Parse_error
-                      { path; line = !lineno; msg = "bad value (expected a float timestamp)" })
+             (* float_of_string_opt accepts nan and inf; PIATs need finite,
+                non-decreasing timestamps (equal ones are legal). *)
+             match (float_of_string_opt line, !values) with
+             | Some v, _ when not (Float.is_finite v) ->
+                 fail "bad value (timestamp is not finite)"
+             | Some v, prev :: _ when v < prev ->
+                 fail "bad value (timestamp below its predecessor)"
+             | Some v, _ -> values := v :: !values
+             | None, _ -> fail "bad value (expected a float timestamp)"
          done
        with End_of_file -> ());
       ( { label = !label; created_unix = !created },

@@ -21,7 +21,9 @@ exception Parse_error of { path : string; line : int; msg : string }
 
 val load : path:string -> meta * float array
 (** Parse a file produced by {!save}.  Raises {!Parse_error} on malformed
-    content (with the offending line number), [Sys_error] on I/O. *)
+    content (with the offending line number): a value that is not a
+    float, a non-finite timestamp or [created_unix], or a timestamp below
+    its predecessor (equal ones are legal).  Raises [Sys_error] on I/O. *)
 
 val piats : float array -> float array
 (** Packet inter-arrival times: consecutive differences of a timestamp

@@ -105,36 +105,23 @@ let on_off sim ~rng ~rate_on_pps ~mean_on ~mean_off ?pareto_shape ~size_bytes
    probability rate_fn(now)/rate_max.  One reusable event record drives
    the candidate train; acceptance happens in the body.  The draw order
    (interval, then acceptance, from one rng) is part of the reproducible
-   stream and shared by both modulated sources below. *)
-let thinned sim ~rng ~rate_fn ~rate_max ~name ~accept =
-  Desim.Sim.every sim
-    ~interval:(fun () -> Prng.Sampler.exponential rng ~rate:rate_max)
-    (fun () ->
-      let now = Desim.Sim.now sim in
-      let rate = rate_fn now in
-      if rate < 0.0 || rate > rate_max then
-        invalid_arg (name ^ ": rate_fn out of [0, rate_max]");
-      if Prng.Rng.float rng < rate /. rate_max then accept now)
-
-let modulated_poisson sim ~rng ~rate_fn ~rate_max ~size_bytes ~kind ~dest () =
-  if rate_max <= 0.0 then invalid_arg "Traffic_gen.modulated_poisson: rate_max <= 0";
-  let t = source () in
-  t.handle <-
-    Some
-      (thinned sim ~rng ~rate_fn ~rate_max
-         ~name:"Traffic_gen.modulated_poisson"
-         ~accept:(fun _now -> emit sim t ~size_bytes ~kind ~dest));
-  t
-
+   stream. *)
 let modulated_arrivals sim ~rng ~rate_fn ~rate_max ~f () =
   if rate_max <= 0.0 then
     invalid_arg "Traffic_gen.modulated_arrivals: rate_max <= 0";
   let t = source () in
   t.handle <-
     Some
-      (thinned sim ~rng ~rate_fn ~rate_max
-         ~name:"Traffic_gen.modulated_arrivals"
-         ~accept:(fun now ->
-           t.generated <- t.generated + 1;
-           f now));
+      (Desim.Sim.every sim
+         ~interval:(fun () -> Prng.Sampler.exponential rng ~rate:rate_max)
+         (fun () ->
+           let now = Desim.Sim.now sim in
+           let rate = rate_fn now in
+           if rate < 0.0 || rate > rate_max then
+             invalid_arg
+               "Traffic_gen.modulated_arrivals: rate_fn out of [0, rate_max]";
+           if Prng.Rng.float rng < rate /. rate_max then begin
+             t.generated <- t.generated + 1;
+             f now
+           end));
   t

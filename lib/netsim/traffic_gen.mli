@@ -64,20 +64,6 @@ val on_off :
     self-similar cross traffic of campus/WAN scenarios.  Long-run average
     rate = rate_on_pps * mean_on / (mean_on + mean_off). *)
 
-val modulated_poisson :
-  Desim.Sim.t ->
-  rng:Prng.Rng.t ->
-  rate_fn:(float -> float) ->
-  rate_max:float ->
-  size_bytes:int ->
-  kind:Packet.kind ->
-  dest:Link.port ->
-  unit ->
-  t
-(** Non-homogeneous Poisson by Lewis–Shedler thinning: instantaneous rate
-    [rate_fn now] (must lie in [0, rate_max], [rate_max > 0]).  Used for
-    the diurnal utilization profiles of the campus/WAN experiments. *)
-
 val modulated_arrivals :
   Desim.Sim.t ->
   rng:Prng.Rng.t ->
@@ -86,8 +72,10 @@ val modulated_arrivals :
   f:(float -> unit) ->
   unit ->
   t
-(** The arrival-instant train of {!modulated_poisson} without the packet:
-    [f now] runs at each accepted arrival and decides what it means.
+(** Non-homogeneous Poisson arrival instants by Lewis–Shedler thinning:
+    instantaneous rate [rate_fn now] (must lie in [0, rate_max],
+    [rate_max > 0]).  [f now] runs at each accepted arrival and decides
+    what it means.
     The fleet mux uses this to demultiplex one superposed arrival
     process onto many flows — picking the flow, counting it, and
     building the packet itself — at O(1) per arrival instead of one

@@ -290,6 +290,7 @@ let snapshot () : Snapshot.t =
          (name_of m, v))
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
+(* talint: allow U001 — tests reset the registry between cases *)
 let reset () =
   List.iter
     (function

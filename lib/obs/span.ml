@@ -46,4 +46,5 @@ let snapshot () =
       Hashtbl.fold (fun _ s acc -> s :: acc) table [])
   |> List.sort (fun a b -> String.compare a.name b.name)
 
+(* talint: allow U001 — tests reset span state between cases *)
 let reset () = Mutex.protect mutex (fun () -> Hashtbl.reset table)

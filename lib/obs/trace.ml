@@ -36,6 +36,7 @@ let enable ~path:p =
       pending := []);
   Atomic.set on true
 
+(* talint: allow U001 — tests turn tracing off between cases *)
 let disable () =
   Atomic.set on false;
   Mutex.protect mutex (fun () ->

@@ -135,6 +135,7 @@ let stop t =
   | Some h -> Desim.Sim.cancel h
   | None -> ()
 
+(* talint: allow U001 — tests read it to observe live adaptation *)
 let current_period t = t.period
 
 let overhead t =

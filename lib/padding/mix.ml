@@ -94,8 +94,11 @@ let stop t =
   cancel_timeout t;
   t.stopped <- true
 
+(* talint: allow U001 — tests read it to observe the live mix *)
 let flushes t = t.flushes
+(* talint: allow U001 — tests read it to observe the live mix *)
 let payload_sent t = t.payload_sent
+(* talint: allow U001 — tests read it to observe the live mix *)
 let dummy_sent t = t.dummy_sent
 
 let overhead t =

@@ -11,8 +11,6 @@ val utilization : payload_rate_pps:float -> timer_mean:float -> float
 (** ρ = λ·τ.  Stability requires ρ < 1: the timer must fire at least as
     often as payload arrives. *)
 
-val is_stable : payload_rate_pps:float -> timer_mean:float -> bool
-
 val mean_delay : payload_rate_pps:float -> timer_mean:float -> float
 (** Expected payload sojourn time for Poisson payload of rate λ behind a
     CIT timer of period τ:
@@ -22,19 +20,6 @@ val mean_delay : payload_rate_pps:float -> timer_mean:float -> float
             + 0             (transmission is accounted by the link model)
 
     Raises [Invalid_argument] if unstable (ρ >= 1). *)
-
-val delay_quantile :
-  payload_rate_pps:float -> timer_mean:float -> p:float -> float
-(** Approximate p-quantile of the sojourn time using the exponential-tail
-    (large-deviations) form D_p ≈ E[W] − ln(1−p)·σ_eff with the M/D/1
-    effective scale; p in (0, 1).  Coarse but monotone and finite —
-    intended for budgeting, not exactness. *)
-
-val min_timer_rate :
-  payload_rate_pps:float -> max_mean_delay:float -> float
-(** Smallest timer frequency 1/τ (fires per second) such that the mean
-    delay bound holds: the design-side inverse of {!mean_delay}.  Raises
-    if the bound is unachievable ([max_mean_delay <= 0]). *)
 
 val overhead : payload_rate_pps:float -> timer_mean:float -> float
 (** Dummy fraction 1 − ρ (clamped), same as

@@ -16,5 +16,7 @@ let pad_port ~target ~dest =
            ~created:pkt.Netsim.Packet.created)
     end
 
+(* talint: allow U001 — tests read it to observe live padding *)
 let padded_bytes () = Atomic.get total_padding
+(* talint: allow U001 — tests reset the shared counter between cases *)
 let reset_padded_bytes () = Atomic.set total_padding 0

@@ -4,20 +4,6 @@ type law =
   | Uniform of { mean : float; half_width : float }
   | Exponential of { mean : float }
 
-(* Written as [not (x > 0.0)] so a NaN parameter fails too. *)
-let validate = function
-  | Constant tau ->
-      if not (tau > 0.0) then invalid_arg "Timer: constant period <= 0"
-  | Normal { mean; sigma } ->
-      if not (mean > 0.0) then invalid_arg "Timer: normal mean <= 0";
-      if not (sigma >= 0.0) then invalid_arg "Timer: normal sigma < 0"
-  | Uniform { mean; half_width } ->
-      if not (mean > 0.0) then invalid_arg "Timer: uniform mean <= 0";
-      if not (half_width > 0.0 && half_width < mean) then
-        invalid_arg "Timer: uniform half_width out of (0, mean)"
-  | Exponential { mean } ->
-      if not (mean > 0.0) then invalid_arg "Timer: exponential mean <= 0"
-
 let mean = function
   | Constant tau -> tau
   | Normal { mean; _ } -> mean
@@ -30,6 +16,25 @@ let sigma = function
   | Uniform { half_width; _ } -> half_width /. sqrt 3.0
   | Exponential { mean } -> mean
 
+(* Written as [not (x > 0.0)] so a NaN parameter fails too; every
+   parameter shows in [mean] or [sigma], so their finiteness covers an
+   infinite one. *)
+let validate law =
+  (match law with
+  | Constant tau ->
+      if not (tau > 0.0) then invalid_arg "Timer: constant period <= 0"
+  | Normal { mean; sigma } ->
+      if not (mean > 0.0) then invalid_arg "Timer: normal mean <= 0";
+      if not (sigma >= 0.0) then invalid_arg "Timer: normal sigma < 0"
+  | Uniform { mean; half_width } ->
+      if not (mean > 0.0) then invalid_arg "Timer: uniform mean <= 0";
+      if not (half_width > 0.0 && half_width < mean) then
+        invalid_arg "Timer: uniform half_width out of (0, mean)"
+  | Exponential { mean } ->
+      if not (mean > 0.0) then invalid_arg "Timer: exponential mean <= 0");
+  if not (Float.is_finite (mean law) && Float.is_finite (sigma law)) then
+    invalid_arg "Timer: parameter not finite"
+
 let draw law rng =
   match law with
   | Constant tau -> tau
@@ -39,5 +44,3 @@ let draw law rng =
   | Uniform { mean; half_width } ->
       Prng.Sampler.uniform rng ~lo:(mean -. half_width) ~hi:(mean +. half_width)
   | Exponential { mean } -> Prng.Sampler.exponential rng ~rate:(1.0 /. mean)
-
-let is_cit = function Constant _ -> true | Normal _ | Uniform _ | Exponential _ -> false

@@ -18,7 +18,8 @@ type law =
       (** VIT: exponential with the given mean > 0 (σ_T = mean). *)
 
 val validate : law -> unit
-(** Raises [Invalid_argument] on out-of-domain parameters, NaN included. *)
+(** Raises [Invalid_argument] on out-of-domain parameters, NaN and
+    infinity included. *)
 
 val mean : law -> float
 val sigma : law -> float
@@ -27,5 +28,3 @@ val sigma : law -> float
 
 val draw : law -> Prng.Rng.t -> float
 (** Sample the next interval; always > 0. *)
-
-val is_cit : law -> bool

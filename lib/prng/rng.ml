@@ -31,6 +31,7 @@ let create ~seed =
   let state = ref (Int64.of_int seed) in
   of_sm64 state
 
+(* talint: allow U001 — oracle: test_kernel replays a stream from a copy *)
 let copy = Bytes.copy
 
 let[@inline] rotl x k =
@@ -54,6 +55,7 @@ let[@inline] next t =
   set64 t 24 (rotl s3 45);
   result
 
+(* talint: allow U001 — tests read the raw stream every draw is built on *)
 let bits64 t = next t
 
 let split t =
@@ -101,8 +103,6 @@ let int t ~bound =
   let limit = Int64.sub max64 (Int64.rem max64 bound64) in
   reject_draw t ~limit ~bound64
 
-let bool t = Int64.compare (Int64.logand (next t) 1L) 0L <> 0
-
 let mix_seed root index =
   (* Two SplitMix64 steps with the index folded in between: a pure,
      order-independent derivation of per-task seeds for parallel work.
@@ -113,13 +113,3 @@ let mix_seed root index =
   let h = splitmix_next state in
   state := Int64.logxor h (Int64.mul (Int64.of_int index) 0x9E3779B97F4A7C15L);
   Int64.to_int (Int64.shift_right_logical (splitmix_next state) 2)
-
-let seed_of_string s =
-  (* FNV-1a, folded to 62 bits to stay positive in an OCaml int. *)
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h 0x100000001b3L)
-    s;
-  Int64.to_int (Int64.shift_right_logical !h 2)

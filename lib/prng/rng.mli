@@ -47,9 +47,6 @@ val float_range : t -> lo:float -> hi:float -> float
 val int : t -> bound:int -> int
 (** Uniform integer in [0, bound). Requires [bound > 0]. Unbiased. *)
 
-val bool : t -> bool
-(** Fair coin. *)
-
 val mix_seed : int -> int -> int
 (** [mix_seed root index] derives a per-task seed from a root seed and a
     task index through two SplitMix64 finalizer steps.  Pure and
@@ -57,7 +54,3 @@ val mix_seed : int -> int -> int
     whether) any other task's seed is derived, which is what makes
     parallel fan-out bit-reproducible.  Result is a non-negative 62-bit
     int suitable for {!create}. *)
-
-val seed_of_string : string -> int
-(** Stable non-cryptographic hash of a label into a seed, used to derive
-    per-component seeds from experiment names. *)

@@ -74,38 +74,10 @@ let poisson rng ~mean =
     in
     count 0 1.0
 
-let geometric rng ~p =
-  (* NaN slips through both range comparisons (every NaN compare is
-     false), and the p = 1.0 boundary must short-circuit before the log
-     path — log (1.0 -. 1.0) = -inf would otherwise poison the divide. *)
-  if Float.is_nan p || p <= 0.0 || p > 1.0 then
-    invalid_arg "Sampler.geometric: p out of (0,1]";
-  if p = 1.0 then 0
-  else
-    let u = Rng.float_pos rng in
-    int_of_float (Float.floor (log u /. log (1.0 -. p)))
-
 let bernoulli rng ~p =
   if not (p >= 0.0 && p <= 1.0) then
     invalid_arg "Sampler.bernoulli: p out of [0,1]";
   Rng.float rng < p
-
-let categorical rng ~weights =
-  let total = Array.fold_left (fun acc w ->
-      if not (w >= 0.0) then
-        invalid_arg "Sampler.categorical: negative or NaN weight";
-      acc +. w) 0.0 weights
-  in
-  if total <= 0.0 then invalid_arg "Sampler.categorical: no positive weight";
-  let x = Rng.float rng *. total in
-  let n = Array.length weights in
-  let rec scan i acc =
-    if i = n - 1 then i
-    else
-      let acc = acc +. weights.(i) in
-      if x < acc then i else scan (i + 1) acc
-  in
-  scan 0 0.0
 
 let shuffle rng arr =
   let n = Array.length arr in

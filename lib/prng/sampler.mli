@@ -41,17 +41,9 @@ val poisson : Rng.t -> mean:float -> int
     [mean >= 0]; a NaN [mean] raises (it would never end the Knuth
     loop). *)
 
-val geometric : Rng.t -> p:float -> int
-(** Number of failures before first success, [0 < p <= 1]. *)
-
 val bernoulli : Rng.t -> p:float -> bool
 (** True with probability [p], [0 <= p <= 1]; a NaN [p] raises rather
     than always returning [false]. *)
-
-val categorical : Rng.t -> weights:float array -> int
-(** Index drawn proportionally to non-negative [weights] (need not sum
-    to 1; at least one must be positive).  A negative or NaN weight
-    raises. *)
 
 val shuffle : Rng.t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)

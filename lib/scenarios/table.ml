@@ -64,7 +64,6 @@ let rec register_digest entry =
     register_digest entry
 
 let printed_digests () = List.rev (Atomic.get registry)
-let reset_digests () = Atomic.set registry []
 
 let print t fmt =
   register_digest (t.title, digest t);

@@ -36,9 +36,6 @@ val digest : t -> string
 val printed_digests : unit -> (string * string) list
 (** [(title, digest)] of every table printed so far, in print order. *)
 
-val reset_digests : unit -> unit
-(** Clear the registry (tests). *)
-
 val to_csv : t -> string
 (** RFC-4180-ish CSV (quotes cells containing commas/quotes/newlines). *)
 

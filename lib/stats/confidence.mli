@@ -12,13 +12,5 @@ val wilson : successes:int -> trials:int -> confidence:float -> interval
 (** Wilson score interval for a binomial proportion.
     [0 <= successes <= trials], [trials >= 1], [confidence] in (0, 1). *)
 
-val wald : successes:int -> trials:int -> confidence:float -> interval
-(** Normal-approximation interval, clamped to [0, 1]; for comparison. *)
-
-val mean_t : float array -> confidence:float -> interval
-(** Interval for a population mean using the normal quantile (the sample
-    sizes here are far beyond where the t correction matters); requires
-    n >= 2. *)
-
 val contains : interval -> float -> bool
 val width : interval -> float

@@ -140,8 +140,6 @@ let quantile xs p =
   let frac = h -. float_of_int lo in
   sorted.(lo) +. (frac *. (sorted.(hi) -. sorted.(lo)))
 
-let median xs = quantile xs 0.5
-
 let minimum_in xs ~pos ~len =
   check_view "minimum_in" xs ~pos ~len;
   if len = 0 then invalid_arg "Descriptive.minimum_in: empty";
@@ -151,8 +149,6 @@ let minimum_in xs ~pos ~len =
   done;
   !acc
 
-let minimum xs = minimum_in xs ~pos:0 ~len:(Array.length xs)
-
 let maximum_in xs ~pos ~len =
   check_view "maximum_in" xs ~pos ~len;
   if len = 0 then invalid_arg "Descriptive.maximum_in: empty";
@@ -161,28 +157,3 @@ let maximum_in xs ~pos ~len =
     acc := Float.max !acc (Array.unsafe_get xs i)
   done;
   !acc
-
-let maximum xs = maximum_in xs ~pos:0 ~len:(Array.length xs)
-
-let autocorrelation xs ~lag =
-  let n = Array.length xs in
-  if lag < 0 then invalid_arg "Descriptive.autocorrelation: lag < 0";
-  if lag >= n then invalid_arg "Descriptive.autocorrelation: lag >= length";
-  let m = mean xs in
-  let denom = Array.fold_left (fun acc x -> acc +. ((x -. m) *. (x -. m))) 0.0 xs in
-  if denom = 0.0 then 0.0
-  else begin
-    let num = ref 0.0 in
-    for i = 0 to n - 1 - lag do
-      num := !num +. ((xs.(i) -. m) *. (xs.(i + lag) -. m))
-    done;
-    !num /. denom
-  end
-
-let summary_to_string xs =
-  let n = Array.length xs in
-  if n = 0 then "n=0"
-  else if n = 1 then Printf.sprintf "n=1 value=%.6g" xs.(0)
-  else
-    Printf.sprintf "n=%d mean=%.6g std=%.6g min=%.6g med=%.6g max=%.6g" n
-      (mean xs) (std xs) (minimum xs) (median xs) (maximum xs)

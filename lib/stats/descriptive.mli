@@ -56,20 +56,6 @@ val variance_in : float array -> pos:int -> len:int -> float
 val minimum_in : float array -> pos:int -> len:int -> float
 val maximum_in : float array -> pos:int -> len:int -> float
 
-val median : float array -> float
-(** Median without mutating the input; raises on empty. *)
-
 val quantile : float array -> float -> float
 (** [quantile xs p] for p in [0,1], linear interpolation between order
     statistics (type-7); raises on empty input or p outside [0,1]. *)
-
-val minimum : float array -> float
-val maximum : float array -> float
-(** [minimum]/[maximum] raise on empty input. *)
-
-val autocorrelation : float array -> lag:int -> float
-(** Sample autocorrelation at [lag] (biased normalization); 0 when the
-    series is constant.  Raises if [lag < 0] or [lag >= length]. *)
-
-val summary_to_string : float array -> string
-(** Human-readable one-line summary (n, mean, std, min, median, max). *)

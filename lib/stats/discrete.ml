@@ -29,67 +29,6 @@ let poisson ~mean =
     sample = (fun rng -> Prng.Sampler.poisson rng ~mean);
   }
 
-let log_choose n k =
-  Special.log_gamma (float_of_int (n + 1))
-  -. Special.log_gamma (float_of_int (k + 1))
-  -. Special.log_gamma (float_of_int (n - k + 1))
-
-let binomial ~n ~p =
-  if n < 0 then invalid_arg "Discrete.binomial: n < 0";
-  if p < 0.0 || p > 1.0 then invalid_arg "Discrete.binomial: p out of [0,1]";
-  let log_pmf k =
-    if k < 0 || k > n then Float.neg_infinity
-    else if p = 0.0 then (if k = 0 then 0.0 else Float.neg_infinity)
-    else if p = 1.0 then (if k = n then 0.0 else Float.neg_infinity)
-    else
-      log_choose n k
-      +. (float_of_int k *. log p)
-      +. (float_of_int (n - k) *. log (1.0 -. p))
-  in
-  let pmf k = if k < 0 || k > n then 0.0 else exp (log_pmf k) in
-  {
-    name = Printf.sprintf "binomial(%d,%.6g)" n p;
-    pmf;
-    log_pmf;
-    cdf =
-      (fun k ->
-        if k < 0 then 0.0
-        else if k >= n then 1.0
-        else begin
-          let acc = ref 0.0 in
-          for i = 0 to k do
-            acc := !acc +. pmf i
-          done;
-          Float.min 1.0 !acc
-        end);
-    mean = float_of_int n *. p;
-    variance = float_of_int n *. p *. (1.0 -. p);
-    sample =
-      (fun rng ->
-        let hits = ref 0 in
-        for _ = 1 to n do
-          if Prng.Sampler.bernoulli rng ~p then incr hits
-        done;
-        !hits);
-  }
-
-let geometric ~p =
-  if p <= 0.0 || p > 1.0 then invalid_arg "Discrete.geometric: p out of (0,1]";
-  let q = 1.0 -. p in
-  {
-    name = Printf.sprintf "geometric(%.6g)" p;
-    pmf = (fun k -> if k < 0 then 0.0 else p *. (q ** float_of_int k));
-    log_pmf =
-      (fun k ->
-        if k < 0 then Float.neg_infinity
-        else if q = 0.0 then (if k = 0 then 0.0 else Float.neg_infinity)
-        else log p +. (float_of_int k *. log q));
-    cdf = (fun k -> if k < 0 then 0.0 else 1.0 -. (q ** float_of_int (k + 1)));
-    mean = q /. p;
-    variance = q /. (p *. p);
-    sample = (fun rng -> Prng.Sampler.geometric rng ~p);
-  }
-
 let bayes_detection_two d0 d1 ?(p0 = 0.5) ?k_max () =
   if p0 <= 0.0 || p0 >= 1.0 then invalid_arg "Discrete: p0 out of (0,1)";
   let p1 = 1.0 -. p0 in

@@ -16,12 +16,6 @@ type t = {
 val poisson : mean:float -> t
 (** [mean > 0]. *)
 
-val binomial : n:int -> p:float -> t
-(** [n >= 0], [p in [0,1]]. *)
-
-val geometric : p:float -> t
-(** Failures before first success; [p in (0,1]]. *)
-
 val bayes_detection_two : t -> t -> ?p0:float -> ?k_max:int -> unit -> float
 (** Exact Bayes detection rate between two discrete laws with priors
     (p0, 1-p0): Σ_k max(p0·pmf₀(k), p1·pmf₁(k)), truncated at [k_max]

@@ -7,9 +7,6 @@ let of_probabilities ps =
 
 let histogram_plugin h = of_probabilities (Histogram.probabilities h)
 
-let histogram_differential h =
-  histogram_plugin h +. log (Histogram.bin_width h)
-
 let of_sample_in ~bin_width ~reference xs ~pos ~len =
   if len = 0 then invalid_arg "Entropy.of_sample: empty";
   if bin_width <= 0.0 then invalid_arg "Entropy.of_sample: bin_width <= 0";
@@ -27,9 +24,11 @@ let of_sample_in ~bin_width ~reference xs ~pos ~len =
   done;
   histogram_plugin h
 
+(* talint: allow U001 — oracle: test_stream's reference for Stream.Hist *)
 let of_sample ~bin_width ~reference xs =
   of_sample_in ~bin_width ~reference xs ~pos:0 ~len:(Array.length xs)
 
+(* talint: allow U001 — oracle: closed form for the plug-in entropy tests *)
 let normal_differential ~sigma =
   if sigma <= 0.0 then invalid_arg "Entropy.normal_differential: sigma <= 0";
   0.5 *. log (2.0 *. Float.pi *. Float.exp 1.0 *. sigma *. sigma)

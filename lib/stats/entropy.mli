@@ -13,10 +13,6 @@ val histogram_plugin : Histogram.t -> float
 (** Paper eq. (25): plug-in entropy of the bin masses, without the
     [ln Δh] term. *)
 
-val histogram_differential : Histogram.t -> float
-(** Paper eq. (24): plug-in entropy plus [ln Δh] — a differential-entropy
-    estimate comparable across bin widths (Moddemeijer 1989). *)
-
 val of_sample_in :
   bin_width:float -> reference:float -> float array -> pos:int -> len:int ->
   float

@@ -56,6 +56,7 @@ let fft_core ~sign ~re ~im =
 
 let fft ~re ~im = fft_core ~sign:(-1.0) ~re ~im
 
+(* talint: allow U001 — oracle: the fft round-trip test inverts with it *)
 let ifft ~re ~im =
   fft_core ~sign:1.0 ~re ~im;
   let n = float_of_int (Array.length re) in
@@ -75,37 +76,6 @@ let periodogram xs =
   let half = (n_fft / 2) + 1 in
   Array.init half (fun k ->
       ((re.(k) *. re.(k)) +. (im.(k) *. im.(k))) /. float_of_int n)
-
-let dominant_frequency ~sample_rate xs =
-  if Array.length xs < 4 then
-    invalid_arg "Fourier.dominant_frequency: need n >= 4";
-  if sample_rate <= 0.0 then
-    invalid_arg "Fourier.dominant_frequency: sample_rate <= 0";
-  let p = periodogram xs in
-  let n_fft = 2 * (Array.length p - 1) in
-  let best = ref 1 in
-  for k = 2 to Array.length p - 1 do
-    if p.(k) > p.(!best) then best := k
-  done;
-  (float_of_int !best *. sample_rate /. float_of_int n_fft, p.(!best))
-
-let autocorrelation_fft xs =
-  let n = Array.length xs in
-  if n = 0 then invalid_arg "Fourier.autocorrelation_fft: empty";
-  let mean = Descriptive.mean xs in
-  (* Zero-pad to 2n to avoid circular wrap-around. *)
-  let n_fft = next_pow2 (2 * n) in
-  let re = Array.make n_fft 0.0 and im = Array.make n_fft 0.0 in
-  Array.iteri (fun i x -> re.(i) <- x -. mean) xs;
-  fft ~re ~im;
-  for k = 0 to n_fft - 1 do
-    re.(k) <- (re.(k) *. re.(k)) +. (im.(k) *. im.(k));
-    im.(k) <- 0.0
-  done;
-  ifft ~re ~im;
-  let denom = re.(0) in
-  if denom <= 0.0 then Array.make n 0.0
-  else Array.init n (fun lag -> re.(lag) /. denom)
 
 let spectral_entropy xs =
   if Array.length xs < 4 then invalid_arg "Fourier.spectral_entropy: need n >= 4";

@@ -21,15 +21,6 @@ val periodogram : float array -> float array
     and returns the one-sided power spectrum |X_k|²/n for
     k = 0 .. n_fft/2 (inclusive).  Raises on input shorter than 2. *)
 
-val dominant_frequency : sample_rate:float -> float array -> float * float
-(** [(frequency_hz, power)] of the strongest non-DC periodogram bin of a
-    series sampled at [sample_rate].  Raises on input shorter than 4. *)
-
-val autocorrelation_fft : float array -> float array
-(** Biased sample autocorrelation for all lags 0..n-1 via Wiener–Khinchin
-    (FFT of the periodogram); autocorrelation.(0) = 1 unless the series is
-    constant (then all zeros).  O(n log n). *)
-
 val spectral_entropy : float array -> float
 (** Shannon entropy (nats) of the normalized non-DC periodogram — a
     scalar spectral-flatness feature: white noise scores high, a pure

@@ -13,10 +13,6 @@ val create : lo:float -> bin_width:float -> bins:int -> t
     the range are clamped into the first/last bin (they are the "outliers"
     whose probability weighting makes the estimator robust). *)
 
-val of_data : ?bins:int -> float array -> t
-(** Histogram spanning the data range with [bins] equal bins (default 64,
-    Sturges-clamped lower bound).  Raises on empty input. *)
-
 val add : t -> float -> unit
 val count : t -> int
 (** Total observations. *)
@@ -28,17 +24,5 @@ val lo : t -> float
 val bin_count : t -> int -> int
 (** Observations in bin [i]; raises on out-of-range index. *)
 
-val bin_center : t -> int -> float
-
-val density : t -> int -> float
-(** Normalized density of bin [i]: count / (n * bin_width); 0 if empty. *)
-
-val densities : t -> (float * float) array
-(** [(center, density)] for every bin — the empirical PDF curve used to
-    reproduce the paper's Fig. 4(a). *)
-
 val probabilities : t -> float array
 (** Per-bin probability mass k_i / n (sums to 1 when count > 0). *)
-
-val mode_bin : t -> int
-(** Index of the most populated bin; raises if the histogram is empty. *)

@@ -50,6 +50,7 @@ let jarque_bera xs =
   (* JB ~ chi2(2): survival = exp(-jb/2). *)
   { statistic = jb; p_value = exp (-.jb /. 2.0) }
 
+(* talint: allow U001 — oracle: goodness-of-fit test for the live samplers *)
 let chi_square_gof ~observed ~expected =
   let bins = Array.length observed in
   if bins = 0 then invalid_arg "Hypothesis.chi_square_gof: empty";

@@ -3,6 +3,7 @@ let simpson_panel f a fa b fb =
   let fm = f m in
   (m, fm, (b -. a) /. 6.0 *. (fa +. (4.0 *. fm) +. fb))
 
+(* talint: allow U001 — oracle: test_kde integrates the live KDE with it *)
 let simpson ?(eps = 1e-10) ?(max_depth = 50) f ~lo ~hi =
   if lo = hi then 0.0
   else
@@ -20,12 +21,3 @@ let simpson ?(eps = 1e-10) ?(max_depth = 50) f ~lo ~hi =
         +. go m fm b fb rm frm right (eps /. 2.0) (depth + 1)
     in
     sign *. go a fa b fb m fm whole eps 0
-
-let trapezoid f ~lo ~hi ~n =
-  if n < 1 then invalid_arg "Integrate.trapezoid: n < 1";
-  let h = (hi -. lo) /. float_of_int n in
-  let acc = ref (0.5 *. (f lo +. f hi)) in
-  for i = 1 to n - 1 do
-    acc := !acc +. f (lo +. (float_of_int i *. h))
-  done;
-  !acc *. h

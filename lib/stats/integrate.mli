@@ -4,7 +4,3 @@ val simpson : ?eps:float -> ?max_depth:int -> (float -> float) -> lo:float -> hi
 (** Adaptive Simpson on a finite interval.  [eps] is the absolute tolerance
     per panel (default 1e-10), [max_depth] the recursion cap (default 50).
     Handles [lo > hi] by sign flip. *)
-
-val trapezoid : (float -> float) -> lo:float -> hi:float -> n:int -> float
-(** Fixed-grid trapezoid rule with [n >= 1] panels; useful when the
-    integrand is cheap and smoothness is unknown. *)

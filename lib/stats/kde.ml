@@ -30,7 +30,6 @@ let fit ?bandwidth xs =
   { points = Array.copy xs; h }
 
 let bandwidth t = t.h
-let sample_size t = Array.length t.points
 
 let pdf t x =
   let pts = t.points in
@@ -63,16 +62,3 @@ let log_pdf t x =
     sum := !sum +. exp ((-0.5 *. z *. z) -. max_e)
   done;
   max_e +. log !sum -. log (float_of_int n *. t.h *. sqrt (2.0 *. Float.pi))
-
-let cdf t x =
-  let n = float_of_int (Array.length t.points) in
-  let acc = ref 0.0 in
-  Array.iter
-    (fun xi -> acc := !acc +. Special.normal_cdf ~mu:xi ~sigma:t.h x)
-    t.points;
-  !acc /. n
-
-let support t =
-  let lo = Descriptive.minimum t.points -. (6.0 *. t.h) in
-  let hi = Descriptive.maximum t.points +. (6.0 *. t.h) in
-  (lo, hi)

@@ -24,7 +24,6 @@ val fit : ?bandwidth:float -> float array -> t
     input or non-positive explicit [bandwidth]. *)
 
 val bandwidth : t -> float
-val sample_size : t -> int
 
 val pdf : t -> float -> float
 (** Density estimate at a point (always > 0). *)
@@ -34,10 +33,3 @@ val log_pdf : t -> float -> float
     underflows to 0.  Two passes: the maximum kernel exponent, then the
     sum of shifted exponentials, each exponent recomputed with the same
     operations so it matches the one the first pass compared. *)
-
-val cdf : t -> float -> float
-(** Smoothed distribution function (mean of kernel CDFs). *)
-
-val support : t -> float * float
-(** [(lo, hi)] range covering all mass except ~1e-9 per tail: data range
-    widened by 6 bandwidths.  Used to bracket threshold searches. *)

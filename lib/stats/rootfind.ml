@@ -25,86 +25,3 @@ let bisect ?(eps = 1e-12) ?(max_iter = 200) f ~lo ~hi =
     done;
     0.5 *. (!lo +. !hi)
   end
-
-let brent ?(eps = 1e-13) ?(max_iter = 200) f ~lo ~hi =
-  let a = ref lo and b = ref hi in
-  let fa = ref (f !a) and fb = ref (f !b) in
-  if !fa = 0.0 then !a
-  else if !fb = 0.0 then !b
-  else if same_strict_sign !fa !fb then
-    invalid_arg "Rootfind.brent: no sign change on bracket"
-  else begin
-    let c = ref !a and fc = ref !fa in
-    let d = ref (!b -. !a) and e = ref (!b -. !a) in
-    let result = ref nan in
-    let iter = ref 0 in
-    while Float.is_nan !result && !iter < max_iter do
-      incr iter;
-      if Float.abs !fc < Float.abs !fb then begin
-        a := !b; b := !c; c := !a;
-        fa := !fb; fb := !fc; fc := !fa
-      end;
-      let tol = (2.0 *. epsilon_float *. Float.abs !b) +. (0.5 *. eps) in
-      let xm = 0.5 *. (!c -. !b) in
-      if Float.abs xm <= tol || !fb = 0.0 then result := !b
-      else begin
-        if Float.abs !e >= tol && Float.abs !fa > Float.abs !fb then begin
-          let s = !fb /. !fa in
-          let p, q =
-            if !a = !c then
-              (* secant *)
-              (2.0 *. xm *. s, 1.0 -. s)
-            else begin
-              (* inverse quadratic *)
-              let q = !fa /. !fc and r = !fb /. !fc in
-              ( s *. ((2.0 *. xm *. q *. (q -. r)) -. ((!b -. !a) *. (r -. 1.0))),
-                (q -. 1.0) *. (r -. 1.0) *. (s -. 1.0) )
-            end
-          in
-          let p, q = if p > 0.0 then (p, -.q) else (-.p, q) in
-          if
-            2.0 *. p < Float.min (3.0 *. xm *. q -. Float.abs (tol *. q))
-                         (Float.abs (!e *. q))
-          then begin
-            e := !d;
-            d := p /. q
-          end
-          else begin
-            d := xm;
-            e := xm
-          end
-        end
-        else begin
-          d := xm;
-          e := xm
-        end;
-        a := !b;
-        fa := !fb;
-        b := !b +. (if Float.abs !d > tol then !d else if xm > 0.0 then tol else -.tol);
-        fb := f !b;
-        if same_strict_sign !fb !fc then begin
-          c := !a;
-          fc := !fa;
-          d := !b -. !a;
-          e := !d
-        end
-      end
-    done;
-    if Float.is_nan !result then !b else !result
-  end
-
-let find_bracket f ~center ~step ?(max_expand = 60) () =
-  if step <= 0.0 then invalid_arg "Rootfind.find_bracket: step <= 0";
-  let fc = f center in
-  if fc = 0.0 then Some (center, center)
-  else
-    let rec expand step k =
-      if k > max_expand then None
-      else
-        let lo = center -. step and hi = center +. step in
-        let flo = f lo and fhi = f hi in
-        if not (same_strict_sign fc flo) then Some (lo, center)
-        else if not (same_strict_sign fc fhi) then Some (center, hi)
-        else expand (2.0 *. step) (k + 1)
-    in
-    expand step 0

@@ -5,12 +5,3 @@ val bisect : ?eps:float -> ?max_iter:int -> (float -> float) -> lo:float -> hi:f
 (** Bisection on a sign-changing bracket; raises [Invalid_argument] if
     [f lo] and [f hi] have the same strict sign.  [eps] is the interval
     tolerance (default 1e-12 relative to bracket width). *)
-
-val brent : ?eps:float -> ?max_iter:int -> (float -> float) -> lo:float -> hi:float -> float
-(** Brent's method (inverse quadratic + secant + bisection fallback);
-    same bracketing contract as {!bisect}, much faster on smooth f. *)
-
-val find_bracket :
-  (float -> float) -> center:float -> step:float -> ?max_expand:int -> unit -> (float * float) option
-(** Expand outward geometrically from [center] until a sign change is found;
-    [None] if none within [max_expand] doublings (default 60). *)

@@ -37,6 +37,7 @@ let erfc x =
   if Float.abs x > 26.0 then (if x > 0.0 then 0.0 else 2.0)
   else erfc_raw x
 
+(* talint: allow U001 — oracle: reference values for erfc and gamma_p *)
 let erf x = 1.0 -. erfc x
 
 (* Lanczos approximation, g = 7, n = 9 coefficients (Godfrey). *)
@@ -115,6 +116,7 @@ let gamma_q ~a ~x =
   else if x < a +. 1.0 then 1.0 -. gamma_p_series ~a ~x
   else gamma_q_cf ~a ~x
 
+(* talint: allow U001 — oracle: density for the KDE and Bayes-rate tests *)
 let normal_pdf ~mu ~sigma x =
   if sigma <= 0.0 then invalid_arg "Special.normal_pdf: sigma <= 0";
   let z = (x -. mu) /. sigma in

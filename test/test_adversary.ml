@@ -83,22 +83,7 @@ let test_classifier_separable () =
       ()
   in
   Alcotest.(check int) "low point" 0 (Adversary.Classifier.classify clf 0.2);
-  Alcotest.(check int) "high point" 1 (Adversary.Classifier.classify clf 9.5);
-  Alcotest.(check string) "names" "hi" (Adversary.Classifier.class_name clf 1);
-  close "equal priors" 0.5 (Adversary.Classifier.prior clf 0)
-
-let test_classifier_posteriors_normalized () =
-  let clf =
-    Adversary.Classifier.train
-      ~classes:[| ("a", gaussian 100 0.0 1.0 143); ("b", gaussian 100 3.0 1.0 144) |]
-      ()
-  in
-  List.iter
-    (fun x ->
-      let ps = Adversary.Classifier.posteriors clf x in
-      close ~tol:1e-9 "sum 1" 1.0 (Array.fold_left ( +. ) 0.0 ps);
-      Array.iter (fun p -> Alcotest.(check bool) "in [0,1]" true (p >= 0.0 && p <= 1.0)) ps)
-    [ -2.0; 1.5; 5.0; 100.0 ]
+  Alcotest.(check int) "high point" 1 (Adversary.Classifier.classify clf 9.5)
 
 let test_classifier_prior_shifts_decision () =
   (* With a lopsided prior the midpoint flips to the heavy class. *)
@@ -302,7 +287,6 @@ let suite =
     Alcotest.test_case "features_of_trace" `Quick test_features_of_trace;
     Alcotest.test_case "split alternating" `Quick test_split_alternating;
     Alcotest.test_case "classifier separable" `Quick test_classifier_separable;
-    Alcotest.test_case "posteriors normalized" `Quick test_classifier_posteriors_normalized;
     Alcotest.test_case "prior shifts decision" `Quick test_classifier_prior_shifts_decision;
     Alcotest.test_case "accuracy perfect/chance" `Quick test_classifier_accuracy_perfect_and_chance;
     Alcotest.test_case "threshold between means" `Quick test_classifier_threshold_between_means;

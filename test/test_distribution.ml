@@ -1,184 +1,111 @@
-(* Distribution objects: pdf/cdf/quantile consistency, moments, sampling. *)
+(* The distribution laws the library evaluates: the normal law
+   (Special's pdf/cdf/quantile and the polar sampler), the chi-square
+   law behind Special.gamma_p/gamma_q, and the sampling law of S^2 that
+   the Theorem 2 rates integrate. *)
 
 let close ?(tol = 1e-6) msg expected actual =
   if Float.abs (expected -. actual) > tol *. Float.max 1.0 (Float.abs expected)
   then Alcotest.failf "%s: expected %.12g, got %.12g" msg expected actual
 
-let check_roundtrip d ps =
-  List.iter
-    (fun p ->
-      close ~tol:1e-6
-        (Printf.sprintf "%s: cdf(quantile(%.3f))" d.Stats.Distribution.name p)
-        p
-        (d.Stats.Distribution.cdf (d.Stats.Distribution.quantile p)))
-    ps
-
-let check_pdf_is_cdf_derivative d xs =
-  List.iter
-    (fun x ->
-      let h = 1e-5 *. Float.max 1.0 (Float.abs x) in
-      let numeric =
-        (d.Stats.Distribution.cdf (x +. h) -. d.Stats.Distribution.cdf (x -. h))
-        /. (2.0 *. h)
-      in
-      close ~tol:1e-3
-        (Printf.sprintf "%s: pdf = dcdf at %.3f" d.Stats.Distribution.name x)
-        numeric (d.Stats.Distribution.pdf x))
-    xs
-
-let check_sample_moments d n seed tol =
-  let rng = Prng.Rng.create ~seed in
-  let acc = Stats.Descriptive.Acc.create () in
-  for _ = 1 to n do
-    Stats.Descriptive.Acc.add acc (d.Stats.Distribution.sample rng)
-  done;
-  close ~tol
-    (Printf.sprintf "%s: sample mean" d.Stats.Distribution.name)
-    d.Stats.Distribution.mean
-    (Stats.Descriptive.Acc.mean acc);
-  close ~tol:(2.0 *. tol)
-    (Printf.sprintf "%s: sample variance" d.Stats.Distribution.name)
-    d.Stats.Distribution.variance
-    (Stats.Descriptive.Acc.variance acc)
-
 let ps = [ 0.01; 0.1; 0.3; 0.5; 0.7; 0.9; 0.99 ]
 
 let test_normal () =
-  let d = Stats.Distribution.normal ~mu:2.0 ~sigma:1.5 in
-  check_roundtrip d ps;
-  check_pdf_is_cdf_derivative d [ 0.0; 1.0; 2.0; 4.0 ];
-  check_sample_moments d 100_000 71 0.02;
-  close "median = mu" 2.0 (d.Stats.Distribution.quantile 0.5)
-
-let test_uniform () =
-  let d = Stats.Distribution.uniform ~lo:(-1.0) ~hi:3.0 in
-  check_roundtrip d ps;
-  check_sample_moments d 100_000 72 0.02;
-  close "mean" 1.0 d.Stats.Distribution.mean;
-  close "variance" (16.0 /. 12.0) d.Stats.Distribution.variance;
-  close "pdf inside" 0.25 (d.Stats.Distribution.pdf 0.0);
-  close "pdf outside" 0.0 (d.Stats.Distribution.pdf 5.0)
-
-let test_exponential () =
-  let d = Stats.Distribution.exponential ~rate:2.0 in
-  check_roundtrip d ps;
-  check_pdf_is_cdf_derivative d [ 0.1; 0.5; 2.0 ];
-  check_sample_moments d 100_000 73 0.02;
-  close "memoryless median" (log 2.0 /. 2.0) (d.Stats.Distribution.quantile 0.5)
-
-let test_gamma () =
-  let d = Stats.Distribution.gamma ~shape:3.0 ~scale:2.0 in
-  check_roundtrip d ps;
-  check_pdf_is_cdf_derivative d [ 1.0; 4.0; 8.0 ];
-  check_sample_moments d 100_000 74 0.02;
-  close "mean" 6.0 d.Stats.Distribution.mean;
-  close "variance" 12.0 d.Stats.Distribution.variance
-
-let test_gamma_small_shape () =
-  let d = Stats.Distribution.gamma ~shape:0.5 ~scale:1.0 in
-  check_sample_moments d 100_000 75 0.03;
-  Alcotest.(check bool) "samples positive" true
-    (let rng = Prng.Rng.create ~seed:76 in
-     let ok = ref true in
-     for _ = 1 to 1000 do
-       if d.Stats.Distribution.sample rng <= 0.0 then ok := false
-     done;
-     !ok)
+  let mu = 2.0 and sigma = 1.5 in
+  let cdf = Stats.Special.normal_cdf ~mu ~sigma
+  and quantile = Stats.Special.normal_quantile ~mu ~sigma in
+  List.iter
+    (fun p ->
+      close (Printf.sprintf "cdf(quantile(%.3f))" p) p (cdf (quantile p)))
+    ps;
+  List.iter
+    (fun x ->
+      let h = 1e-5 *. Float.max 1.0 (Float.abs x) in
+      let numeric = (cdf (x +. h) -. cdf (x -. h)) /. (2.0 *. h) in
+      close ~tol:1e-3
+        (Printf.sprintf "pdf = dcdf at %.3f" x)
+        numeric
+        (Stats.Special.normal_pdf ~mu ~sigma x))
+    [ 0.0; 1.0; 2.0; 4.0 ];
+  let rng = Prng.Rng.create ~seed:71 in
+  let acc = Stats.Descriptive.Acc.create () in
+  for _ = 1 to 100_000 do
+    Stats.Descriptive.Acc.add acc (Prng.Sampler.normal rng ~mu ~sigma)
+  done;
+  close ~tol:0.02 "sample mean" mu (Stats.Descriptive.Acc.mean acc);
+  close ~tol:0.04 "sample variance" (sigma *. sigma)
+    (Stats.Descriptive.Acc.variance acc);
+  close "median = mu" 2.0 (quantile 0.5)
 
 let test_chi_square () =
-  let d = Stats.Distribution.chi_square ~dof:5 in
-  close "mean = dof" 5.0 d.Stats.Distribution.mean;
-  close "variance = 2 dof" 10.0 d.Stats.Distribution.variance;
+  (* chi2(dof) is a gamma law with shape dof/2 and scale 2.  Its moments
+     come from the survival function: E[X] = int sf, E[X^2] = int 2x sf
+     (the tail past 200 is below 1e-38). *)
+  let a = 2.5 in
+  let sf x = Stats.Special.gamma_q ~a ~x:(x /. 2.0) in
+  let mean = Stats.Integrate.simpson sf ~lo:0.0 ~hi:200.0 in
+  let second =
+    Stats.Integrate.simpson (fun x -> 2.0 *. x *. sf x) ~lo:0.0 ~hi:200.0
+  in
+  close "mean = dof" 5.0 mean;
+  close "variance = 2 dof" 10.0 (second -. (mean *. mean));
   (* chi2(5) upper 5% critical value = 11.0705 *)
-  close ~tol:1e-4 "95th percentile" 11.0705 (d.Stats.Distribution.quantile 0.95)
+  close "95th percentile" 0.95 (Stats.Special.gamma_p ~a ~x:(11.0705 /. 2.0))
 
 let test_scaled_chi_square_is_sample_variance_law () =
-  (* Empirical check: the law of S^2 for normal samples of size n. *)
+  (* S^2 of n normal draws is sigma^2 chi2(n-1)/(n-1): a gamma law with
+     shape (n-1)/2 and scale 2 sigma^2/(n-1), mean sigma^2 and variance
+     2 sigma^4/(n-1). *)
   let n = 8 in
   let sigma2 = 4.0 in
-  let d = Stats.Distribution.scaled_chi_square ~dof:(n - 1) ~sigma2 in
-  close "E[S^2] = sigma^2" sigma2 d.Stats.Distribution.mean;
+  let dof = float_of_int (n - 1) in
   let rng = Prng.Rng.create ~seed:77 in
   let acc = Stats.Descriptive.Acc.create () in
-  for _ = 1 to 40_000 do
+  let below = ref 0 in
+  let reps = 40_000 in
+  for _ = 1 to reps do
     let xs = Array.init n (fun _ -> Prng.Sampler.normal rng ~mu:0.0 ~sigma:2.0) in
-    Stats.Descriptive.Acc.add acc (Stats.Descriptive.variance xs)
+    let s2 = Stats.Descriptive.variance xs in
+    Stats.Descriptive.Acc.add acc s2;
+    if s2 <= sigma2 then incr below
   done;
-  close ~tol:0.03 "simulated mean of S^2" d.Stats.Distribution.mean
-    (Stats.Descriptive.Acc.mean acc);
-  close ~tol:0.06 "simulated variance of S^2" d.Stats.Distribution.variance
-    (Stats.Descriptive.Acc.variance acc)
-
-let test_lognormal () =
-  let d = Stats.Distribution.lognormal ~mu:0.0 ~sigma:0.5 in
-  check_roundtrip d ps;
-  check_sample_moments d 200_000 78 0.02;
-  close "median = e^mu" 1.0 (d.Stats.Distribution.quantile 0.5)
-
-let test_pareto () =
-  let d = Stats.Distribution.pareto ~shape:2.5 ~scale:1.0 in
-  check_roundtrip d ps;
-  close "mean" (2.5 /. 1.5) d.Stats.Distribution.mean;
-  close "cdf below scale" 0.0 (d.Stats.Distribution.cdf 0.5);
-  let d1 = Stats.Distribution.pareto ~shape:0.8 ~scale:1.0 in
-  Alcotest.(check bool) "infinite mean when shape <= 1" true
-    (d1.Stats.Distribution.mean = Float.infinity)
+  close ~tol:0.03 "simulated mean of S^2" sigma2 (Stats.Descriptive.Acc.mean acc);
+  close ~tol:0.06 "simulated variance of S^2"
+    (2.0 *. sigma2 *. sigma2 /. dof)
+    (Stats.Descriptive.Acc.variance acc);
+  let theta = 2.0 *. sigma2 /. dof in
+  close ~tol:0.01 "P(S^2 <= sigma^2)"
+    (Stats.Special.gamma_p ~a:(dof /. 2.0) ~x:(sigma2 /. theta))
+    (float_of_int !below /. float_of_int reps)
 
 let test_log_pdf_consistency () =
   List.iter
-    (fun d ->
+    (fun (mu, sigma) ->
       List.iter
         (fun x ->
-          let p = d.Stats.Distribution.pdf x in
-          if p > 0.0 then
-            close ~tol:1e-9
-              (Printf.sprintf "%s log_pdf at %.2f" d.Stats.Distribution.name x)
-              (log p)
-              (d.Stats.Distribution.log_pdf x))
+          close ~tol:1e-9
+            (Printf.sprintf "normal(%.1f, %.1f) log_pdf at %.2f" mu sigma x)
+            (log (Stats.Special.normal_pdf ~mu ~sigma x))
+            (Stats.Special.log_normal_pdf ~mu ~sigma x))
         [ 0.5; 1.0; 2.5 ])
-    [
-      Stats.Distribution.normal ~mu:1.0 ~sigma:1.0;
-      Stats.Distribution.exponential ~rate:1.0;
-      Stats.Distribution.gamma ~shape:2.0 ~scale:1.0;
-      Stats.Distribution.lognormal ~mu:0.0 ~sigma:1.0;
-      Stats.Distribution.pareto ~shape:2.0 ~scale:0.4;
-    ]
+    [ (1.0, 1.0); (0.0, 0.5) ]
 
 let test_invalid_params () =
   Alcotest.check_raises "normal sigma"
-    (Invalid_argument "Distribution.normal: sigma <= 0") (fun () ->
-      ignore (Stats.Distribution.normal ~mu:0.0 ~sigma:0.0));
+    (Invalid_argument "Special.normal_cdf: sigma <= 0") (fun () ->
+      ignore (Stats.Special.normal_cdf ~mu:0.0 ~sigma:0.0 0.0));
   Alcotest.check_raises "uniform order"
-    (Invalid_argument "Distribution.uniform: lo >= hi") (fun () ->
-      ignore (Stats.Distribution.uniform ~lo:1.0 ~hi:1.0));
+    (Invalid_argument "Rng.float_range: requires lo <= hi") (fun () ->
+      ignore (Prng.Sampler.uniform (Prng.Rng.create ~seed:1) ~lo:1.0 ~hi:0.0));
   Alcotest.check_raises "gamma shape"
-    (Invalid_argument "Distribution.gamma: shape <= 0") (fun () ->
-      ignore (Stats.Distribution.gamma ~shape:0.0 ~scale:1.0))
-
-let prop_quantile_cdf_gamma =
-  QCheck.Test.make ~name:"gamma quantile/cdf roundtrip" ~count:60
-    QCheck.(
-      triple
-        (float_range 0.3 20.0)
-        (float_range 0.1 10.0)
-        (float_range 0.01 0.99))
-    (fun (shape, scale, p) ->
-      let d = Stats.Distribution.gamma ~shape ~scale in
-      Float.abs (d.Stats.Distribution.cdf (d.Stats.Distribution.quantile p) -. p)
-      < 1e-5)
+    (Invalid_argument "Special.gamma_p: a <= 0") (fun () ->
+      ignore (Stats.Special.gamma_p ~a:0.0 ~x:1.0))
 
 let suite =
   [
     Alcotest.test_case "normal" `Quick test_normal;
-    Alcotest.test_case "uniform" `Quick test_uniform;
-    Alcotest.test_case "exponential" `Quick test_exponential;
-    Alcotest.test_case "gamma" `Quick test_gamma;
-    Alcotest.test_case "gamma shape<1" `Quick test_gamma_small_shape;
     Alcotest.test_case "chi-square" `Quick test_chi_square;
-    Alcotest.test_case "scaled chi-square = S^2 law" `Quick test_scaled_chi_square_is_sample_variance_law;
-    Alcotest.test_case "lognormal" `Quick test_lognormal;
-    Alcotest.test_case "pareto" `Quick test_pareto;
+    Alcotest.test_case "scaled chi-square = S^2 law" `Quick
+      test_scaled_chi_square_is_sample_variance_law;
     Alcotest.test_case "log_pdf consistency" `Quick test_log_pdf_consistency;
     Alcotest.test_case "invalid params" `Quick test_invalid_params;
-    QCheck_alcotest.to_alcotest prop_quantile_cdf_gamma;
   ]

@@ -47,6 +47,11 @@ let check_code exe args expected =
     expected code;
   output
 
+let contains hay needle =
+  let lh = String.length hay and ln = String.length needle in
+  let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
+  go 0
+
 let test_ta_lab_invalid_cli () =
   match ta_lab () with
   | None -> Alcotest.skip ()
@@ -64,7 +69,20 @@ let test_ta_lab_invalid_cli () =
       ignore (check_code exe "fleet --probes -1" 2 : string);
       ignore (check_code exe "fleet --duration 0" 2 : string);
       ignore (check_code exe "fleet --load sinusoidal" 2 : string);
-      ignore (check_code exe "fig4b --jobs 0" 2 : string)
+      ignore (check_code exe "fig4b --jobs 0" 2 : string);
+      (* Out-of-range numbers are parse errors, never an uncaught
+         Invalid_argument (which the runtime also reports with exit 2). *)
+      List.iter
+        (fun args ->
+          let output = check_code exe args 2 in
+          Alcotest.(check bool)
+            (Printf.sprintf "'%s' is rejected at parse time" args)
+            false (contains output "Fatal error"))
+        [
+          "theory -r nan"; "theory -r inf"; "theory -r 2 -n 1";
+          "design --vmax nan"; "design --vmax 2"; "design --nmax 1";
+          "evaluate -n 0"; "evaluate --padding vit:inf";
+        ]
 
 let test_bench_invalid_cli () =
   match bench () with
@@ -76,11 +94,6 @@ let test_bench_invalid_cli () =
       ignore (check_code exe "--intensities 1.5 --no-micro" 2 : string);
       ignore (check_code exe "--check-trace --no-micro" 2 : string);
       ignore (check_code exe "--no-such-flag" 2 : string)
-
-let contains hay needle =
-  let lh = String.length hay and ln = String.length needle in
-  let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
-  go 0
 
 let test_bench_starved_exits () =
   match bench () with

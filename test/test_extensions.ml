@@ -41,19 +41,6 @@ let test_wilson_coverage () =
   let coverage = float_of_int !covered /. float_of_int trials in
   Alcotest.(check bool) "coverage ~ 0.90" true (coverage > 0.85 && coverage < 0.96)
 
-let test_wald_vs_wilson () =
-  (* At p-hat = 0 the Wald interval degenerates to a point, Wilson doesn't. *)
-  let wald = Stats.Confidence.wald ~successes:0 ~trials:30 ~confidence:0.95 in
-  let wilson = Stats.Confidence.wilson ~successes:0 ~trials:30 ~confidence:0.95 in
-  close "wald degenerate" 0.0 (Stats.Confidence.width wald);
-  Alcotest.(check bool) "wilson proper" true (Stats.Confidence.width wilson > 0.05)
-
-let test_mean_t () =
-  let rng = Prng.Rng.create ~seed:212 in
-  let xs = Array.init 400 (fun _ -> Prng.Sampler.normal rng ~mu:7.0 ~sigma:2.0) in
-  let iv = Stats.Confidence.mean_t xs ~confidence:0.99 in
-  Alcotest.(check bool) "contains true mean" true (Stats.Confidence.contains iv 7.0)
-
 let test_confidence_invalid () =
   Alcotest.check_raises "trials" (Invalid_argument "Confidence: trials < 1")
     (fun () -> ignore (Stats.Confidence.wilson ~successes:0 ~trials:0 ~confidence:0.9))
@@ -61,28 +48,8 @@ let test_confidence_invalid () =
 (* --- Bounds --- *)
 
 let test_bhattacharyya_identical () =
-  close "rho = 1 identical" 1.0
-    (Analytical.Bounds.bhattacharyya_normal ~mu0:1.0 ~s0:2.0 ~mu1:1.0 ~s1:2.0);
   close "gamma rho = 1" 1.0
     (Analytical.Bounds.bhattacharyya_gamma_same_shape ~shape:3.0 ~scale0:2.0 ~scale1:2.0)
-
-let test_bhattacharyya_separation () =
-  let rho_near = Analytical.Bounds.bhattacharyya_normal ~mu0:0.0 ~s0:1.0 ~mu1:1.0 ~s1:1.0 in
-  let rho_far = Analytical.Bounds.bhattacharyya_normal ~mu0:0.0 ~s0:1.0 ~mu1:5.0 ~s1:1.0 in
-  Alcotest.(check bool) "rho decreases with separation" true (rho_far < rho_near);
-  (* closed form: exp(-d^2/8) for equal sigmas *)
-  close ~tol:1e-9 "equal-sigma closed form" (exp (-1.0 /. 8.0)) rho_near
-
-let test_bracket_sandwiches_exact_mean () =
-  List.iter
-    (fun r ->
-      let exact = Analytical.Theorems.v_mean ~r in
-      let b = Analytical.Bounds.sample_mean_bracket ~sigma_l:1.0 ~sigma_h:(sqrt r) in
-      if not (exact >= b.Analytical.Bounds.lower -. 1e-9
-              && exact <= b.Analytical.Bounds.upper +. 1e-9) then
-        Alcotest.failf "r=%.2f: exact %.4f outside [%.4f, %.4f]" r exact
-          b.Analytical.Bounds.lower b.Analytical.Bounds.upper)
-    [ 1.1; 1.5; 2.0; 5.0; 20.0 ]
 
 let test_bracket_sandwiches_exact_variance () =
   List.iter
@@ -94,13 +61,6 @@ let test_bracket_sandwiches_exact_variance () =
         Alcotest.failf "r=%.2f n=%d: exact %.4f outside [%.4f, %.4f]" r n exact
           b.Analytical.Bounds.lower b.Analytical.Bounds.upper)
     [ (1.2, 50); (1.5, 100); (2.0, 200); (3.0, 1000) ]
-
-let test_kl_normal () =
-  close "KL of identical" 0.0 (Analytical.Bounds.kl_normal ~mu0:0.0 ~s0:1.0 ~mu1:0.0 ~s1:1.0);
-  (* KL(N(0,1) || N(1,1)) = 1/2 *)
-  close "mean shift" 0.5 (Analytical.Bounds.kl_normal ~mu0:0.0 ~s0:1.0 ~mu1:1.0 ~s1:1.0);
-  Alcotest.(check bool) "positive" true
-    (Analytical.Bounds.kl_normal ~mu0:0.0 ~s0:1.0 ~mu1:0.0 ~s1:2.0 > 0.0)
 
 let test_bracket_of_rho_edges () =
   let b1 = Analytical.Bounds.detection_bracket_of_rho 1.0 in
@@ -123,8 +83,6 @@ let test_parametric_separable () =
   in
   Alcotest.(check int) "low" 0 (Adversary.Parametric.classify clf 0.5);
   Alcotest.(check int) "high" 1 (Adversary.Parametric.classify clf 7.0);
-  close ~tol:0.1 "fitted mu" 0.0 (Adversary.Parametric.class_mu clf 0);
-  close ~tol:0.1 "fitted sigma" 1.0 (Adversary.Parametric.class_sigma clf 0);
   let acc =
     Adversary.Parametric.accuracy clf
       [| (0, gaussian 100 0.0 1.0 223); (1, gaussian 100 8.0 1.0 224) |]
@@ -318,10 +276,10 @@ let test_mix_rejects_cross () =
 
 let test_qos_utilization_and_stability () =
   close "rho" 0.4 (Padding.Qos.utilization ~payload_rate_pps:40.0 ~timer_mean:0.01);
-  Alcotest.(check bool) "stable" true
-    (Padding.Qos.is_stable ~payload_rate_pps:40.0 ~timer_mean:0.01);
-  Alcotest.(check bool) "unstable" false
-    (Padding.Qos.is_stable ~payload_rate_pps:200.0 ~timer_mean:0.01)
+  Alcotest.check_raises "unstable"
+    (Invalid_argument "Qos.mean_delay: unstable (payload faster than the timer)")
+    (fun () ->
+      ignore (Padding.Qos.mean_delay ~payload_rate_pps:200.0 ~timer_mean:0.01))
 
 let test_qos_mean_delay_formula () =
   (* rho = 0.4: D = tau/2 + tau*0.4/(2*0.6) *)
@@ -346,21 +304,6 @@ let test_qos_matches_simulation () =
   Alcotest.(check bool)
     (Printf.sprintf "simulated/analytic = %.3f in [0.85, 1.15]" ratio)
     true (ratio > 0.85 && ratio < 1.15)
-
-let test_qos_quantile_monotone () =
-  let q p = Padding.Qos.delay_quantile ~payload_rate_pps:40.0 ~timer_mean:0.01 ~p in
-  Alcotest.(check bool) "monotone in p" true (q 0.99 > q 0.5);
-  Alcotest.(check bool) "above mean at high p" true
-    (q 0.99 > Padding.Qos.mean_delay ~payload_rate_pps:40.0 ~timer_mean:0.01)
-
-let test_qos_min_timer_rate () =
-  let rate = Padding.Qos.min_timer_rate ~payload_rate_pps:40.0 ~max_mean_delay:0.008 in
-  Alcotest.(check bool) "above payload rate" true (rate > 40.0);
-  let d = Padding.Qos.mean_delay ~payload_rate_pps:40.0 ~timer_mean:(1.0 /. rate) in
-  Alcotest.(check bool) "meets the bound" true (d <= 0.008 +. 1e-9);
-  (* and is tight: 10% slower timer violates it *)
-  let d_slow = Padding.Qos.mean_delay ~payload_rate_pps:40.0 ~timer_mean:(1.1 /. rate) in
-  Alcotest.(check bool) "tight" true (d_slow > 0.008)
 
 (* --- Trace I/O --- *)
 
@@ -389,14 +332,28 @@ let test_trace_malformed () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      let oc = open_out path in
-      output_string oc "0.5\nnot-a-number\n";
-      close_out oc;
-      match Netsim.Trace.load ~path with
-      | exception Netsim.Trace.Parse_error { line; msg; _ } ->
-          Alcotest.(check int) "line number reported" 2 line;
-          Alcotest.(check bool) "message present" true (String.length msg > 0)
-      | _ -> Alcotest.fail "expected Parse_error")
+      List.iter
+        (fun (name, content, expected_line) ->
+          Out_channel.with_open_bin path (fun oc -> output_string oc content);
+          match Netsim.Trace.load ~path with
+          | exception Netsim.Trace.Parse_error { line; msg; _ } ->
+              Alcotest.(check int) (name ^ ": line number reported")
+                expected_line line;
+              Alcotest.(check bool) (name ^ ": message present") true
+                (String.length msg > 0)
+          | _ -> Alcotest.failf "%s: expected Parse_error" name)
+        [
+          ("not a number", "0.5\nnot-a-number\n", 2);
+          ("nan", "0.5\nnan\n", 2);
+          ("inf", "0.5\n1.0\ninf\n", 3);
+          ("decreasing", "0.5\n0.7\n0.6\n", 3);
+          ("created_unix inf", "# created_unix: inf\n0.5\n", 1);
+        ];
+      Out_channel.with_open_bin path (fun oc ->
+          output_string oc "0.5\n0.5\n0.7\n");
+      Alcotest.(check (array (float 0.0)))
+        "equal timestamps stay legal" [| 0.5; 0.5; 0.7 |]
+        (snd (Netsim.Trace.load ~path)))
 
 let suite =
   [
@@ -404,14 +361,9 @@ let suite =
     Alcotest.test_case "wilson extremes" `Quick test_wilson_extremes;
     Alcotest.test_case "wilson narrows with n" `Quick test_wilson_narrows_with_n;
     Alcotest.test_case "wilson coverage" `Quick test_wilson_coverage;
-    Alcotest.test_case "wald vs wilson at 0" `Quick test_wald_vs_wilson;
-    Alcotest.test_case "mean interval" `Quick test_mean_t;
     Alcotest.test_case "confidence invalid" `Quick test_confidence_invalid;
     Alcotest.test_case "bhattacharyya identical" `Quick test_bhattacharyya_identical;
-    Alcotest.test_case "bhattacharyya separation" `Quick test_bhattacharyya_separation;
-    Alcotest.test_case "bracket sandwiches mean" `Quick test_bracket_sandwiches_exact_mean;
     Alcotest.test_case "bracket sandwiches variance" `Quick test_bracket_sandwiches_exact_variance;
-    Alcotest.test_case "KL normal" `Quick test_kl_normal;
     Alcotest.test_case "bracket edge cases" `Quick test_bracket_of_rho_edges;
     Alcotest.test_case "parametric separable" `Quick test_parametric_separable;
     Alcotest.test_case "parametric = kde on gaussian" `Quick test_parametric_matches_kde_on_gaussian_data;
@@ -429,8 +381,6 @@ let suite =
     Alcotest.test_case "qos utilization" `Quick test_qos_utilization_and_stability;
     Alcotest.test_case "qos mean delay" `Quick test_qos_mean_delay_formula;
     Alcotest.test_case "qos matches simulation" `Quick test_qos_matches_simulation;
-    Alcotest.test_case "qos quantile" `Quick test_qos_quantile_monotone;
-    Alcotest.test_case "qos min timer rate" `Quick test_qos_min_timer_rate;
     Alcotest.test_case "trace roundtrip" `Quick test_trace_roundtrip;
     Alcotest.test_case "trace piats" `Quick test_trace_piats;
     Alcotest.test_case "trace malformed" `Quick test_trace_malformed;

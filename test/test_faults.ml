@@ -134,25 +134,6 @@ let test_lossy_bounded_reordering () =
 
 (* --- Outages --- *)
 
-let test_outage_scheduled_window () =
-  let sim = Desim.Sim.create () in
-  let delivered = ref 0 in
-  let out = Faults.Outage.create sim ~dest:(fun _ -> incr delivered) () in
-  Faults.Outage.schedule out ~at:1.0 ~duration:2.0;
-  List.iter
-    (fun t ->
-      ignore
-        (Desim.Sim.at sim ~time:t (fun () ->
-             Faults.Outage.port out (mk_payload sim))
-          : Desim.Sim.handle))
-    [ 0.5; 1.5; 2.5; 3.5 ];
-  Desim.Sim.run_until sim ~time:5.0;
-  Alcotest.(check int) "two pass" 2 !delivered;
-  Alcotest.(check int) "two dropped" 2 (Faults.Outage.dropped out);
-  Alcotest.(check int) "one outage" 1 (Faults.Outage.outages out);
-  Alcotest.(check (float 1e-9)) "downtime" 2.0 (Faults.Outage.downtime out);
-  Alcotest.(check bool) "back up" true (Faults.Outage.is_up out)
-
 let test_outage_flapping_fraction () =
   let sim = Desim.Sim.create () in
   let out = Faults.Outage.create sim ~dest:(fun _ -> ()) () in
@@ -365,22 +346,6 @@ let test_gaps_fold_collapses_holes () =
   Alcotest.(check (float 1e-9)) "gap fraction" (4.0 /. 6.0)
     (Adversary.Gaps.gap_fraction ~tau piats)
 
-let test_gaps_windowed_features () =
-  let tau = 0.01 in
-  let rng = Prng.Rng.create ~seed:15 in
-  let piats =
-    Array.init 1_000 (fun _ ->
-        let base = Prng.Sampler.normal rng ~mu:tau ~sigma:1e-5 in
-        if Prng.Rng.float rng < 0.1 then base +. tau else base)
-  in
-  let feats = Adversary.Gaps.windowed_features ~tau ~sample_size:250 piats in
-  Alcotest.(check int) "window count" 4 (Array.length feats);
-  Array.iter
-    (fun v ->
-      (* Folding removes the tau^2-scale gap contribution entirely. *)
-      if v > 1e-8 then Alcotest.failf "folded variance %.3e still gap-ridden" v)
-    feats
-
 (* --- Degradation scenario: the two headline regressions --- *)
 
 let baseline_scores ~seed ~piats ~sample_size =
@@ -503,7 +468,6 @@ let suite =
       test_lossy_gilbert_elliott_bursty;
     Alcotest.test_case "duplication" `Quick test_lossy_duplication;
     Alcotest.test_case "bounded reordering" `Quick test_lossy_bounded_reordering;
-    Alcotest.test_case "outage window" `Quick test_outage_scheduled_window;
     Alcotest.test_case "outage flapping" `Quick test_outage_flapping_fraction;
     Alcotest.test_case "clock ideal identity" `Quick test_clock_ideal_identity;
     Alcotest.test_case "clock drift" `Quick test_clock_drift_scales_mean;
@@ -519,8 +483,6 @@ let suite =
       test_crash_never_with_infinite_mtbf;
     Alcotest.test_case "crash stop" `Quick test_crash_stop_silences;
     Alcotest.test_case "gaps fold" `Quick test_gaps_fold_collapses_holes;
-    Alcotest.test_case "gaps windowed features" `Quick
-      test_gaps_windowed_features;
     Alcotest.test_case "degradation: zero faults = baseline" `Quick
       test_degradation_zero_faults_matches_baseline;
     Alcotest.test_case "degradation: loss leaks via gaps" `Quick

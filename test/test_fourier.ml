@@ -86,33 +86,6 @@ let test_periodogram_mass () =
   close "DC removed" 0.0 p.(0);
   Alcotest.(check bool) "non-negative" true (Array.for_all (fun x -> x >= 0.0) p)
 
-let test_dominant_frequency () =
-  let fs = 100.0 in
-  let f0 = 12.5 in
-  let n = 512 in
-  let xs =
-    Array.init n (fun t -> sin (2.0 *. Float.pi *. f0 *. float_of_int t /. fs))
-  in
-  let f, power = Stats.Fourier.dominant_frequency ~sample_rate:fs xs in
-  close ~tol:0.02 "tone found" f0 f;
-  Alcotest.(check bool) "power positive" true (power > 0.0)
-
-let test_autocorrelation_fft_matches_direct () =
-  let rng = Prng.Rng.create ~seed:204 in
-  let xs = Array.init 200 (fun _ -> Prng.Sampler.exponential rng ~rate:1.0) in
-  let via_fft = Stats.Fourier.autocorrelation_fft xs in
-  close "lag0" 1.0 via_fft.(0);
-  List.iter
-    (fun lag ->
-      close ~tol:1e-9 (Printf.sprintf "lag %d" lag)
-        (Stats.Descriptive.autocorrelation xs ~lag)
-        via_fft.(lag))
-    [ 1; 2; 5; 17 ]
-
-let test_autocorrelation_constant_series () =
-  let ac = Stats.Fourier.autocorrelation_fft (Array.make 16 3.0) in
-  Array.iter (fun x -> close "zeros" 0.0 x) ac
-
 let test_spectral_entropy_tone_vs_noise () =
   let rng = Prng.Rng.create ~seed:205 in
   let n = 256 in
@@ -132,14 +105,6 @@ let prop_periodogram_nonneg =
     (fun xs ->
       Array.for_all (fun p -> p >= -1e-12) (Stats.Fourier.periodogram xs))
 
-let prop_autocorr_bounded =
-  QCheck.Test.make ~name:"autocorrelation in [-1, 1]" ~count:100
-    QCheck.(array_of_size Gen.(int_range 2 100) (float_bound_exclusive 10.0))
-    (fun xs ->
-      Array.for_all
-        (fun r -> r >= -1.0 -. 1e-6 && r <= 1.0 +. 1e-6)
-        (Stats.Fourier.autocorrelation_fft xs))
-
 let suite =
   [
     Alcotest.test_case "next_pow2" `Quick test_next_pow2;
@@ -150,10 +115,6 @@ let suite =
     Alcotest.test_case "Parseval" `Quick test_fft_parseval;
     Alcotest.test_case "fft invalid" `Quick test_fft_invalid;
     Alcotest.test_case "periodogram basics" `Quick test_periodogram_mass;
-    Alcotest.test_case "dominant frequency" `Quick test_dominant_frequency;
-    Alcotest.test_case "autocorr fft = direct" `Quick test_autocorrelation_fft_matches_direct;
-    Alcotest.test_case "autocorr constant" `Quick test_autocorrelation_constant_series;
     Alcotest.test_case "spectral entropy tone<noise" `Quick test_spectral_entropy_tone_vs_noise;
     QCheck_alcotest.to_alcotest prop_periodogram_nonneg;
-    QCheck_alcotest.to_alcotest prop_autocorr_bounded;
   ]

@@ -1,4 +1,4 @@
-(* Histogram: binning, density normalization, clamping, qcheck mass laws. *)
+(* Histogram: binning, clamping, probabilities, qcheck mass laws. *)
 
 let close ?(tol = 1e-9) msg expected actual =
   if Float.abs (expected -. actual) > tol then
@@ -25,41 +25,11 @@ let test_clamping () =
   Alcotest.(check int) "low outlier clamped" 1 (Stats.Histogram.bin_count h 0);
   Alcotest.(check int) "high outlier clamped" 1 (Stats.Histogram.bin_count h 2)
 
-let test_bin_center () =
-  let h = Stats.Histogram.create ~lo:10.0 ~bin_width:2.0 ~bins:3 in
-  close "center of bin 1" 13.0 (Stats.Histogram.bin_center h 1)
-
-let test_density_integrates_to_one () =
-  let rng = Prng.Rng.create ~seed:41 in
-  let h = Stats.Histogram.create ~lo:(-4.0) ~bin_width:0.25 ~bins:32 in
-  for _ = 1 to 20_000 do
-    Stats.Histogram.add h (Prng.Sampler.normal rng ~mu:0.0 ~sigma:1.0)
-  done;
-  let mass = ref 0.0 in
-  for i = 0 to Stats.Histogram.bins h - 1 do
-    mass := !mass +. (Stats.Histogram.density h i *. Stats.Histogram.bin_width h)
-  done;
-  close ~tol:1e-9 "sum density*width = 1" 1.0 !mass
-
 let test_probabilities_sum () =
-  let h = Stats.Histogram.of_data [| 1.0; 2.0; 2.5; 3.0; 7.0 |] in
+  let h = Stats.Histogram.create ~lo:0.0 ~bin_width:1.0 ~bins:8 in
+  List.iter (Stats.Histogram.add h) [ 1.0; 2.0; 2.5; 3.0; 7.0 ];
   let ps = Stats.Histogram.probabilities h in
   close "sum = 1" 1.0 (Array.fold_left ( +. ) 0.0 ps)
-
-let test_of_data_covers_range () =
-  let xs = [| -3.0; 0.0; 5.0; 9.0 |] in
-  let h = Stats.Histogram.of_data ~bins:8 xs in
-  Alcotest.(check int) "all points binned" 4 (Stats.Histogram.count h);
-  Alcotest.(check int) "requested bins" 8 (Stats.Histogram.bins h)
-
-let test_of_data_constant () =
-  let h = Stats.Histogram.of_data (Array.make 5 2.0) in
-  Alcotest.(check int) "constant data all in" 5 (Stats.Histogram.count h)
-
-let test_mode_bin () =
-  let h = Stats.Histogram.create ~lo:0.0 ~bin_width:1.0 ~bins:3 in
-  List.iter (Stats.Histogram.add h) [ 0.1; 1.1; 1.2; 1.3; 2.5 ];
-  Alcotest.(check int) "mode" 1 (Stats.Histogram.mode_bin h)
 
 let test_invalid_args () =
   Alcotest.check_raises "bad width"
@@ -88,7 +58,8 @@ let prop_probabilities_normalized =
   QCheck.Test.make ~name:"probabilities sum to 1" ~count:200
     QCheck.(array_of_size Gen.(int_range 1 100) (float_bound_exclusive 50.0))
     (fun xs ->
-      let h = Stats.Histogram.of_data ~bins:16 xs in
+      let h = Stats.Histogram.create ~lo:0.0 ~bin_width:(50.0 /. 16.0) ~bins:16 in
+      Array.iter (Stats.Histogram.add h) xs;
       let s = Array.fold_left ( +. ) 0.0 (Stats.Histogram.probabilities h) in
       Float.abs (s -. 1.0) < 1e-9)
 
@@ -97,12 +68,7 @@ let suite =
     Alcotest.test_case "basic binning" `Quick test_basic_binning;
     Alcotest.test_case "boundary bin" `Quick test_boundary_goes_up;
     Alcotest.test_case "outlier clamping" `Quick test_clamping;
-    Alcotest.test_case "bin center" `Quick test_bin_center;
-    Alcotest.test_case "density normalization" `Quick test_density_integrates_to_one;
     Alcotest.test_case "probabilities sum" `Quick test_probabilities_sum;
-    Alcotest.test_case "of_data coverage" `Quick test_of_data_covers_range;
-    Alcotest.test_case "of_data constant data" `Quick test_of_data_constant;
-    Alcotest.test_case "mode bin" `Quick test_mode_bin;
     Alcotest.test_case "invalid args" `Quick test_invalid_args;
     QCheck_alcotest.to_alcotest prop_mass_conserved;
     QCheck_alcotest.to_alcotest prop_probabilities_normalized;

@@ -10,8 +10,9 @@ let gaussian_sample n seed =
 
 let test_pdf_integrates_to_one () =
   let kde = Stats.Kde.fit (gaussian_sample 500 61) in
-  let lo, hi = Stats.Kde.support kde in
-  let mass = Stats.Integrate.simpson (Stats.Kde.pdf kde) ~lo ~hi in
+  let mass =
+    Stats.Integrate.simpson (Stats.Kde.pdf kde) ~lo:(-10.0) ~hi:10.0
+  in
   close ~tol:1e-4 "total mass 1" 1.0 mass
 
 let test_pdf_positive () =
@@ -72,14 +73,6 @@ let test_known_answers () =
       (40.0, 0xc0c49c7c424cb41bL, 0x0L);
     ]
 
-let test_cdf_monotone_bounds () =
-  let kde = Stats.Kde.fit (gaussian_sample 300 64) in
-  let lo, hi = Stats.Kde.support kde in
-  close ~tol:1e-6 "cdf at -inf-ish" 0.0 (Stats.Kde.cdf kde lo);
-  close ~tol:1e-6 "cdf at +inf-ish" 1.0 (Stats.Kde.cdf kde hi);
-  Alcotest.(check bool) "monotone" true
-    (Stats.Kde.cdf kde (-0.5) < Stats.Kde.cdf kde 0.5)
-
 let test_silverman_positive_on_constant_data () =
   let kde = Stats.Kde.fit (Array.make 50 3.0) in
   Alcotest.(check bool) "bandwidth > 0" true (Stats.Kde.bandwidth kde > 0.0);
@@ -88,8 +81,7 @@ let test_silverman_positive_on_constant_data () =
 
 let test_explicit_bandwidth () =
   let kde = Stats.Kde.fit ~bandwidth:0.7 [| 0.0; 1.0 |] in
-  close "bandwidth recorded" 0.7 (Stats.Kde.bandwidth kde);
-  Alcotest.(check int) "sample size" 2 (Stats.Kde.sample_size kde)
+  close "bandwidth recorded" 0.7 (Stats.Kde.bandwidth kde)
 
 let test_invalid () =
   Alcotest.check_raises "empty" (Invalid_argument "Kde.fit: empty") (fun () ->
@@ -106,16 +98,6 @@ let prop_pdf_nonneg =
         (float_bound_exclusive 20.0))
     (fun (xs, x) -> Stats.Kde.pdf (Stats.Kde.fit xs) x >= 0.0)
 
-let prop_cdf_in_unit_interval =
-  QCheck.Test.make ~name:"cdf in [0,1]" ~count:100
-    QCheck.(
-      pair
-        (array_of_size Gen.(int_range 1 30) (float_bound_exclusive 10.0))
-        (float_bound_exclusive 20.0))
-    (fun (xs, x) ->
-      let c = Stats.Kde.cdf (Stats.Kde.fit xs) x in
-      c >= -1e-9 && c <= 1.0 +. 1e-9)
-
 let suite =
   [
     Alcotest.test_case "pdf integrates to 1" `Quick test_pdf_integrates_to_one;
@@ -124,11 +106,9 @@ let suite =
     Alcotest.test_case "consistency at mode" `Quick test_consistency_at_mode;
     Alcotest.test_case "log_pdf = log pdf" `Quick test_log_pdf_matches_pdf;
     Alcotest.test_case "log_pdf deep-tail stability" `Quick test_log_pdf_deep_tail;
-    Alcotest.test_case "cdf monotone + bounds" `Quick test_cdf_monotone_bounds;
     Alcotest.test_case "degenerate data bandwidth" `Quick test_silverman_positive_on_constant_data;
     Alcotest.test_case "explicit bandwidth" `Quick test_explicit_bandwidth;
     Alcotest.test_case "invalid args" `Quick test_invalid;
-    QCheck_alcotest.to_alcotest prop_pdf_nonneg;
-    QCheck_alcotest.to_alcotest prop_cdf_in_unit_interval;
     Alcotest.test_case "log_pdf/pdf known answers (bits)" `Quick test_known_answers;
+    QCheck_alcotest.to_alcotest prop_pdf_nonneg;
   ]

@@ -85,22 +85,6 @@ let test_exponential_fill_invalid () =
 
 (* --- geometric boundary: p = 1 and NaN (regression) --- *)
 
-let test_geometric_boundary () =
-  let rng = Prng.Rng.create ~seed:3 in
-  for _ = 1 to 1000 do
-    Alcotest.(check int)
-      "p = 1 always succeeds immediately" 0
-      (Prng.Sampler.geometric rng ~p:1.0)
-  done;
-  (* p just below 1 still almost always returns 0 and never negative. *)
-  for _ = 1 to 1000 do
-    let k = Prng.Sampler.geometric rng ~p:0.999999 in
-    if k < 0 then Alcotest.failf "negative geometric draw %d" k
-  done;
-  expect_invalid (fun () -> Prng.Sampler.geometric rng ~p:Float.nan);
-  expect_invalid (fun () -> Prng.Sampler.geometric rng ~p:0.0);
-  expect_invalid (fun () -> Prng.Sampler.geometric rng ~p:1.0000001)
-
 (* --- allocation ceilings on the fused paths ---
 
    The A001 lint sees closures, literals and polymorphic compares, but
@@ -661,8 +645,6 @@ let suite =
       test_exponential_fill_partial;
     Alcotest.test_case "exponential_fill invalid args" `Quick
       test_exponential_fill_invalid;
-    Alcotest.test_case "geometric p=1/NaN boundary" `Quick
-      test_geometric_boundary;
     Alcotest.test_case "allocation: exponential_fill 0 words/draw" `Quick
       test_alloc_exponential_fill;
     Alcotest.test_case "allocation: Linkstage.advance 0 words/enqueue" `Quick

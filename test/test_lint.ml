@@ -3,7 +3,8 @@
    comments, role exemptions, and the whole-program layer — fixture
    TREES for the interprocedural passes (E001 exception escape through
    two call hops, T001 clock taint via a helper module, A001 closure
-   allocation in a hot-path callee), the lint/BASELINE.json waiver
+   allocation in a hot-path callee, U001 exports no executable reaches),
+   the lint/BASELINE.json waiver
    workflow, the incremental summary cache, the talint/2 JSON schema,
    and a run over the real tree asserting the gate is green. *)
 
@@ -213,6 +214,26 @@ let test_tree_m001_ok () =
     (List.map Lint.Finding.to_string
        (run_tree "tree_m001_ok").Lint.Driver.findings)
 
+let test_tree_u001 () =
+  let r = run_tree "tree_u001" in
+  Alcotest.check span_t "the dead export and the export only it calls"
+    [ (("U001", "lib/demo/api.ml"), (3, 0)); (("U001", "lib/demo/util.ml"), (1, 0)) ]
+    (spans r.Lint.Driver.findings);
+  Alcotest.(check bool)
+    "message names the export" true
+    (contains (List.hd r.Lint.Driver.findings).Lint.Finding.message
+       "exported Api.dead is reached by no executable")
+
+let test_tree_u001_ok () =
+  let r = run_tree "tree_u001_ok" in
+  Alcotest.(check (list string))
+    "reached through an open, from examples/ and an init block, or waived"
+    [] (List.map Lint.Finding.to_string r.Lint.Driver.findings);
+  Alcotest.(check int) "root-only files are summarised" 4 r.Lint.Driver.files;
+  Alcotest.(check int)
+    "perfbench/'s open resolves" 0
+    r.Lint.Driver.cg.Lint.Callgraph.cg_unresolved
+
 let test_deterministic_order () =
   let a = run_tree "tree_t001" and b = run_tree "tree_t001" in
   Alcotest.(check (list string))
@@ -295,11 +316,11 @@ let test_incremental_cache () =
         (fun () ->
           let r1 = Lint.Driver.run ~cache_path:cache ~root:dir () in
           Alcotest.(check (pair int int))
-            "cold run parses everything" (0, 3)
+            "cold run parses everything" (0, 4)
             (r1.Lint.Driver.cache_hits, r1.Lint.Driver.cache_misses);
           let r2 = Lint.Driver.run ~cache_path:cache ~root:dir () in
           Alcotest.(check (pair int int))
-            "warm run parses nothing" (3, 0)
+            "warm run parses nothing" (4, 0)
             (r2.Lint.Driver.cache_hits, r2.Lint.Driver.cache_misses);
           Alcotest.check span_t "warm findings identical"
             (spans r1.Lint.Driver.findings)
@@ -311,11 +332,42 @@ let test_incremental_cache () =
           write_file mli (old ^ "\n(* touched *)\n");
           let r3 = Lint.Driver.run ~cache_path:cache ~root:dir () in
           Alcotest.(check (pair int int))
-            "mli edit re-parses exactly that file" (2, 1)
+            "mli edit re-parses exactly that file" (3, 1)
             (r3.Lint.Driver.cache_hits, r3.Lint.Driver.cache_misses);
           Alcotest.check span_t "findings unchanged by a comment edit"
             (spans r1.Lint.Driver.findings)
             (spans r3.Lint.Driver.findings)))
+
+(* The resolver reads top-level opens from cached summaries too: a warm
+   run over tree_u001_ok stays clean only if they round-trip. *)
+let test_cache_keeps_opens () =
+  let s =
+    Lint.Symtab.summarize ~role:Lint.Rules.Root_only ~lib:"" ~wrapped:true
+      ~file:"perfbench/p.ml"
+      ~source:"open Scenarios\nopen Exec.Pool\nlet f () = System.run ()\n"
+      ~mli_source:None
+  in
+  let buf = Buffer.create 256 in
+  Lint.Symtab.to_json_buf buf s;
+  (match Obs.Json.of_string (Buffer.contents buf) with
+  | Error msg -> Alcotest.fail msg
+  | Ok j ->
+      Alcotest.(check (list (list string)))
+        "opens round-trip" [ [ "Scenarios" ]; [ "Exec"; "Pool" ] ]
+        (Lint.Symtab.of_json j).Lint.Symtab.s_opens);
+  with_tree_copy "tree_u001_ok" (fun dir ->
+      let cache = Filename.temp_file "talint_cache" ".json" in
+      Fun.protect
+        ~finally:(fun () -> if Sys.file_exists cache then Sys.remove cache)
+        (fun () ->
+          ignore (Lint.Driver.run ~cache_path:cache ~root:dir ());
+          let warm = Lint.Driver.run ~cache_path:cache ~root:dir () in
+          Alcotest.(check (pair int int))
+            "warm run parses nothing" (4, 0)
+            (warm.Lint.Driver.cache_hits, warm.Lint.Driver.cache_misses);
+          Alcotest.(check (list string))
+            "still clean from the cache" []
+            (List.map Lint.Finding.to_string warm.Lint.Driver.findings)))
 
 (* --- the talint/2 JSON report --- *)
 
@@ -330,7 +382,7 @@ let test_json_schema () =
         (member "schema" = Some (Obs.Json.Str "talint/2"));
       Alcotest.(check bool)
         "files_scanned" true
-        (member "files_scanned" = Some (Obs.Json.Num 3.0));
+        (member "files_scanned" = Some (Obs.Json.Num 4.0));
       Alcotest.(check bool)
         "count" true
         (member "count" = Some (Obs.Json.Num 1.0));
@@ -342,13 +394,13 @@ let test_json_schema () =
           Alcotest.(check bool)
             "cold cache stats" true
             (Obs.Json.member "hits" c = Some (Obs.Json.Num 0.0)
-            && Obs.Json.member "misses" c = Some (Obs.Json.Num 3.0))
+            && Obs.Json.member "misses" c = Some (Obs.Json.Num 4.0))
       | None -> Alcotest.fail "no cache object");
       (match member "callgraph" with
       | Some cg ->
           Alcotest.(check bool)
             "callgraph stats" true
-            (Obs.Json.member "modules" cg = Some (Obs.Json.Num 3.0)
+            (Obs.Json.member "modules" cg = Some (Obs.Json.Num 4.0)
             && Obs.Json.member "unresolved" cg = Some (Obs.Json.Num 0.0))
       | None -> Alcotest.fail "no callgraph object");
       (match member "passes" with
@@ -364,8 +416,9 @@ let test_json_schema () =
           Alcotest.(check bool)
             "E001 pass counted" true (count "E001" = Some (Obs.Json.Num 1.0));
           Alcotest.(check bool)
-            "T001/A001/B001 passes listed" true
+            "T001/A001/U001/B001 passes listed" true
             (count "T001" <> None && count "A001" <> None
+            && count "U001" = Some (Obs.Json.Num 0.0)
             && count "B001" <> None)
       | _ -> Alcotest.fail "passes is not an array");
       (match member "findings" with
@@ -540,4 +593,10 @@ let suite =
       test_tree_m001;
     Alcotest.test_case "M001: distinct (name, label) pairs are clean" `Quick
       test_tree_m001_ok;
+    Alcotest.test_case "U001: unreached exports, transitively" `Quick
+      test_tree_u001;
+    Alcotest.test_case "U001: roots via open, examples/, init; waivers" `Quick
+      test_tree_u001_ok;
+    Alcotest.test_case "U001: top-level opens survive the cache" `Quick
+      test_cache_keeps_opens;
   ]

@@ -29,24 +29,6 @@ let test_poisson_cdf_consistent () =
     close ~tol:1e-9 (Printf.sprintf "cdf(%d)" k) !acc (d.Stats.Discrete.cdf k)
   done
 
-let test_binomial () =
-  let d = Stats.Discrete.binomial ~n:10 ~p:0.3 in
-  close "pmf(0)" (0.7 ** 10.0) (d.Stats.Discrete.pmf 0);
-  close "mean" 3.0 d.Stats.Discrete.mean;
-  close "variance" 2.1 d.Stats.Discrete.variance;
-  close "cdf(10)" 1.0 (d.Stats.Discrete.cdf 10);
-  let total = ref 0.0 in
-  for k = 0 to 10 do
-    total := !total +. d.Stats.Discrete.pmf k
-  done;
-  close "mass" 1.0 !total
-
-let test_geometric_discrete () =
-  let d = Stats.Discrete.geometric ~p:0.25 in
-  close "pmf(0)" 0.25 (d.Stats.Discrete.pmf 0);
-  close "pmf(2)" (0.25 *. 0.5625) (d.Stats.Discrete.pmf 2);
-  close "mean" 3.0 d.Stats.Discrete.mean
-
 let test_discrete_sampling_moments () =
   let rng = Prng.Rng.create ~seed:261 in
   let d = Stats.Discrete.poisson ~mean:5.0 in
@@ -89,12 +71,6 @@ let test_bayes_detection_matches_simulation () =
 (* --- Analytical.Multirate --- *)
 
 let sigma2s = [| 1.0; 1.5; 2.2; 3.5 |]
-
-let test_pairwise_r () =
-  let r = Analytical.Multirate.pairwise_r ~sigma2s in
-  close "diag" 1.0 r.(2).(2);
-  close "symmetric" r.(0).(3) r.(3).(0);
-  close "value" 3.5 r.(0).(3)
 
 let test_thresholds_interleave () =
   let d = Analytical.Multirate.thresholds_variance ~sigma2s ~n:100 in
@@ -155,16 +131,6 @@ let test_mary_confusion_matches_simulation () =
   done;
   close ~tol:0.02 "simulated m-ary accuracy" exact
     (float_of_int !correct /. float_of_int trials)
-
-let test_mary_max_integral () =
-  (* Two disjoint normals: detection -> 1; identical: 0.5. *)
-  let f mu x = Stats.Special.normal_pdf ~mu ~sigma:0.1 x in
-  close ~tol:1e-6 "disjoint -> 1" 1.0
-    (Analytical.Multirate.mary_max_integral ~pdfs:[| f 0.0; f 10.0 |]
-       ~lo:(-5.0) ~hi:15.0);
-  close ~tol:1e-6 "identical -> 0.5" 0.5
-    (Analytical.Multirate.mary_max_integral ~pdfs:[| f 0.0; f 0.0 |]
-       ~lo:(-5.0) ~hi:5.0)
 
 let test_multirate_invalid () =
   Alcotest.check_raises "not increasing"
@@ -247,18 +213,14 @@ let suite =
     Alcotest.test_case "poisson pmf values" `Quick test_poisson_pmf_values;
     Alcotest.test_case "poisson mass" `Quick test_poisson_pmf_sums_to_one;
     Alcotest.test_case "poisson cdf" `Quick test_poisson_cdf_consistent;
-    Alcotest.test_case "binomial" `Quick test_binomial;
-    Alcotest.test_case "geometric" `Quick test_geometric_discrete;
     Alcotest.test_case "discrete sampling" `Quick test_discrete_sampling_moments;
     Alcotest.test_case "two-poisson Bayes" `Quick test_bayes_detection_two_poisson;
     Alcotest.test_case "discrete Bayes = Monte-Carlo" `Quick test_bayes_detection_matches_simulation;
-    Alcotest.test_case "pairwise r" `Quick test_pairwise_r;
     Alcotest.test_case "thresholds interleave" `Quick test_thresholds_interleave;
     Alcotest.test_case "m=2 reduces to binary" `Quick test_mary_reduces_to_binary;
     Alcotest.test_case "m-ary properties" `Quick test_mary_properties;
     Alcotest.test_case "confusion rows sum to 1" `Quick test_confusion_rows_sum;
     Alcotest.test_case "m-ary = Monte-Carlo" `Quick test_mary_confusion_matches_simulation;
-    Alcotest.test_case "m-ary max integral" `Quick test_mary_max_integral;
     Alcotest.test_case "multirate invalid" `Quick test_multirate_invalid;
     Alcotest.test_case "ROC separable" `Quick test_roc_separable;
     Alcotest.test_case "ROC blind" `Quick test_roc_blind;

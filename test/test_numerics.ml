@@ -1,4 +1,4 @@
-(* Quadrature, root finding, and hypothesis tests. *)
+(* Quadrature, bisection root finding, and hypothesis tests. *)
 
 let close ?(tol = 1e-8) msg expected actual =
   if Float.abs (expected -. actual) > tol then
@@ -28,12 +28,6 @@ let test_simpson_reversed_limits () =
 let test_simpson_empty_interval () =
   close "zero width" 0.0 (Stats.Integrate.simpson exp ~lo:1.0 ~hi:1.0)
 
-let test_trapezoid () =
-  close ~tol:1e-4 "trapezoid sin" 2.0
-    (Stats.Integrate.trapezoid sin ~lo:0.0 ~hi:Float.pi ~n:1000);
-  Alcotest.check_raises "n < 1" (Invalid_argument "Integrate.trapezoid: n < 1")
-    (fun () -> ignore (Stats.Integrate.trapezoid sin ~lo:0.0 ~hi:1.0 ~n:0))
-
 (* --- Rootfind --- *)
 
 let test_bisect_sqrt2 () =
@@ -49,32 +43,6 @@ let test_bisect_no_bracket () =
   Alcotest.check_raises "same sign"
     (Invalid_argument "Rootfind.bisect: no sign change on bracket") (fun () ->
       ignore (Stats.Rootfind.bisect (fun x -> (x *. x) +. 1.0) ~lo:0.0 ~hi:1.0))
-
-let test_brent_transcendental () =
-  (* root of cos x - x ~ 0.7390851332151607 *)
-  close ~tol:1e-10 "dottie number" 0.7390851332151607
-    (Stats.Rootfind.brent (fun x -> cos x -. x) ~lo:0.0 ~hi:1.0)
-
-let test_brent_matches_bisect () =
-  let f x = exp x -. 3.0 in
-  close ~tol:1e-9 "agree"
-    (Stats.Rootfind.bisect f ~lo:0.0 ~hi:2.0)
-    (Stats.Rootfind.brent f ~lo:0.0 ~hi:2.0)
-
-let test_find_bracket () =
-  match Stats.Rootfind.find_bracket (fun x -> x -. 5.0) ~center:0.0 ~step:1.0 () with
-  | Some (lo, hi) ->
-      Alcotest.(check bool) "brackets the root" true (lo <= 5.0 && 5.0 <= hi)
-  | None -> Alcotest.fail "no bracket found"
-
-let test_find_bracket_none () =
-  match
-    Stats.Rootfind.find_bracket
-      (fun x -> (x *. x) +. 1.0)
-      ~center:0.0 ~step:1.0 ~max_expand:5 ()
-  with
-  | None -> ()
-  | Some _ -> Alcotest.fail "found a bracket for a rootless function"
 
 (* --- Hypothesis --- *)
 
@@ -155,14 +123,9 @@ let suite =
     Alcotest.test_case "simpson gaussian mass" `Quick test_simpson_gaussian_mass;
     Alcotest.test_case "simpson reversed limits" `Quick test_simpson_reversed_limits;
     Alcotest.test_case "simpson empty interval" `Quick test_simpson_empty_interval;
-    Alcotest.test_case "trapezoid" `Quick test_trapezoid;
     Alcotest.test_case "bisect sqrt2" `Quick test_bisect_sqrt2;
     Alcotest.test_case "bisect endpoint root" `Quick test_bisect_endpoint_root;
     Alcotest.test_case "bisect needs bracket" `Quick test_bisect_no_bracket;
-    Alcotest.test_case "brent dottie" `Quick test_brent_transcendental;
-    Alcotest.test_case "brent = bisect" `Quick test_brent_matches_bisect;
-    Alcotest.test_case "find_bracket" `Quick test_find_bracket;
-    Alcotest.test_case "find_bracket none" `Quick test_find_bracket_none;
     Alcotest.test_case "KS accepts H0" `Quick test_ks_accepts_true_null;
     Alcotest.test_case "KS rejects wrong H0" `Quick test_ks_rejects_wrong_null;
     Alcotest.test_case "kolmogorov SF" `Quick test_kolmogorov_sf_values;

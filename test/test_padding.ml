@@ -48,12 +48,21 @@ let test_timer_validation () =
   Alcotest.check_raises "uniform hw"
     (Invalid_argument "Timer: uniform half_width out of (0, mean)") (fun () ->
       Padding.Timer.validate
-        (Padding.Timer.Uniform { mean = 0.01; half_width = 0.02 }))
-
-let test_timer_is_cit () =
-  Alcotest.(check bool) "cit" true (Padding.Timer.is_cit (Padding.Timer.Constant 1.0));
-  Alcotest.(check bool) "vit" false
-    (Padding.Timer.is_cit (Padding.Timer.Normal { mean = 1.0; sigma = 0.1 }))
+        (Padding.Timer.Uniform { mean = 0.01; half_width = 0.02 }));
+  List.iter
+    (fun (name, law) ->
+      Alcotest.check_raises name
+        (Invalid_argument "Timer: parameter not finite") (fun () ->
+          Padding.Timer.validate law))
+    [
+      ("constant infinity", Padding.Timer.Constant Float.infinity);
+      ("normal sigma infinity",
+       Padding.Timer.Normal { mean = 0.01; sigma = Float.infinity });
+      ("uniform mean infinity",
+       Padding.Timer.Uniform { mean = Float.infinity; half_width = 0.001 });
+      ("exponential mean infinity",
+       Padding.Timer.Exponential { mean = Float.infinity });
+    ]
 
 (* --- Jitter --- *)
 
@@ -401,7 +410,6 @@ let suite =
     Alcotest.test_case "timer draw statistics" `Quick test_timer_draw_statistics;
     Alcotest.test_case "CIT draw exact" `Quick test_timer_cit_draw_exact;
     Alcotest.test_case "timer validation" `Quick test_timer_validation;
-    Alcotest.test_case "is_cit" `Quick test_timer_is_cit;
     Alcotest.test_case "jitter none" `Quick test_jitter_none;
     Alcotest.test_case "jitter nonnegative" `Quick test_jitter_nonnegative;
     Alcotest.test_case "payload path variance" `Quick test_mechanistic_payload_path_adds_variance;

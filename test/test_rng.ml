@@ -178,30 +178,12 @@ let test_int_invalid () =
   Alcotest.check_raises "bound 0" (Invalid_argument "Rng.int: bound must be positive")
     (fun () -> ignore (Prng.Rng.int rng ~bound:0))
 
-let test_bool_balance () =
-  let rng = Prng.Rng.create ~seed:12 in
-  let trues = ref 0 in
-  let n = 50_000 in
-  for _ = 1 to n do
-    if Prng.Rng.bool rng then incr trues
-  done;
-  let frac = float_of_int !trues /. float_of_int n in
-  Alcotest.(check bool) "fair coin" true (Float.abs (frac -. 0.5) < 0.02)
-
 let test_float_range () =
   let rng = Prng.Rng.create ~seed:13 in
   for _ = 1 to 1000 do
     let x = Prng.Rng.float_range rng ~lo:(-3.0) ~hi:5.5 in
     Alcotest.(check bool) "in [lo,hi)" true (x >= -3.0 && x < 5.5)
   done
-
-let test_seed_of_string_stable () =
-  let a = Prng.Rng.seed_of_string "fig4a" in
-  let b = Prng.Rng.seed_of_string "fig4a" in
-  Alcotest.(check int) "stable hash" a b;
-  Alcotest.(check bool) "different labels differ" true
-    (Prng.Rng.seed_of_string "fig4a" <> Prng.Rng.seed_of_string "fig4b");
-  Alcotest.(check bool) "non-negative" true (a >= 0)
 
 let test_bits64_distribution () =
   (* Bit-balance smoke test: each of the 64 bits should be ~50% set. *)
@@ -236,9 +218,7 @@ let suite =
     Alcotest.test_case "int bounds and coverage" `Quick test_int_bounds_and_coverage;
     Alcotest.test_case "int uniformity (chi2)" `Quick test_int_uniformity;
     Alcotest.test_case "int rejects bound<=0" `Quick test_int_invalid;
-    Alcotest.test_case "bool balance" `Quick test_bool_balance;
     Alcotest.test_case "float_range bounds" `Quick test_float_range;
-    Alcotest.test_case "seed_of_string stable" `Quick test_seed_of_string_stable;
     Alcotest.test_case "bit balance" `Quick test_bits64_distribution;
     Alcotest.test_case "known answer: bits64" `Quick test_known_answer_bits64;
     Alcotest.test_case "known answer: split" `Quick test_known_answer_split;

@@ -110,14 +110,6 @@ let test_poisson_zero () =
   let r = rng () in
   Alcotest.(check int) "mean 0 -> 0" 0 (Prng.Sampler.poisson r ~mean:0.0)
 
-let test_geometric_moments () =
-  let r = rng () in
-  let p = 0.3 in
-  let acc =
-    moments 100_000 (fun () -> float_of_int (Prng.Sampler.geometric r ~p))
-  in
-  close ~tol:0.03 "mean (1-p)/p" ((1.0 -. p) /. p) (Stats.Descriptive.Acc.mean acc)
-
 let test_bernoulli_frequency () =
   let r = rng () in
   let hits = ref 0 in
@@ -126,25 +118,6 @@ let test_bernoulli_frequency () =
     if Prng.Sampler.bernoulli r ~p:0.2 then incr hits
   done;
   close ~tol:0.03 "P(true)" 0.2 (float_of_int !hits /. float_of_int n)
-
-let test_categorical_weights () =
-  let r = rng () in
-  let weights = [| 1.0; 0.0; 3.0 |] in
-  let counts = Array.make 3 0 in
-  let n = 40_000 in
-  for _ = 1 to n do
-    let k = Prng.Sampler.categorical r ~weights in
-    counts.(k) <- counts.(k) + 1
-  done;
-  Alcotest.(check int) "zero-weight never drawn" 0 counts.(1);
-  close ~tol:0.05 "weight ratio" 3.0
-    (float_of_int counts.(2) /. float_of_int counts.(0))
-
-let test_categorical_invalid () =
-  let r = rng () in
-  Alcotest.check_raises "all zero"
-    (Invalid_argument "Sampler.categorical: no positive weight") (fun () ->
-      ignore (Prng.Sampler.categorical r ~weights:[| 0.0; 0.0 |]))
 
 let test_nan_parameters_rejected () =
   (* Every NaN compare is false, so a [p < 0.0 || p > 1.0] style guard
@@ -172,8 +145,6 @@ let test_nan_parameters_rejected () =
   raises "truncated_normal_pos sigma"
     "Sampler.truncated_normal_pos: sigma < 0" (fun () ->
       Prng.Sampler.truncated_normal_pos r ~mu:1.0 ~sigma:nan);
-  raises "categorical weight" "Sampler.categorical: negative or NaN weight"
-    (fun () -> Prng.Sampler.categorical r ~weights:[| 1.0; nan |]);
   raises "float_range lo" "Rng.float_range: requires lo <= hi" (fun () ->
       Prng.Rng.float_range r ~lo:nan ~hi:1.0);
   raises "uniform hi" "Rng.float_range: requires lo <= hi" (fun () ->
@@ -216,10 +187,7 @@ let suite =
     Alcotest.test_case "poisson small mean" `Quick test_poisson_small_mean;
     Alcotest.test_case "poisson large mean" `Quick test_poisson_large_mean;
     Alcotest.test_case "poisson zero mean" `Quick test_poisson_zero;
-    Alcotest.test_case "geometric moments" `Quick test_geometric_moments;
     Alcotest.test_case "bernoulli frequency" `Quick test_bernoulli_frequency;
-    Alcotest.test_case "categorical weights" `Quick test_categorical_weights;
-    Alcotest.test_case "categorical invalid" `Quick test_categorical_invalid;
     Alcotest.test_case "NaN parameters rejected" `Quick
       test_nan_parameters_rejected;
     Alcotest.test_case "shuffle permutes" `Quick test_shuffle_permutation;

@@ -15,9 +15,7 @@ let test_tap_records_sizes () =
            ~created:0.0))
     [ 100; 250; 1460 ];
   Alcotest.(check (array int)) "sizes in order" [| 100; 250; 1460 |]
-    (Netsim.Tap.sizes tap);
-  Netsim.Tap.clear tap;
-  Alcotest.(check (array int)) "sizes cleared" [||] (Netsim.Tap.sizes tap)
+    (Netsim.Tap.sizes tap)
 
 let test_poisson_sized () =
   let sim = Desim.Sim.create () in
