@@ -214,6 +214,44 @@ let test_alloc_scoring () =
           n per_point)
     [ 100; 1000 ]
 
+let test_alloc_entropy () =
+  (* The sample entropy of a 1 000-PIAT window allocates nothing that
+     grows with its span: the same minor words (the floats boxed across
+     module calls) whether the window spans 1 ms (a dense count over
+     1 000 bins) or holds a 1 s or 10^5 s gap (sorted runs over 10^6 or
+     10^11 bins), and nothing in the major heap once the scratch has
+     grown. *)
+  let window gap =
+    Array.init 1000 (fun i ->
+        if i = 500 then 0.010 +. gap else 0.010 +. (1e-6 *. float_of_int i))
+  in
+  let windows = List.map window [ 0.0; 1.0; 1e5 ] in
+  let entropy xs =
+    ignore
+      (Sys.opaque_identity
+         (Stats.Entropy.of_sample_in ~bin_width:1e-6 ~reference:0.010 xs
+            ~pos:0 ~len:1000))
+  in
+  List.iter entropy windows;
+  (* Major words count promotions too; what is left is allocated in the
+     major heap directly, as any array over 256 words is.  A minor
+     collection flushes the domain's counters. *)
+  let direct_major () =
+    Gc.minor ();
+    let _, promoted, major = Gc.counters () in
+    major -. promoted
+  in
+  let major0 = direct_major () in
+  let words = List.map (fun xs -> minor_words_per_call entropy [ xs ]) windows in
+  let major = direct_major () -. major0 in
+  if not (List.for_all (Float.equal (List.hd words)) words) then
+    Alcotest.failf
+      "Entropy.of_sample_in: %s minor words for spans of 1 ms, 1 s, 10^5 s \
+       (want equal)"
+      (String.concat ", " (List.map string_of_float words));
+  if major > 0.0 then
+    Alcotest.failf "Entropy.of_sample_in: %g major words after warm-up" major
+
 (* --- link-stage ties ---
 
    An exact coincidence of two pending streams is ordered by queue
@@ -668,4 +706,6 @@ let suite =
       `Quick test_linkstage_ties;
     Alcotest.test_case "link stage: chunk ending at a finish" `Quick
       test_linkstage_chunk_at_finish;
+    Alcotest.test_case "allocation: Entropy.of_sample_in span-free" `Quick
+      test_alloc_entropy;
   ]

@@ -5,7 +5,6 @@ let () =
       ("prng.sampler", Test_sampler.suite);
       ("stats.special", Test_special.suite);
       ("stats.descriptive", Test_descriptive.suite);
-      ("stats.histogram", Test_histogram.suite);
       ("stats.entropy", Test_entropy.suite);
       ("stats.kde", Test_kde.suite);
       ("stats.distribution", Test_distribution.suite);
