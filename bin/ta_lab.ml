@@ -142,8 +142,8 @@ let strict_arg =
 let inject_arg =
   let doc =
     "Fault injection for testing the supervisor: comma-separated \
-     SWEEP:INDEX (always fails) or SWEEP:INDEX\\@K (fails attempts < K), \
-     e.g. 'fig6:2\\@1'."
+     SWEEP:INDEX (always fails) or SWEEP:INDEX@K (fails attempts < K), \
+     e.g. 'fig6:2@1'."
   in
   Arg.(value & opt (some string) None & info [ "inject-fail" ] ~docv:"SPEC" ~doc)
 

@@ -1,4 +1,4 @@
-type cls = { name : string; prior : float; kde : Stats.Kde.t; mean : float }
+type cls = { prior : float; kde : Stats.Kde.t; mean : float }
 
 type t = { classes : cls array }
 
@@ -18,11 +18,10 @@ let train ?priors ~classes () =
   in
   let classes =
     Array.mapi
-      (fun i (name, xs) ->
+      (fun i (_, xs) ->
         if Array.length xs = 0 then
           invalid_arg "Classifier.train: empty training set";
         {
-          name;
           prior = priors.(i);
           kde = Stats.Kde.fit xs;
           mean = Stats.Descriptive.mean xs;

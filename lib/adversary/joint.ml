@@ -1,4 +1,4 @@
-type cls = { name : string; prior : float; kdes : Stats.Kde.t array }
+type cls = { prior : float; kdes : Stats.Kde.t array }
 
 type t = { classes : cls array; num_features : int }
 
@@ -34,12 +34,12 @@ let train ?priors ~classes () =
     widths;
   let classes =
     Array.mapi
-      (fun i (name, vectors) ->
+      (fun i (_, vectors) ->
         let kdes =
           Array.init num_features (fun f ->
               Stats.Kde.fit (Array.map (fun v -> v.(f)) vectors))
         in
-        { name; prior = priors.(i); kdes })
+        { prior = priors.(i); kdes })
       classes
   in
   { classes; num_features }

@@ -1,4 +1,4 @@
-type cls = { name : string; prior : float; mu : float; sigma : float }
+type cls = { prior : float; mu : float; sigma : float }
 
 type t = { classes : cls array }
 
@@ -18,7 +18,7 @@ let train ?priors ~classes () =
   in
   let classes =
     Array.mapi
-      (fun i (name, xs) ->
+      (fun i (_, xs) ->
         if Array.length xs = 0 then
           invalid_arg "Parametric.train: empty training set";
         let mu = Stats.Descriptive.mean xs in
@@ -26,7 +26,7 @@ let train ?priors ~classes () =
         (* Floor relative to the feature magnitude keeps the density proper
            on degenerate training sets. *)
         let sigma = Float.max sd (1e-9 *. Float.max (Float.abs mu) 1e-12) in
-        { name; prior = priors.(i); mu; sigma })
+        { prior = priors.(i); mu; sigma })
       classes
   in
   { classes }

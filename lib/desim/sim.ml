@@ -1,4 +1,4 @@
-type event = { mutable cancelled : bool; mutable run : unit -> unit }
+type event = { mutable cancelled : bool; run : unit -> unit }
 type handle = event
 
 type t = {

@@ -21,7 +21,6 @@ type t = {
   mutable payload_sent_acc : int;
   mutable dummy_sent_acc : int;
   mutable payload_dropped_acc : int;
-  mutable fires_acc : int;
 }
 
 let spawn_gateway t =
@@ -53,7 +52,6 @@ and crash t =
       t.dummy_sent_acc <- t.dummy_sent_acc + Padding.Gateway.dummy_sent gw;
       t.payload_dropped_acc <-
         t.payload_dropped_acc + Padding.Gateway.payload_dropped gw;
-      t.fires_acc <- t.fires_acc + Padding.Gateway.fires gw;
       Padding.Gateway.stop gw;
       t.current <- None;
       t.crashes <- t.crashes + 1;
@@ -98,7 +96,6 @@ let create sim ~rng ~failure_rng ~timer ~jitter ?packet_size ?queue_limit
       payload_sent_acc = 0;
       dummy_sent_acc = 0;
       payload_dropped_acc = 0;
-      fires_acc = 0;
     }
   in
   t.current <- Some (spawn_gateway t);
@@ -141,7 +138,7 @@ let payload_dropped t =
   with_current t t.payload_dropped_acc Padding.Gateway.payload_dropped
 
 (* talint: allow U001 — tests read it to observe the live gateway *)
-let fires t = with_current t t.fires_acc Padding.Gateway.fires
+let fires t = payload_sent t + dummy_sent t
 (* talint: allow U001 — tests read it to observe the live gateway *)
 let queue_length t = with_current t 0 Padding.Gateway.queue_length
 

@@ -20,7 +20,6 @@ type waiver = {
   w_rule : string;
   w_file : string;
   w_contains : string;
-  w_reason : string;
 }
 
 let schema = "talint-baseline/1"
@@ -56,14 +55,13 @@ let parse text =
                   in
                   match (str "rule", str "file", str "contains", str "reason")
                   with
-                  | Some rule, Some file, Some c, Some reason ->
+                  | Some rule, Some file, Some c, Some _reason ->
                       waivers :=
                         {
                           w_index = index;
                           w_rule = rule;
                           w_file = file;
                           w_contains = c;
-                          w_reason = reason;
                         }
                         :: !waivers
                   | _ ->

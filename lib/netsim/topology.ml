@@ -35,6 +35,8 @@ let start_cross sim ~rng ~spec ~dest =
 let validate_cross c =
   if not (c.rate_pps > 0.0) then
     invalid_arg "Topology.chain: cross rate_pps <= 0";
+  if not (Float.is_finite c.rate_pps) then
+    invalid_arg "Topology.chain: cross rate_pps not finite";
   if c.size_bytes <= 0 then invalid_arg "Topology.chain: cross size_bytes <= 0";
   match c.burst with
   | `Poisson -> ()

@@ -32,8 +32,8 @@ type t = {
 
 val validate : hops:hop_spec array -> tap_position:int -> unit
 (** [0 <= tap_position <= Array.length hops], {!Link.validate} on every
-    hop, and per cross spec [rate_pps > 0], [size_bytes > 0] and positive
-    on/off period means (NaN fails); else [Invalid_argument]. *)
+    hop, and per cross spec a finite [rate_pps > 0], [size_bytes > 0] and
+    positive on/off period means (NaN fails); else [Invalid_argument]. *)
 
 val cross_streams : rng:Prng.Rng.t -> hop_spec array -> Prng.Rng.t option array
 (** One child of [rng] per hop with cross traffic, split back to front. *)

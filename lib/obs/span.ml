@@ -1,4 +1,4 @@
-type frame = { name : string; start : float; mutable child_s : float }
+type frame = { start : float; mutable child_s : float }
 
 (* Active spans nest within one domain; each domain gets its own stack. *)
 let stack_key : frame Stack.t Domain.DLS.key =
@@ -26,7 +26,7 @@ let record ~name ~elapsed ~self =
 
 let run name f =
   let stack = Domain.DLS.get stack_key in
-  let fr = { name; start = Unix.gettimeofday (); child_s = 0.0 } in
+  let fr = { start = Unix.gettimeofday (); child_s = 0.0 } in
   Stack.push fr stack;
   Fun.protect
     ~finally:(fun () ->

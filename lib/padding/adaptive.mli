@@ -2,37 +2,45 @@
     bandwidth-saving alternative the paper argues against.
 
     The gateway monitors the recent payload rate and stretches the timer
-    period toward [max_period] when payload is light, shrinking back to
-    [min_period] under load.  This saves dummy bandwidth but lets
+    period toward 40 ms ({!max_period}) when payload is light, shrinking
+    back to 10 ms under load.  This saves dummy bandwidth but lets
     large-scale rate variations through: the padded stream's *mean* PIAT
     now tracks the payload rate, so even the weak sample-mean feature
     detects it.  Provided to quantify that trade-off (see the
-    [adaptive_tradeoff] example and the ablation bench).  Emission
-    instants come from {!Kernel.emit_time}. *)
+    [adaptive_tradeoff] example and the ablation bench).
+
+    It is a period policy on one {!Gateway}, handed over as the
+    gateway's [?interval] (nominal law [Timer.Constant max_period]).
+    The gateway does everything else: queueing, the emission instant
+    ({!Kernel.emit_time}, NIC-interrupt blocking term included), dummy
+    insertion, the [padding.gateway.*] metrics and the trace records.
+    The first period is 40 ms.  After each fire the policy sets the next
+    one to min(40 ms, max(10 ms, 1 / max(1, r·max(0.1, pressure)))),
+    where r is the payload rate over the last 1 s and
+    pressure = 1 + 0.5·(queue length − 0.5): it aims the send rate just
+    above the payload rate, at a backlog of half a packet. *)
+
+val max_period : float
+(** 40 ms, the slowest the gateway fires. *)
 
 type t
 
 val create :
   Desim.Sim.t ->
   rng:Prng.Rng.t ->
-  ?min_period:float ->
-  ?max_period:float ->
-  ?window:float ->
-  ?target_queue:float ->
   jitter:Jitter.t ->
   ?packet_size:int ->
   ?buffers:Gateway.Buffers.t ->
   dest:Netsim.Link.port ->
   unit ->
   t
-(** Periods default to 10 ms / 40 ms; [window] (default 1 s) is the rate
-    estimation horizon; [target_queue] (default 0.5) is the backlog the
-    controller aims to keep, in packets.  The controller sets the period to
-    min(max_period, max(min_period, 1/(estimated rate + margin))) after
-    each fire.  [buffers] supplies recycled internal buffers, as for
-    {!Gateway.create}. *)
+(** [rng], [jitter], [packet_size], [buffers] and [dest] go to the
+    {!Gateway}, as in {!Gateway.create}. *)
 
 val input : t -> Netsim.Link.port
+(** Payload port: {!Gateway.input} (which rejects a non-payload packet
+    with [Invalid_argument]), then the arrival joins the rate window. *)
+
 val stop : t -> unit
 val overhead : t -> float
 val current_period : t -> float

@@ -23,7 +23,6 @@ end
 type t = {
   sim : Desim.Sim.t;
   rng : Prng.Rng.t;
-  timer : Timer.law;
   jitter : Jitter.t;
   packet_size : int;
   queue_limit : int option;
@@ -43,7 +42,6 @@ type t = {
   mutable payload_sent : int;
   mutable dummy_sent : int;
   mutable payload_dropped : int;
-  mutable fires : int;
   mutable timer_handle : Desim.Sim.handle option;
 }
 
@@ -68,7 +66,6 @@ let emit_run t () = t.dest (Netsim.Ring.pop t.pending)
 
 let on_fire t () =
   let now = Desim.Sim.now t.sim in
-  t.fires <- t.fires + 1;
   Obs.Metrics.incr m_fires;
   Obs.Metrics.observe h_occupancy (float_of_int (Netsim.Ring.length t.queue));
   (* Count payload NIC interrupts landing in the blocking window before
@@ -134,7 +131,6 @@ let create sim ~rng ~timer ~jitter ?(packet_size = 500) ?queue_limit ?interval
     {
       sim;
       rng;
-      timer;
       jitter;
       packet_size;
       queue_limit;
@@ -148,7 +144,6 @@ let create sim ~rng ~timer ~jitter ?(packet_size = 500) ?queue_limit ?interval
       payload_sent = 0;
       dummy_sent = 0;
       payload_dropped = 0;
-      fires = 0;
       timer_handle = None;
     }
   in
@@ -190,7 +185,6 @@ let payload_sent t = t.payload_sent
 let dummy_sent t = t.dummy_sent
 let payload_dropped t = t.payload_dropped
 let queue_length t = Netsim.Ring.length t.queue
-let fires t = t.fires
 
 let overhead t =
   Qos.dummy_fraction ~payload_sent:t.payload_sent ~dummy_sent:t.dummy_sent

@@ -8,6 +8,7 @@
     indistinguishable, (nominally) constant-rate stream regardless of the
     payload behind it.  Each fire's emission instant is
     {!Kernel.emit_time}, the rule the fused {!Kernel} loop calls too.
+    This is the one sender gateway: {!Adaptive} is a period policy on it.
     The module owns the [padding.gateway.*] metrics. *)
 
 type t
@@ -21,8 +22,9 @@ module Buffers : sig
   (** The gateway's growable per-instance state (payload queue, arrival
       window, pending-emission ring).  Sweep harnesses keep one [Buffers.t]
       per worker and pass it to successive gateways so steady-state storage
-      is allocated once, not once per run.  {!Adaptive} reuses the same
-      triple. *)
+      is allocated once, not once per run.  A period policy may read
+      [queue] (the payload backlog), as {!Adaptive} does; [arrivals] holds
+      only the arrivals of the last {!Jitter.irq_window}. *)
 
   val create : unit -> t
 
@@ -45,11 +47,14 @@ val create :
 (** [packet_size] defaults to 500 bytes; [queue_limit] bounds the payload
     queue (default unbounded; overflow drops payload packets and counts
     them).  The timer starts at creation.  [interval] overrides the
-    interval sequence (default: draws from [timer]); the fault-injection
-    library uses it to layer clock drift, missed fires, and coalescing on
-    top of an unmodified gateway.  [buffers] supplies recycled internal
-    buffers (cleared on create); at most one live gateway may use a given
-    [Buffers.t] at a time. *)
+    interval sequence (default: draws from [timer]): it is called once at
+    creation for the first fire and then right after each fire, so it can
+    act as a period policy.  {!Adaptive} sets the period that way, and the
+    fault-injection library layers clock drift, missed fires and
+    coalescing on top of an unmodified gateway.  [timer] is validated
+    either way.  [buffers] supplies recycled internal buffers (cleared on
+    create); at most one live gateway may use a given [Buffers.t] at a
+    time. *)
 
 val input : t -> Netsim.Link.port
 (** Port on which payload traffic from the protected subnet arrives.
@@ -66,9 +71,6 @@ val queue_length : t -> int
 val overhead : t -> float
 (** Fraction of emitted packets that are dummies — the bandwidth price of
     the countermeasure. *)
-
-val fires : t -> int
-(** Timer fires so far (= packets emitted). *)
 
 val note_batch : Kernel.t -> unit
 (** Publish a fused kernel run's counts and occupancy observations into

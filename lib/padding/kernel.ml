@@ -3,15 +3,16 @@
    Poisson payload arrivals, the timer-fire train, and the pending
    emission train — instead of per-event dispatch.
 
-   The emit-time rule ([emit_time]) lives here and [Gateway] and
-   [Adaptive] call it, so every gateway computes an emission instant
-   with the same code.  The loop consumes the same RNG draws in the
-   same order as [Gateway.on_fire] driven by [Sim.every].  Payload
-   arrivals come from a dedicated split-off stream, so pre-filling a
-   block of inter-arrival draws cannot perturb any other stream; timer
-   and jitter draws are data-dependent (queue state decides whether the
-   payload-extra normal is drawn) and are therefore made scalar, in fire
-   order, as the event loop makes them.
+   The emit-time rule ([emit_time]) lives here and [Gateway.on_fire]
+   calls it, so every gateway computes an emission instant with the
+   same code ([Adaptive] is a period policy on [Gateway]).  The loop
+   consumes the same RNG draws in the same order as [Gateway.on_fire]
+   driven by [Sim.every].  Payload arrivals come from a dedicated
+   split-off stream, so pre-filling a block of inter-arrival draws
+   cannot perturb any other stream; timer and jitter draws are
+   data-dependent (queue state decides whether the payload-extra normal
+   is drawn) and are therefore made scalar, in fire order, as the event
+   loop makes them.
 
    An exact time tie between a pending payload arrival and a pending
    timer fire is ordered by queue seq in the event loop, unreproducible

@@ -4,7 +4,8 @@
     merged time-ordered trains (pre-generated Poisson payload arrivals,
     timer fires, pending emissions) instead of per-event dispatch, with
     the same RNG draws in the same order.  It owns {!emit_time}, which
-    {!Gateway} and {!Adaptive} call too.  Scratch state is reusable
+    {!Gateway} calls too (for every scheme it runs, {!Adaptive}
+    included).  Scratch state is reusable
     across runs (arena-backed via [Scenarios.Arena]).  The loop's own work
     (arrivals, fires, emissions, occupancy observations) allocates
     nothing once its buffers have grown; the timer and jitter draws,

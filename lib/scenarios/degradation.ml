@@ -84,13 +84,11 @@ type run_result = {
 }
 
 let validate cfg =
-  Padding.Timer.validate cfg.timer;
+  System.validate_sender ~timer:cfg.timer
+    ~payload_rate_pps:cfg.payload_rate_pps ~packet_size:cfg.packet_size
+    ~warmup_piats:cfg.warmup_piats;
   Faults.Lossy.validate_loss cfg.profile.loss;
-  Faults.Clock.validate cfg.profile.clock;
-  if cfg.payload_rate_pps <= 0.0 then
-    invalid_arg "Degradation: payload_rate <= 0";
-  if cfg.packet_size <= 0 then invalid_arg "Degradation: packet_size <= 0";
-  if cfg.warmup_piats < 0 then invalid_arg "Degradation: warmup_piats < 0"
+  Faults.Clock.validate cfg.profile.clock
 
 (* Advance until the tap holds [target] timestamps.  The chunk estimate
    uses the *surviving* packet rate so heavy-fault runs do not starve the

@@ -67,9 +67,11 @@ type run_result = {
 val run_faulty : config -> piats:int -> run_result
 (** One faulty end-to-end run: source → crash-wrapped gateway (faulty
     clock) → lossy wire → outage → tap → receiver.  Deterministic in
-    [config.seed]; [piats >= 1].  Raises [Starvation.Tap_starved] /
-    [Desim.Sim.Event_budget_exceeded] as [System.run] does (heavy
-    outages can starve the tap). *)
+    [config.seed]; [piats >= 1].  The sender fields pass
+    {!System.validate_sender} and the profile's loss and clock their own
+    checks, else [Invalid_argument] before the first event.  Raises
+    [Starvation.Tap_starved] / [Desim.Sim.Event_budget_exceeded] as
+    [System.run] does (heavy outages can starve the tap). *)
 
 type point = {
   intensity : float;

@@ -37,12 +37,17 @@ type result = {
 }
 
 (* Written as [not (x > 0.0)] so a NaN rate fails too. *)
+let validate_sender ~timer ~payload_rate_pps ~packet_size ~warmup_piats =
+  Padding.Timer.validate timer;
+  if not (payload_rate_pps > 0.0) then invalid_arg "System: payload_rate <= 0";
+  if not (Float.is_finite payload_rate_pps) then
+    invalid_arg "System: payload_rate not finite";
+  if packet_size <= 0 then invalid_arg "System: packet_size <= 0";
+  if warmup_piats < 0 then invalid_arg "System: warmup_piats < 0"
+
 let validate cfg =
-  Padding.Timer.validate cfg.timer;
-  if not (cfg.payload_rate_pps > 0.0) then
-    invalid_arg "System: payload_rate <= 0";
-  if cfg.packet_size <= 0 then invalid_arg "System: packet_size <= 0";
-  if cfg.warmup_piats < 0 then invalid_arg "System: warmup_piats < 0"
+  validate_sender ~timer:cfg.timer ~payload_rate_pps:cfg.payload_rate_pps
+    ~packet_size:cfg.packet_size ~warmup_piats:cfg.warmup_piats
 
 let after_warmup ~warmup_piats ?(limit = max_int) all =
   let drop = warmup_piats + 1 in
@@ -206,15 +211,14 @@ let run_mix ?(fresh_arena = false) ?(threshold = 8) ?(timeout = 0.5) cfg
        ~target:(piats + cfg.warmup_piats + 2)
        ~expected_rate:(float_of_int threshold /. timeout))
 
-let run_adaptive ?(fresh_arena = false) ?(min_period = 0.010)
-    ?(max_period = 0.040) cfg ~piats =
+let run_adaptive ?(fresh_arena = false) cfg ~piats =
   validate cfg;
   if piats < 1 then invalid_arg "System.run_adaptive: piats < 1";
   traced ~scenario:"system.adaptive" cfg @@ fun () ->
   let sender sim ~buffers ~rng ~dest =
     let gw =
-      Padding.Adaptive.create sim ~rng ~min_period ~max_period
-        ~jitter:cfg.jitter ~packet_size:cfg.packet_size ~buffers ~dest ()
+      Padding.Adaptive.create sim ~rng ~jitter:cfg.jitter
+        ~packet_size:cfg.packet_size ~buffers ~dest ()
     in
     ( Padding.Adaptive.input gw,
       fun () ->
@@ -225,7 +229,7 @@ let run_adaptive ?(fresh_arena = false) ?(min_period = 0.010)
   result cfg ~limit:piats
     (drive ~fresh_arena ~scenario:"system.adaptive" cfg ~sender
        ~target:(piats + cfg.warmup_piats + 2)
-       ~expected_rate:(1.0 /. max_period))
+       ~expected_rate:(1.0 /. Padding.Adaptive.max_period))
 
 let run_unpadded ?(fresh_arena = false) cfg ~packets =
   validate cfg;

@@ -41,6 +41,17 @@ val after_warmup :
 (** Drop the first [warmup_piats + 1] tap timestamps; return the rest and
     their {!Netsim.Trace.piats}, at most [limit] of them. *)
 
+val validate_sender :
+  timer:Padding.Timer.law ->
+  payload_rate_pps:float ->
+  packet_size:int ->
+  warmup_piats:int ->
+  unit
+(** The sender-side config check every [run*] entry point makes first,
+    and the one {!Degradation} makes too: a valid timer law, a positive
+    finite payload rate (NaN fails), a positive packet size and a
+    non-negative warm-up, else [Invalid_argument]. *)
+
 val run : ?fresh_arena:bool -> config -> piats:int -> result
 (** Simulate until the tap has recorded [piats] inter-arrival times beyond
     the warm-up, then stop.  Raises [Desim.Sim.Event_budget_exceeded] if
@@ -59,8 +70,8 @@ val run : ?fresh_arena:bool -> config -> piats:int -> result
     metric totals — so which one ran is visible only through the
     [desim.kernel.runs] / [desim.kernel.fallbacks{reason}] counters.
     {!Fastpath.set_enabled}[ false] forces the event loop.  Both paths
-    reject a bad config (NaN included) with the same [Invalid_argument]
-    before the first event. *)
+    reject a bad config (NaN and infinite values included) with the
+    same [Invalid_argument] before the first event. *)
 
 val run_unpadded : ?fresh_arena:bool -> config -> packets:int -> result
 (** Baseline without any gateway: the payload stream crosses the same hop
@@ -82,15 +93,9 @@ val run_mix :
     Raises [Starvation.Tap_starved] / [Desim.Sim.Event_budget_exceeded]
     as {!run} does. *)
 
-val run_adaptive :
-  ?fresh_arena:bool ->
-  ?min_period:float ->
-  ?max_period:float ->
-  config ->
-  piats:int ->
-  result
-(** Same assembly but with the Timmerman-style {!Padding.Adaptive} gateway
-    instead of the fixed-rate one ([config.timer] is ignored; [jitter]
-    still applies).  Periods default to 10 ms / 40 ms.
-    Raises [Starvation.Tap_starved] / [Desim.Sim.Event_budget_exceeded]
-    as {!run} does. *)
+val run_adaptive : ?fresh_arena:bool -> config -> piats:int -> result
+(** Same assembly but with the sender gateway's period set by the
+    Timmerman-style {!Padding.Adaptive} policy (10–40 ms) instead of
+    [config.timer], which is ignored; [jitter] applies as in {!run}.
+    Always the event loop.  Raises [Starvation.Tap_starved] /
+    [Desim.Sim.Event_budget_exceeded] as {!run} does. *)

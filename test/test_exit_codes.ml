@@ -257,6 +257,18 @@ let test_tabench_diff_verdicts () =
             (check_code exe (Printf.sprintf "%s %s" (q slow) (q base)) 0
               : string))
 
+(* Help renders every doc string: cmdliner reports a malformed one on
+   stderr and drops the offending character from the page. *)
+let test_ta_lab_help_clean () =
+  match ta_lab () with
+  | None -> Alcotest.skip ()
+  | Some exe ->
+      let output = check_code exe "fig5a --help=plain" 0 in
+      Alcotest.(check bool) "no cmdliner error" false
+        (contains output "cmdliner error");
+      Alcotest.(check bool) "--inject-fail spec rendered" true
+        (contains output "SWEEP:INDEX@K")
+
 let suite =
   [
     Alcotest.test_case "ta_lab: invalid CLI exits 2" `Quick
@@ -273,4 +285,6 @@ let suite =
       test_tabench_diff_rejects_bad_report;
     Alcotest.test_case "tabench_diff: verdict exit codes 0/1" `Quick
       test_tabench_diff_verdicts;
+    Alcotest.test_case "ta_lab: help text renders cleanly" `Quick
+      test_ta_lab_help_clean;
   ]

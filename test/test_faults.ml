@@ -460,6 +460,32 @@ let test_degradation_profile_validation () =
     (Scenarios.Degradation.profile_of_intensity 0.0
     = Scenarios.Degradation.fault_free)
 
+(* The faulty run makes the sender check [System] owns, so a NaN or an
+   infinite payload rate fails there, before any timer fire, and never
+   reaches the payload sampler or the event loop. *)
+let test_degradation_rejects_non_finite_rate () =
+  List.iter
+    (fun (label, rate, msg) ->
+      Obs.Metrics.reset ();
+      let cfg =
+        {
+          Scenarios.Degradation.default_config with
+          payload_rate_pps = rate;
+          profile = Scenarios.Degradation.profile_of_intensity 0.1;
+        }
+      in
+      Alcotest.check_raises label (Invalid_argument msg) (fun () ->
+          ignore
+            (Scenarios.Degradation.run_faulty cfg ~piats:50
+              : Scenarios.Degradation.run_result));
+      Alcotest.(check int) (label ^ ": no timer fire") 0
+        (Obs.Metrics.Snapshot.counter_value (Obs.Metrics.snapshot ())
+           "padding.gateway.fires"))
+    [
+      ("nan rate", Float.nan, "System: payload_rate <= 0");
+      ("infinite rate", infinity, "System: payload_rate not finite");
+    ]
+
 let suite =
   [
     Alcotest.test_case "lossy validation" `Quick test_lossy_validation;
@@ -489,4 +515,6 @@ let suite =
       test_degradation_loss_leaks_to_gap_aware_adversary;
     Alcotest.test_case "degradation: profile validation" `Quick
       test_degradation_profile_validation;
+    Alcotest.test_case "degradation: non-finite payload rate rejected" `Quick
+      test_degradation_rejects_non_finite_rate;
   ]

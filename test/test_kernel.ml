@@ -578,6 +578,9 @@ let bad_configs =
           { base with timer = Padding.Timer.Constant x });
       each "payload rate" floats "System: payload_rate <= 0" (fun x ->
           { base with payload_rate_pps = x });
+      each "payload rate" [ ("inf", infinity) ]
+        "System: payload_rate not finite" (fun x ->
+          { base with payload_rate_pps = x });
       each "hop bandwidth_bps" floats "Link.create: bandwidth <= 0" (fun x ->
           with_hop (hop ~bw:x ()));
       each "hop propagation"
@@ -586,6 +589,9 @@ let bad_configs =
         (fun x -> with_hop (hop ~prop:x ()));
       each "cross rate_pps" floats "Topology.chain: cross rate_pps <= 0"
         (fun x -> with_hop (hop ~cross:(cross ~rate:x ()) ()));
+      each "cross rate_pps" [ ("inf", infinity) ]
+        "Topology.chain: cross rate_pps not finite" (fun x ->
+          with_hop (hop ~cross:(cross ~rate:x ()) ()));
       each "cross size_bytes"
         [ ("0", 0); ("negative", -400) ]
         "Topology.chain: cross size_bytes <= 0"

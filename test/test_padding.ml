@@ -160,7 +160,8 @@ let test_gateway_constant_output_rate () =
   Desim.Sim.run_until sim ~time:50.0;
   (* 100 fires/s for 50 s = 5000 packets regardless of payload *)
   Alcotest.(check int) "output count" 5000 (Netsim.Tap.count tap);
-  Alcotest.(check int) "fires" 5000 (Padding.Gateway.fires gw)
+  Alcotest.(check int) "fires" 5000
+    (Padding.Gateway.payload_sent gw + Padding.Gateway.dummy_sent gw)
 
 let test_gateway_output_rate_independent_of_payload () =
   let count rate seed =
@@ -180,13 +181,15 @@ let test_gateway_payload_conservation () =
     + Padding.Gateway.payload_dropped gw)
 
 let test_gateway_dummy_fill () =
+  Obs.Metrics.reset ();
   let sim, _, gw, src = make_system ~payload_rate:10.0 ~seed:122 () in
   Desim.Sim.run_until sim ~time:100.0;
   (* 10k fires, ~1k payload: overhead ~ 0.9 *)
   close ~tol:0.03 "overhead" 0.9 (Padding.Gateway.overhead gw);
   Netsim.Traffic_gen.stop src;
   Alcotest.(check int) "fires = payload + dummy"
-    (Padding.Gateway.fires gw)
+    (Obs.Metrics.Snapshot.counter_value (Obs.Metrics.snapshot ())
+       "padding.gateway.fires")
     (Padding.Gateway.payload_sent gw + Padding.Gateway.dummy_sent gw)
 
 let test_gateway_piat_near_period_without_jitter () =
@@ -395,14 +398,50 @@ let test_adaptive_delivers_payload () =
   Alcotest.(check bool) "almost all delivered" true
     (!delivered >= offered - 5 && !delivered <= offered)
 
-let test_adaptive_invalid () =
-  let sim = Desim.Sim.create () in
-  let rng = Prng.Rng.create ~seed:133 in
-  Alcotest.check_raises "band" (Invalid_argument "Adaptive.create: bad period band")
-    (fun () ->
-      ignore
-        (Padding.Adaptive.create sim ~rng ~min_period:0.05 ~max_period:0.01
-           ~jitter:Padding.Jitter.none ~dest:(fun _ -> ()) ()))
+(* Adaptive is a period policy on [Gateway], so a payload NIC interrupt
+   just before a fire blocks that fire's emission exactly as it does on
+   a CIT gateway: with sigma = 0 and no payload extra, the 3 us context
+   switch plus the blocking draw, the same instant bit for bit. *)
+let test_adaptive_irq_blocking () =
+  let jitter =
+    Padding.Jitter.mechanistic ~context_switch_sigma:0.0 ~payload_extra_mu:0.0
+      ~payload_extra_sigma:0.0 ()
+  in
+  let fire = Padding.Adaptive.max_period in
+  let emission create input =
+    let sim = Desim.Sim.create () in
+    let sent = ref [] in
+    let gw = create sim ~dest:(fun _ -> sent := Desim.Sim.now sim :: !sent) in
+    let arrival = fire -. 10e-6 in
+    ignore
+      (Desim.Sim.at sim ~time:arrival (fun () ->
+           input gw
+             (Netsim.Packet.make ~kind:Netsim.Packet.Payload ~size_bytes:500
+                ~created:arrival)));
+    Desim.Sim.run_until sim ~time:(fire +. 0.001);
+    match !sent with
+    | [ t ] -> t
+    | l -> Alcotest.failf "expected one emission, got %d" (List.length l)
+  in
+  let adaptive =
+    emission
+      (fun sim ~dest ->
+        Padding.Adaptive.create sim ~rng:(Prng.Rng.create ~seed:134) ~jitter
+          ~dest ())
+      Padding.Adaptive.input
+  in
+  let cit =
+    emission
+      (fun sim ~dest ->
+        Padding.Gateway.create sim ~rng:(Prng.Rng.create ~seed:134)
+          ~timer:(Padding.Timer.Constant fire) ~jitter ~dest ())
+      Padding.Gateway.input
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "emission at %.9f s, after fire + 3 us" adaptive)
+    true
+    (adaptive > fire +. 3e-6);
+  Alcotest.(check (float 0.0)) "same instant as the CIT gateway" cit adaptive
 
 let suite =
   [
@@ -434,5 +473,6 @@ let suite =
     Alcotest.test_case "receiver rejects cross" `Quick test_receiver_rejects_cross;
     Alcotest.test_case "adaptive saves bandwidth" `Quick test_adaptive_saves_bandwidth_at_low_rate;
     Alcotest.test_case "adaptive delivers payload" `Quick test_adaptive_delivers_payload;
-    Alcotest.test_case "adaptive invalid band" `Quick test_adaptive_invalid;
+    Alcotest.test_case "adaptive: NIC interrupt blocks the fire" `Quick
+      test_adaptive_irq_blocking;
   ]

@@ -293,6 +293,58 @@ let test_cli_starvation_exit () =
             "strict: no raw backtrace" false
             (contains report "Raised at" || contains report "Fatal error"))
 
+(* The adaptive scheme is a period policy on the one sender gateway, so
+   its runs account and trace like every other gateway run. *)
+let adaptive_run () =
+  ignore
+    (Scenarios.System.run_adaptive ~fresh_arena:true
+       Scenarios.System.default_config ~piats:300
+      : Scenarios.System.result);
+  Obs.Metrics.snapshot ()
+
+let test_adaptive_trace_per_fire () =
+  let path = Filename.temp_file "ta_trace_adaptive" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      fresh_state ();
+      Obs.Trace.enable ~path;
+      let snap =
+        Fun.protect
+          ~finally:(fun () -> Obs.Trace.disable ())
+          (fun () ->
+            let snap = adaptive_run () in
+            Obs.Trace.flush ();
+            snap)
+      in
+      let fires =
+        Obs.Metrics.Snapshot.counter_value snap "padding.gateway.fires"
+      in
+      let evs =
+        String.split_on_char '\n' (read_file path)
+        |> List.filter (fun l -> l <> "")
+        |> List.map (fun l -> Obs.Json.member "ev" (parse_line l))
+      in
+      let count ev =
+        List.length (List.filter (( = ) (Some (Obs.Json.Str ev))) evs)
+      in
+      let observed = count "tap.observe" in
+      Alcotest.(check bool) "the tap saw the run" true (observed > 0);
+      Alcotest.(check bool) "a packet.sent for every packet the tap saw" true
+        (count "packet.sent" >= observed);
+      Alcotest.(check int) "one timer.fire per fire" fires (count "timer.fire");
+      Alcotest.(check int) "one packet.sent per fire" fires
+        (count "packet.sent"))
+
+let test_adaptive_gateway_metrics () =
+  fresh_state ();
+  let snap = adaptive_run () in
+  let c = Obs.Metrics.Snapshot.counter_value snap in
+  let fires = c "padding.gateway.fires" in
+  Alcotest.(check bool) "fires reach padding.gateway.fires" true (fires > 0);
+  Alcotest.(check int) "fires = payload_sent + dummy_sent" fires
+    (c "padding.gateway.payload_sent" + c "padding.gateway.dummy_sent")
+
 let suite =
   [
     Alcotest.test_case "fig4b trace: schema + jobs byte-identity" `Quick
@@ -305,4 +357,8 @@ let suite =
       test_tap_starved_exception;
     Alcotest.test_case "ta_lab starvation: exit 4 contained, 3 strict" `Quick
       test_cli_starvation_exit;
+    Alcotest.test_case "adaptive trace: timer.fire and packet.sent per fire"
+      `Quick test_adaptive_trace_per_fire;
+    Alcotest.test_case "adaptive fires count in padding.gateway.*" `Quick
+      test_adaptive_gateway_metrics;
   ]
