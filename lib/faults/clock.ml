@@ -32,7 +32,11 @@ let intervals ?sim spec ~law ~rng =
   validate spec;
   Padding.Timer.validate law;
   let pending_catchup = ref 0 in
-  let draw () = Padding.Timer.draw law rng *. (1.0 +. spec.drift) in
+  let timer = Padding.Timer.sampler law and slot = Float.Array.make 1 0.0 in
+  let draw () =
+    Padding.Timer.draw_into timer rng slot 0;
+    Float.Array.get slot 0 *. (1.0 +. spec.drift)
+  in
   fun () ->
     if !pending_catchup > 0 then begin
       decr pending_catchup;

@@ -15,6 +15,13 @@ let push t x =
   t.data.(t.len) <- x;
   t.len <- t.len + 1
 
+let append t src =
+  while Array.length t.data < t.len + src.len do
+    grow t
+  done;
+  Array.blit src.data 0 t.data t.len src.len;
+  t.len <- t.len + src.len
+
 let get t i =
   if i < 0 || i >= t.len then invalid_arg "Fvec.get: index out of range";
   t.data.(i)

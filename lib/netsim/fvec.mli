@@ -17,6 +17,10 @@ val grow : t -> unit
 (** Double the capacity, keeping the elements: the slow path of an
     in-place append. *)
 
+val append : t -> t -> unit
+(** [append t src] pushes every element of [src] onto [t], in order, in
+    one copy. *)
+
 val get : t -> int -> float
 (** Raises on out-of-range index. *)
 

@@ -63,7 +63,16 @@ let load ~path =
       ( { label = !label; created_unix = !created },
         Array.of_list (List.rev !values) ))
 
-let piats timestamps =
-  let n = Array.length timestamps in
-  if n < 2 then [||]
-  else Array.init (n - 1) (fun i -> timestamps.(i + 1) -. timestamps.(i))
+(* A loop into a float array, not [Array.init]: its closure would box
+   every difference. *)
+let piats ?(limit = max_int) timestamps =
+  let n = Int.min limit (Array.length timestamps - 1) in
+  if n <= 0 then [||]
+  else begin
+    let piats = Array.create_float n in
+    for i = 0 to n - 1 do
+      Array.unsafe_set piats i
+        (Array.unsafe_get timestamps (i + 1) -. Array.unsafe_get timestamps i)
+    done;
+    piats
+  end

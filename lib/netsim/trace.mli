@@ -25,6 +25,7 @@ val load : path:string -> meta * float array
     float, a non-finite timestamp or [created_unix], or a timestamp below
     its predecessor (equal ones are legal).  Raises [Sys_error] on I/O. *)
 
-val piats : float array -> float array
+val piats : ?limit:int -> float array -> float array
 (** Packet inter-arrival times: consecutive differences of a timestamp
-    series such as {!Tap.timestamps}. *)
+    series such as {!Tap.timestamps}, the first [limit] of them (default
+    all).  One array, no other allocation. *)

@@ -169,6 +169,12 @@ let observe h v =
   let i = Buckets.index_of v in
   a.(i) <- a.(i) + 1
 
+let observe_n h v n =
+  if n < 0 then invalid_arg "Obs.Metrics.observe_n: negative count";
+  let a = Domain.DLS.get h.h_shards.key in
+  let i = Buckets.index_of v in
+  a.(i) <- a.(i) + n
+
 module Snapshot = struct
   type hist = {
     count : int;

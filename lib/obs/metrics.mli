@@ -45,6 +45,11 @@ val observe : histogram -> float -> unit
 (** Record a value into its log-linear bucket.  NaN and values [<= 0] land
     in the dedicated underflow bucket (bucket 0). *)
 
+val observe_n : histogram -> float -> int -> unit
+(** [observe_n h v n] records [v] [n] times in one step: the batch form
+    of {!observe}, for callers that count observations per value.
+    Raises [Invalid_argument] if [n < 0]. *)
+
 (** Bucket geometry of the log-linear histograms, exposed for property
     tests: [sub] linear sub-buckets per power of two across a fixed
     exponent range, plus one underflow and one overflow bucket. *)

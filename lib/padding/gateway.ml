@@ -38,7 +38,7 @@ type t = {
      the sender may branch on their identity, so one cached packet serves
      every dummy fire. *)
   mutable dummy : Netsim.Packet.t option;
-  mutable last_emit : float;
+  emit_clock : floatarray; (* the last emission instant: [Kernel.emit_time] *)
   mutable payload_sent : int;
   mutable dummy_sent : int;
   mutable payload_dropped : int;
@@ -79,11 +79,9 @@ let on_fire t () =
   done;
   let arrivals_in_window = Netsim.Fring.length t.recent_arrivals in
   let sends_payload = not (Netsim.Ring.is_empty t.queue) in
-  let emit_time =
-    Kernel.emit_time t.jitter t.rng ~now ~last_emit:t.last_emit
-      ~sends_payload ~arrivals_in_window
-  in
-  t.last_emit <- emit_time;
+  Kernel.emit_time t.jitter t.rng ~now ~sends_payload ~arrivals_in_window
+    t.emit_clock 0;
+  let emit_time = Float.Array.get t.emit_clock 0 in
   let pkt =
     if sends_payload then begin
       t.payload_sent <- t.payload_sent + 1;
@@ -140,7 +138,7 @@ let create sim ~rng ~timer ~jitter ?(packet_size = 500) ?queue_limit ?interval
       pending = bufs.Buffers.pending;
       emit_ev = None;
       dummy = None;
-      last_emit = Desim.Sim.now sim;
+      emit_clock = Float.Array.make 1 (Desim.Sim.now sim);
       payload_sent = 0;
       dummy_sent = 0;
       payload_dropped = 0;
@@ -150,7 +148,11 @@ let create sim ~rng ~timer ~jitter ?(packet_size = 500) ?queue_limit ?interval
   let interval =
     match interval with
     | Some f -> f
-    | None -> fun () -> Timer.draw timer rng
+    | None ->
+        let timer = Timer.sampler timer and slot = Float.Array.make 1 0.0 in
+        fun () ->
+          Timer.draw_into timer rng slot 0;
+          Float.Array.get slot 0
   in
   let handle = Desim.Sim.every sim ~interval (on_fire t) in
   t.timer_handle <- Some handle;
@@ -194,6 +196,7 @@ let note_batch k =
   Obs.Metrics.add m_payload_sent (Kernel.payload_sent k);
   Obs.Metrics.add m_dummy_sent (Kernel.dummy_sent k);
   let occ = Kernel.occupancy k in
-  for i = 0 to Netsim.Fvec.length occ - 1 do
-    Obs.Metrics.observe h_occupancy (Netsim.Fvec.unsafe_get occ i)
+  for q = 0 to Array.length occ - 1 do
+    if occ.(q) > 0 then
+      Obs.Metrics.observe_n h_occupancy (float_of_int q) occ.(q)
   done

@@ -25,17 +25,28 @@
 
 type t
 
-val latency_at :
-  t -> Prng.Rng.t -> sends_payload:bool -> arrivals_in_window:int -> float
-(** Random send latency (>= 0) for one timer fire: [sends_payload] when
-    it transmits payload, [arrivals_in_window] payload arrivals within
-    {!irq_window} before it. *)
+val latency_into :
+  t ->
+  Prng.Rng.t ->
+  sends_payload:bool ->
+  arrivals_in_window:int ->
+  floatarray ->
+  int ->
+  unit
+(** [latency_into t rng ~sends_payload ~arrivals_in_window dst i] writes
+    the random send latency (>= 0) of one timer fire into [dst.(i)]:
+    [sends_payload] when it transmits payload, [arrivals_in_window]
+    payload arrivals within {!irq_window} before it.  Allocates nothing;
+    the one jitter draw, made through [Kernel.emit_time]. *)
 
 val none : t
 (** Zero latency — an ideal gateway (perfect secrecy baseline). *)
 
 val parametric : mu:float -> sigma:float -> t
-(** Normal latency clipped at 0; [mu >= 0], [sigma >= 0]. *)
+(** Normal latency clipped at 0; [mu >= 0], [sigma >= 0], both finite.
+    Raises [Invalid_argument] otherwise, a NaN parameter included
+    (["Jitter.parametric: mu < 0"], ["... sigma < 0"],
+    ["... mu not finite"], ["... sigma not finite"]). *)
 
 val mechanistic :
   ?context_switch_mu:float ->
@@ -48,7 +59,13 @@ val mechanistic :
 (** Defaults are the repository's calibration (seconds): context switch
     3e-6 ± 1.0e-6, payload path extra 4e-6 ± 1.2e-6, IRQ blocking mean
     2e-6 per arrival in window.  See {!Calibration} notes in
-    [lib/scenarios] for how these map to the paper's Fig. 4(a) spread. *)
+    [lib/scenarios] for how these map to the paper's Fig. 4(a) spread.
+    Every parameter must be finite and [>= 0]; [irq_delay_mean = 0]
+    turns the blocking term off.  Raises [Invalid_argument]
+    (["Jitter.mechanistic: negative parameter"] for a negative or NaN
+    one, ["Jitter.mechanistic: <name> not finite"] for an infinite
+    one).  The blocking rate [1 / irq_delay_mean] is computed here,
+    once. *)
 
 val irq_window : float
 (** Width of the pre-fire window in which a payload arrival's NIC interrupt

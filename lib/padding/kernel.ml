@@ -22,12 +22,14 @@
    order against an arrival is unobservable (disjoint state, no trace
    record on either side).
 
-   No allocation per event on the kernel's own path: every float of the
-   loop lives in a floatarray or a float array read and written in place,
-   and [on_fire] and [emit_time] are inlined.  What remains is boxing
-   inside the timer and jitter draws, which live in other modules: a
-   float passed to or returned from another module's function is boxed,
-   since the modules are compiled [-opaque]. *)
+   No allocation per event: every float of the loop lives in a
+   floatarray or a float array read and written in place, [on_fire] and
+   [emit_time] are inlined, and the timer and jitter draws, which live
+   in other modules, write into a register slot instead of returning a
+   float.  A float passed to or returned from another module's function
+   is boxed, since the modules are compiled [-opaque]; the draws pass
+   only parameters stored in their law, never one computed per fire.
+   Queue-occupancy observations are integer counts per queue length. *)
 
 exception Tie
 
@@ -49,13 +51,15 @@ type t = {
   mutable pend : floatarray;
   mutable pend_head : int;
   mutable pend_tail : int;
-  occ : Netsim.Fvec.t; (* queue-occupancy histogram observations *)
+  (* Fires that found q payload packets queued, at index q; grown on
+     demand.  The histogram flush does not depend on their order. *)
+  mutable occ : int array;
   out_t : Netsim.Fvec.t; (* this chunk's emissions *)
   out_tag : Netsim.Fvec.t;
   trace : Netsim.Tracebuf.t;
   mutable rng_payload : Prng.Rng.t;
   mutable rng_gateway : Prng.Rng.t;
-  mutable timer : Timer.law;
+  mutable timer : Timer.sampler;
   mutable jitter : Jitter.t;
   mutable packet_size : int;
   mutable payload_rate : float;
@@ -82,13 +86,13 @@ let create () =
     pend = Float.Array.create 128;
     pend_head = 0;
     pend_tail = 0;
-    occ = Netsim.Fvec.create ~capacity:1024 ();
+    occ = Array.make 64 0;
     out_t = Netsim.Fvec.create ~capacity:1024 ();
     out_tag = Netsim.Fvec.create ~capacity:1024 ();
     trace = Netsim.Tracebuf.create ();
     rng_payload = dummy_rng;
     rng_gateway = dummy_rng;
-    timer = Timer.Constant 0.010;
+    timer = Timer.sampler (Timer.Constant 0.010);
     jitter = Jitter.none;
     packet_size = 500;
     payload_rate = 1.0;
@@ -127,13 +131,13 @@ let configure t ~rng_payload ~rng_gateway ~timer ~jitter ~packet_size
   t.tail <- 0;
   t.pend_head <- 0;
   t.pend_tail <- 0;
-  Netsim.Fvec.clear t.occ;
+  Array.fill t.occ 0 (Array.length t.occ) 0;
   Netsim.Fvec.clear t.out_t;
   Netsim.Fvec.clear t.out_tag;
   Netsim.Tracebuf.clear t.trace;
   t.rng_payload <- rng_payload;
   t.rng_gateway <- rng_gateway;
-  t.timer <- timer;
+  t.timer <- Timer.sampler timer;
   t.jitter <- jitter;
   t.packet_size <- packet_size;
   t.payload_rate <- payload_rate;
@@ -148,7 +152,8 @@ let configure t ~rng_payload ~rng_gateway ~timer ~jitter ~packet_size
   refill t;
   Float.Array.set t.regs 0 0.0;
   arrival_next t;
-  Float.Array.set t.regs 1 (0.0 +. Timer.draw timer rng_gateway);
+  Timer.draw_into t.timer rng_gateway t.regs 1;
+  Float.Array.set t.regs 1 (0.0 +. Float.Array.get t.regs 1);
   Float.Array.set t.regs 2 0.0 (* last_emit <- Sim.now at create *)
 
 (* [Netsim.Fvec.push], in place. *)
@@ -178,32 +183,40 @@ let[@inline] push_pending t ~emit_time ~tag =
   let pend = t.pend_tail - t.pend_head in
   if pend > t.max_pend then t.max_pend <- pend
 
-(* The interrupt routine runs [latency] after the fire.  Emissions never
-   reorder because the timer period is orders of magnitude above the
-   latency, but the clamp keeps emission times strictly increasing so a
-   pathological parameterization cannot produce negative PIATs. *)
-let[@inline] emit_time jitter rng ~now ~last_emit ~sends_payload
-    ~arrivals_in_window =
-  let latency =
-    Jitter.latency_at jitter rng ~sends_payload ~arrivals_in_window
-  in
-  Float.max (now +. latency) (last_emit +. 1e-12)
+(* The interrupt routine runs a jitter latency after the fire.
+   Emissions never reorder because the timer period is orders of
+   magnitude above the latency, but the clamp keeps emission times
+   strictly increasing so a pathological parameterization cannot produce
+   negative PIATs.  [clock.(i)] holds the last emission instant; the
+   latency is drawn into it, then replaced by this fire's instant. *)
+let[@inline] emit_time jitter rng ~now ~sends_payload ~arrivals_in_window
+    clock i =
+  let earliest = Float.Array.get clock i +. 1e-12 in
+  Jitter.latency_into jitter rng ~sends_payload ~arrivals_in_window clock i;
+  Float.Array.set clock i (Float.max (now +. Float.Array.get clock i) earliest)
+
+(* One more fire that found [q] payload packets queued. *)
+let[@inline] count_occupancy t q =
+  if q >= Array.length t.occ then begin
+    let occ = Array.make (2 * q) 0 in
+    Array.blit t.occ 0 occ 0 (Array.length t.occ);
+    t.occ <- occ
+  end;
+  Array.unsafe_set t.occ q (Array.unsafe_get t.occ q + 1)
 
 (* [Gateway.on_fire] at fire time [now]. *)
 let[@inline] on_fire t ~now =
   t.fires <- t.fires + 1;
-  append t.occ (float_of_int (t.tail - t.queue));
+  count_occupancy t (t.tail - t.queue);
   let window_start = now -. Jitter.irq_window in
   while t.window < t.tail && arrival_at t t.window < window_start do
     t.window <- t.window + 1
   done;
   let arrivals_in_window = t.tail - t.window in
   let sends_payload = t.queue < t.tail in
-  let emit_time =
-    emit_time t.jitter t.rng_gateway ~now ~last_emit:(Float.Array.get t.regs 2)
-      ~sends_payload ~arrivals_in_window
-  in
-  Float.Array.set t.regs 2 emit_time;
+  emit_time t.jitter t.rng_gateway ~now ~sends_payload ~arrivals_in_window
+    t.regs 2;
+  let emit_time = Float.Array.get t.regs 2 in
   let tag =
     if sends_payload then begin
       t.payload_sent <- t.payload_sent + 1;
@@ -227,7 +240,8 @@ let[@inline] on_fire t ~now =
   end;
   push_pending t ~emit_time ~tag;
   (* Sim.every: the fire body runs before the next interval is drawn. *)
-  Float.Array.set t.regs 1 (now +. Timer.draw t.timer t.rng_gateway)
+  Timer.draw_into t.timer t.rng_gateway t.regs 1;
+  Float.Array.set t.regs 1 (now +. Float.Array.get t.regs 1)
 
 let advance t ~until =
   t.events <- 0;

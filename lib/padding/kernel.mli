@@ -6,12 +6,12 @@
     the same RNG draws in the same order.  It owns {!emit_time}, which
     {!Gateway} calls too (for every scheme it runs, {!Adaptive}
     included).  Scratch state is reusable
-    across runs (arena-backed via [Scenarios.Arena]).  The loop's own work
-    (arrivals, fires, emissions, occupancy observations) allocates
-    nothing once its buffers have grown; the timer and jitter draws,
-    which live in other modules, return boxed floats, so a fire costs
-    up to the per-fire ceiling that [test/test_kernel.ml] asserts
-    (0 words for CIT without jitter).
+    across runs (arena-backed via [Scenarios.Arena]).  Once its buffers
+    have grown, the loop allocates nothing: arrivals, fires, emissions,
+    occupancy counts, and the timer and jitter draws, which
+    {!Timer.draw_into} and {!Jitter.latency_into} write into a register
+    slot.  [test/test_kernel.ml] holds it at 0 words per fire for every
+    timer law under every jitter model.
 
     Stream encoding shared with [Netsim.Linkstage]: an emission is a
     (time, tag) float pair where a payload's tag is its creation time
@@ -49,12 +49,16 @@ val emit_time :
   Jitter.t ->
   Prng.Rng.t ->
   now:float ->
-  last_emit:float ->
   sends_payload:bool ->
   arrivals_in_window:int ->
-  float
-(** Emission instant of a timer fire at [now]: [now] plus one
-    {!Jitter.latency_at} draw, clamped to at least [last_emit + 1e-12]. *)
+  floatarray ->
+  int ->
+  unit
+(** [emit_time jitter rng ~now ~sends_payload ~arrivals_in_window clock i]
+    advances a gateway's emission clock [clock.(i)] from its last
+    emission instant to this fire's: [now] plus one
+    {!Jitter.latency_into} draw, clamped to at least the last instant
+    [+ 1e-12].  Allocates nothing. *)
 
 val advance : t -> until:float -> unit
 (** Process every arrival, fire and emission event with timestamp <=
@@ -71,9 +75,11 @@ val out_tags : t -> Netsim.Fvec.t
 val trace : t -> Netsim.Tracebuf.t
 (** Whole-run deferred [timer.fire] / [packet.sent] trace records. *)
 
-val occupancy : t -> Netsim.Fvec.t
-(** Whole-run queue-occupancy observations (one per fire, pre-pop), for
-    the [padding.gateway.queue_occupancy] histogram flush. *)
+val occupancy : t -> int array
+(** Whole-run queue occupancy: at index [q], the number of fires that
+    found [q] payload packets queued (pre-pop); 0 past the longest
+    queue.  For the [padding.gateway.queue_occupancy] histogram flush.
+    Valid until the next {!configure}. *)
 
 val chunk_events : t -> int
 (** Events the event loop would have dispatched for the last {!advance}

@@ -35,12 +35,28 @@ let validate law =
   if not (Float.is_finite (mean law) && Float.is_finite (sigma law)) then
     invalid_arg "Timer: parameter not finite"
 
-let draw law rng =
-  match law with
-  | Constant tau -> tau
+(* The law with its derived parameters computed once: the bounds of a
+   uniform, the rate of an exponential.  A float computed at each draw
+   and passed to a [Sampler] function is boxed (modules are compiled
+   [-opaque]); one stored here is passed as it is. *)
+type sampler =
+  | Fixed of float
+  | Truncated of { mu : float; sigma : float }
+  | Between of { lo : float; hi : float }
+  | Rate of float
+
+let sampler = function
+  | Constant tau -> Fixed tau
   | Normal { mean; sigma } ->
-      if sigma = 0.0 then mean
-      else Prng.Sampler.truncated_normal_pos rng ~mu:mean ~sigma
+      if sigma = 0.0 then Fixed mean else Truncated { mu = mean; sigma }
   | Uniform { mean; half_width } ->
-      Prng.Sampler.uniform rng ~lo:(mean -. half_width) ~hi:(mean +. half_width)
-  | Exponential { mean } -> Prng.Sampler.exponential rng ~rate:(1.0 /. mean)
+      Between { lo = mean -. half_width; hi = mean +. half_width }
+  | Exponential { mean } -> Rate (1.0 /. mean)
+
+let draw_into s rng dst i =
+  match s with
+  | Fixed tau -> Float.Array.set dst i tau
+  | Truncated { mu; sigma } ->
+      Prng.Sampler.truncated_normal_pos_into rng ~mu ~sigma dst i
+  | Between { lo; hi } -> Prng.Sampler.uniform_into rng ~lo ~hi dst i
+  | Rate rate -> Prng.Sampler.exponential_into rng ~rate dst i

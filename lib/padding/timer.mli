@@ -26,5 +26,17 @@ val sigma : law -> float
 (** Standard deviation of the interval (ignoring the negligible truncation
     of the normal law in the regimes used here, σ << mean). *)
 
-val draw : law -> Prng.Rng.t -> float
-(** Sample the next interval; always > 0. *)
+type sampler
+(** A law ready to draw from: its derived parameters (a uniform law's
+    bounds, an exponential law's rate) are computed once, so
+    {!draw_into} boxes no float. *)
+
+val sampler : law -> sampler
+(** The law's sampler.  Call it once per timer train, not per draw. *)
+
+val draw_into : sampler -> Prng.Rng.t -> floatarray -> int -> unit
+(** [draw_into s rng dst i] writes the next interval into [dst.(i)];
+    always > 0 for a valid law.  Allocates nothing.  The one timer draw:
+    the fused kernel writes into its registers, [Gateway]'s default
+    interval hook and [Faults.Clock] into a slot of their own.  A
+    normal law with [sigma = 0] and a constant law draw nothing. *)

@@ -62,7 +62,8 @@ let split t =
   let state = ref (next t) in
   of_sm64 state
 
-(* The 53 high bits of one step, exact in an OCaml int (and in a float). *)
+(* The 53 high bits of one step, exact in an OCaml int (and in a float).
+   An int is never boxed, so [Sampler] builds its variates on it. *)
 let[@inline] bits53 t = Int64.to_int (Int64.shift_right_logical (next t) 11)
 
 let[@inline] float t = float_of_int (bits53 t) *. 0x1.0p-53
@@ -87,21 +88,19 @@ let float_range t ~lo ~hi =
   if not (lo <= hi) then invalid_arg "Rng.float_range: requires lo <= hi";
   lo +. ((hi -. lo) *. float t)
 
-(* Rejection sampling on the top bits to avoid modulo bias.  Top-level
-   (rather than an inner [let rec] closing over the locals) so the
-   per-arrival hot path pays no closure allocation — [Rng.int] sits in
-   the A001 closure of [Mux.handle_arrival]. *)
-let rec reject_draw t ~limit ~bound64 =
-  let v = Int64.shift_right_logical (next t) 1 in
-  if v >= limit then reject_draw t ~limit ~bound64
-  else Int64.to_int (Int64.rem v bound64)
-
+(* Rejection sampling on the top bits to avoid modulo bias.  The int64
+   bound and limit stay locals of one loop: passed to a function, each
+   would be boxed on every draw of [Mux.handle_arrival]'s A001 path. *)
 let int t ~bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   let bound64 = Int64.of_int bound in
   let max64 = Int64.max_int in
   let limit = Int64.sub max64 (Int64.rem max64 bound64) in
-  reject_draw t ~limit ~bound64
+  let v = ref (Int64.shift_right_logical (next t) 1) in
+  while !v >= limit do
+    v := Int64.shift_right_logical (next t) 1
+  done;
+  Int64.to_int (Int64.rem !v bound64)
 
 let mix_seed root index =
   (* Two SplitMix64 steps with the index folded in between: a pure,

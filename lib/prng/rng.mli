@@ -27,6 +27,11 @@ val split : t -> t
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)
 
+val bits53 : t -> int
+(** The 53 high bits of the next raw output, in [0, 2{^53}).  {!float}
+    is [float_of_int (bits53 t) *. 0x1.0p-53]; as an int the draw is
+    never boxed, so {!Sampler} builds its variates on it. *)
+
 val float : t -> float
 (** Uniform float in [0, 1) with 53-bit resolution. *)
 
@@ -45,7 +50,8 @@ val float_range : t -> lo:float -> hi:float -> float
     which also rejects a NaN bound. *)
 
 val int : t -> bound:int -> int
-(** Uniform integer in [0, bound). Requires [bound > 0]. Unbiased. *)
+(** Uniform integer in [0, bound). Requires [bound > 0]. Unbiased, by
+    rejection on the top 63 bits; allocates nothing. *)
 
 val mix_seed : int -> int -> int
 (** [mix_seed root index] derives a per-task seed from a root seed and a

@@ -1,41 +1,92 @@
-let uniform rng ~lo ~hi = Rng.float_range rng ~lo ~hi
+(* The cores below draw through [Rng.bits53], an int, and are
+   [@inline]: an [Rng] function returning a float boxes it (modules are
+   compiled [-opaque], so no call across modules is inlined).  A scalar
+   sampler boxes only its result, an [_into] form nothing.  [u01],
+   [u01_pos] and [range] are [Rng.float], [Rng.float_pos] and
+   [Rng.float_range] with the same float operations in the same order,
+   so every variate is bit-identical to one drawn through those. *)
+
+let[@inline] u01 rng = float_of_int (Rng.bits53 rng) *. 0x1.0p-53
+
+let[@inline] u01_pos rng =
+  let b = ref (Rng.bits53 rng) in
+  while !b = 0 do
+    b := Rng.bits53 rng
+  done;
+  float_of_int !b *. 0x1.0p-53
+
+let[@inline] range rng ~lo ~hi = lo +. ((hi -. lo) *. u01 rng)
+
+(* [not (lo <= hi)] rather than [lo > hi]: NaN must not slip through.
+   The message is [Rng.float_range]'s, whose draw this is. *)
+let uniform_into rng ~lo ~hi dst i =
+  if not (lo <= hi) then invalid_arg "Rng.float_range: requires lo <= hi";
+  Float.Array.set dst i (range rng ~lo ~hi)
 
 (* Marsaglia polar method.  We deliberately do not cache the second variate:
    the cache would make output order depend on call history, which breaks
    reproducibility when generators are split mid-stream. *)
-let rec standard_normal rng =
-  let u = Rng.float_range rng ~lo:(-1.0) ~hi:1.0 in
-  let v = Rng.float_range rng ~lo:(-1.0) ~hi:1.0 in
-  let s = (u *. u) +. (v *. v) in
-  if s >= 1.0 || s = 0.0 then standard_normal rng
-  else u *. sqrt (-2.0 *. log s /. s)
+let[@inline] standard_normal rng =
+  let u = ref 0.0 and s = ref 0.0 in
+  while
+    u := range rng ~lo:(-1.0) ~hi:1.0;
+    let v = range rng ~lo:(-1.0) ~hi:1.0 in
+    s := (!u *. !u) +. (v *. v);
+    !s >= 1.0 || !s = 0.0
+  do
+    ()
+  done;
+  !u *. sqrt (-2.0 *. log !s /. !s)
+
+(* [not (sigma >= 0)] rather than [sigma < 0]: NaN must not slip through. *)
+let[@inline] check_normal ~mu ~sigma =
+  if not (sigma >= 0.0) then invalid_arg "Sampler.normal: sigma < 0";
+  if Float.is_nan mu then invalid_arg "Sampler.normal: mu is NaN"
+
+(* For [sigma <> 0]; at [sigma = 0] every normal sampler returns [mu]
+   and draws nothing.  The [_into] forms store in each branch: an [if]
+   joining [mu], a boxed argument, with a computed float would box the
+   computed one. *)
+let[@inline] normal_core rng ~mu ~sigma = mu +. (sigma *. standard_normal rng)
 
 let normal rng ~mu ~sigma =
-  (* [not (sigma >= 0)] rather than [sigma < 0]: NaN must not slip through. *)
-  if not (sigma >= 0.0) then invalid_arg "Sampler.normal: sigma < 0";
-  if Float.is_nan mu then invalid_arg "Sampler.normal: mu is NaN";
-  if sigma = 0.0 then mu else mu +. (sigma *. standard_normal rng)
+  check_normal ~mu ~sigma;
+  if sigma = 0.0 then mu else normal_core rng ~mu ~sigma
 
-(* For mu/sigma >= ~1e-2 plain rejection terminates fast; the fuse guards
-   against pathological parameterizations.  Top-level (not an inner [let
-   rec] closing over the locals) so the VIT timer draw stays on the
-   allocation-free A001 path of the fused scenario kernels. *)
-let rec truncated_draw rng ~mu ~sigma attempts =
-  if attempts > 10_000 then mu
-  else
-    let x = normal rng ~mu ~sigma in
-    if x > 0.0 then x else truncated_draw rng ~mu ~sigma (attempts + 1)
+let normal_into rng ~mu ~sigma dst i =
+  check_normal ~mu ~sigma;
+  if sigma = 0.0 then Float.Array.set dst i mu
+  else Float.Array.set dst i (normal_core rng ~mu ~sigma)
 
-let truncated_normal_pos rng ~mu ~sigma =
+(* Gaussian conditioned on being strictly positive, by rejection.  For
+   mu/sigma >= ~1e-2 plain rejection terminates fast; the fuse (10 001
+   draws, then [mu]) guards against pathological parameterizations. *)
+let[@inline] truncated_core rng ~mu ~sigma =
+  let x = ref (normal_core rng ~mu ~sigma) and retries = ref 0 in
+  while (not (!x > 0.0)) && !retries < 10_000 do
+    x := normal_core rng ~mu ~sigma;
+    incr retries
+  done;
+  if not (!x > 0.0) then x := mu;
+  !x
+
+let truncated_normal_pos_into rng ~mu ~sigma dst i =
   if not (mu > 0.0) then invalid_arg "Sampler.truncated_normal_pos: mu <= 0";
   if not (sigma >= 0.0) then
     invalid_arg "Sampler.truncated_normal_pos: sigma < 0";
-  if sigma = 0.0 then mu else truncated_draw rng ~mu ~sigma 0
+  if sigma = 0.0 then Float.Array.set dst i mu
+  else Float.Array.set dst i (truncated_core rng ~mu ~sigma)
 
+let[@inline] exponential_core rng ~rate = -.log (u01_pos rng) /. rate
+
+(* [not (rate > 0)] rather than [rate <= 0]: NaN must not slip through. *)
 let exponential rng ~rate =
-  (* [not (rate > 0)] rather than [rate <= 0]: NaN must not slip through. *)
   if not (rate > 0.0) then invalid_arg "Sampler.exponential: rate <= 0";
-  -.log (Rng.float_pos rng) /. rate
+  exponential_core rng ~rate
+
+let exponential_into rng ~rate dst i =
+  if not (rate > 0.0) then invalid_arg "Sampler.exponential: rate <= 0";
+  Float.Array.set dst i (exponential_core rng ~rate)
 
 let exponential_fill rng ~rate buf ~n =
   if not (rate > 0.0) then invalid_arg "Sampler.exponential_fill: rate <= 0";
@@ -45,8 +96,7 @@ let exponential_fill rng ~rate buf ~n =
     invalid_arg "Sampler.exponential_fill: n out of [1, length buf]";
   (* The uniforms first, then [exponential]'s expression in place, minus
      the per-draw validation: the filled buffer is bit-identical to n
-     scalar calls on the same rng, and no draw crosses a module boundary
-     as a boxed float. *)
+     scalar calls on the same rng. *)
   Rng.float_pos_fill rng buf ~n;
   for i = 0 to n - 1 do
     Float.Array.unsafe_set buf i (-.log (Float.Array.unsafe_get buf i) /. rate)

@@ -116,7 +116,12 @@ let run_faulty cfg ~piats =
   let rng_failure = Prng.Rng.split root in
   let rng_flap = Prng.Rng.split root in
   let receiver = Padding.Receiver.create sim () in
-  let tap = Netsim.Tap.create sim ~dest:(Padding.Receiver.port receiver) () in
+  let tap_times = Netsim.Fvec.create ~capacity:1024 () in
+  let tap =
+    Netsim.Tap.create sim
+      ~buffers:(tap_times, Netsim.Fvec.create ~capacity:1024 ())
+      ~dest:(Padding.Receiver.port receiver) ()
+  in
   let outage = Faults.Outage.create sim ~dest:(Netsim.Tap.port tap) () in
   let lossy =
     Faults.Lossy.create sim ~rng:rng_wire ~loss:p.loss ~dup_prob:p.dup_prob
@@ -155,8 +160,7 @@ let run_faulty cfg ~piats =
   Faults.Outage.stop_flapping outage;
   Desim.Sim.publish_metrics sim;
   let _, piats =
-    System.after_warmup ~warmup_piats:cfg.warmup_piats ~limit:piats
-      (Netsim.Tap.timestamps tap)
+    System.after_warmup ~warmup_piats:cfg.warmup_piats ~limit:piats tap_times
   in
   {
     piats;

@@ -62,7 +62,7 @@ let eligible_hops hops =
     hops
 
 type outcome = {
-  timestamps : float array;
+  tap_times : Netsim.Fvec.t;
   overhead : float;
   payload_offered : int;
   payload_delivered : int;
@@ -101,42 +101,28 @@ let try_run ~fresh_arena ~scenario ~rng_payload ~rng_gateway ~rng_cross ~timer
     in_t := Netsim.Linkstage.out_times stages.(i);
     in_tag := Netsim.Linkstage.out_tags stages.(i)
   done;
-  (* Inline tap and receiver state. *)
-  Netsim.Fvec.clear arena.Arena.tap_times;
-  Netsim.Fvec.clear arena.Arena.tap_sizes;
+  (* Inline tap and receiver state.  The stage vectors are read in
+     place: [Fvec.unsafe_get] would box every float it returns. *)
+  let tap_times = arena.Arena.tap_times in
+  Netsim.Fvec.clear tap_times;
   Netsim.Tracebuf.clear arena.Arena.kernel_tap_trace;
-  let tap_payload = ref 0 and tap_dummy = ref 0 in
-  let payload_received = ref 0 in
-  let latency_acc = Stats.Descriptive.Acc.create () in
+  let tap_dummy = ref 0 in
+  let receiver = Padding.Receiver.create sim () in
   let size_f = float_of_int packet_size in
-  let absorb_tap times tags =
-    let len = Netsim.Fvec.length times in
-    for i = 0 to len - 1 do
-      let t = Netsim.Fvec.unsafe_get times i in
-      let tag = Netsim.Fvec.unsafe_get tags i in
-      let dummy = Float.is_nan tag in
-      if dummy then incr tap_dummy else incr tap_payload;
-      if Obs.Trace.enabled () then
-        Netsim.Tracebuf.push arena.Arena.kernel_tap_trace ~time:t
+  let absorb_tap (times : Netsim.Fvec.t) (tags : Netsim.Fvec.t) =
+    for i = 0 to tags.len - 1 do
+      if Float.is_nan (Array.unsafe_get tags.data i) then incr tap_dummy
+    done;
+    if Obs.Trace.enabled () then
+      for i = 0 to times.len - 1 do
+        Netsim.Tracebuf.push arena.Arena.kernel_tap_trace
+          ~time:times.data.(i)
           ~code:
-            (if dummy then Netsim.Tracebuf.observe_dummy
+            (if Float.is_nan tags.data.(i) then Netsim.Tracebuf.observe_dummy
              else Netsim.Tracebuf.observe_payload)
-          ~x:size_f;
-      Netsim.Fvec.push arena.Arena.tap_times t;
-      Netsim.Fvec.push arena.Arena.tap_sizes size_f
-    done
-  in
-  let absorb_receiver times tags =
-    let len = Netsim.Fvec.length times in
-    for i = 0 to len - 1 do
-      let t = Netsim.Fvec.unsafe_get times i in
-      let tag = Netsim.Fvec.unsafe_get tags i in
-      if not (Float.is_nan tag) then begin
-        incr payload_received;
-        (* Receiver.port: latency observed at the delivery event. *)
-        Stats.Descriptive.Acc.add latency_acc (t -. tag)
-      end
-    done
+          ~x:size_f
+      done;
+    Netsim.Fvec.append tap_times times
   in
   (* Event-queue-depth surrogate for the desim.queue_hwm gauge: the two
      periodic source records plus one per cross source, plus the pending
@@ -173,9 +159,9 @@ let try_run ~fresh_arena ~scenario ~rng_payload ~rng_gateway ~rng_cross ~timer
       for i = 0 to n - 1 do
         Netsim.Topology.note_utilization stages.(i) ~now
       done;
-    Netsim.Tap.note_batch
-      ~observed:(!tap_payload + !tap_dummy)
-      ~payload:!tap_payload ~dummy:!tap_dummy;
+    let observed = tap_times.Netsim.Fvec.len in
+    Netsim.Tap.note_batch ~observed ~payload:(observed - !tap_dummy)
+      ~dummy:!tap_dummy;
     if publish then Desim.Sim.publish_metrics sim
   in
   let advance until =
@@ -192,10 +178,10 @@ let try_run ~fresh_arena ~scenario ~rng_payload ~rng_gateway ~rng_cross ~timer
           (Netsim.Linkstage.out_tags stages.(i))
     done;
     (if n = 0 then
-       absorb_receiver (Padding.Kernel.out_times kgw)
+       Padding.Receiver.absorb receiver (Padding.Kernel.out_times kgw)
          (Padding.Kernel.out_tags kgw)
      else
-       absorb_receiver
+       Padding.Receiver.absorb receiver
          (Netsim.Linkstage.out_times stages.(n - 1))
          (Netsim.Linkstage.out_tags stages.(n - 1)));
     Desim.Sim.account_external sim ~events:!events
@@ -213,7 +199,7 @@ let try_run ~fresh_arena ~scenario ~rng_payload ~rng_gateway ~rng_cross ~timer
   try
     Starvation.drive ~scenario ~slack:1.1 ~min_chunk:0.1
       ~now:(fun () -> Desim.Sim.now sim)
-      ~count:(fun () -> Netsim.Fvec.length arena.Arena.tap_times)
+      ~count:(fun () -> Netsim.Fvec.length tap_times)
       ~advance
       ~on_starve:(fun () ->
         (* The event loop's starve path never reaches stop_cross, so no
@@ -225,11 +211,11 @@ let try_run ~fresh_arena ~scenario ~rng_payload ~rng_gateway ~rng_cross ~timer
     Obs.Metrics.incr m_runs;
     Some
       {
-        timestamps = Netsim.Fvec.to_array arena.Arena.tap_times;
+        tap_times;
         overhead = Padding.Kernel.overhead kgw;
         payload_offered = Padding.Kernel.generated kgw;
-        payload_delivered = !payload_received;
-        mean_payload_latency = Stats.Descriptive.Acc.mean latency_acc;
+        payload_delivered = Padding.Receiver.payload_received receiver;
+        mean_payload_latency = Padding.Receiver.mean_payload_latency receiver;
         sim_time = now;
       }
   with Padding.Kernel.Tie | Netsim.Linkstage.Tie ->

@@ -35,7 +35,9 @@ val eligible_hops : Netsim.Topology.hop_spec array -> bool
 
 (** A run's outcome before the warm-up trim, on either engine. *)
 type outcome = {
-  timestamps : float array;  (** tap observation times, in order *)
+  tap_times : Netsim.Fvec.t;
+      (** tap observation times, in order: the calling domain's
+          {!Arena} vector, valid until its next run *)
   overhead : float;  (** dummy fraction of the sender's packets *)
   payload_offered : int;  (** payload packets generated at the source *)
   payload_delivered : int;  (** payload packets absorbed by the receiver *)

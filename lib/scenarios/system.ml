@@ -49,13 +49,15 @@ let validate cfg =
   validate_sender ~timer:cfg.timer ~payload_rate_pps:cfg.payload_rate_pps
     ~packet_size:cfg.packet_size ~warmup_piats:cfg.warmup_piats
 
-let after_warmup ~warmup_piats ?(limit = max_int) all =
+(* Two arrays per run, straight from the tap's vector: the timestamps
+   after the warm-up (overshoot included) and at most [limit] of their
+   PIATs. *)
+let after_warmup ~warmup_piats ?limit (tap : Netsim.Fvec.t) =
   let drop = warmup_piats + 1 in
-  let n = Array.length all in
-  let timestamps = if n <= drop then [||] else Array.sub all drop (n - drop) in
-  let piats = Netsim.Trace.piats timestamps in
-  ( timestamps,
-    if Array.length piats > limit then Array.sub piats 0 limit else piats )
+  let timestamps =
+    if tap.len <= drop then [||] else Array.sub tap.data drop (tap.len - drop)
+  in
+  (timestamps, Netsim.Trace.piats ?limit timestamps)
 
 (* The three streams split off the seed's root, in payload, gateway,
    cross order; both engines draw from them. *)
@@ -108,7 +110,8 @@ let drive ~fresh_arena ~scenario cfg ~sender ~target ~expected_rate =
   Netsim.Topology.stop_cross topo;
   Desim.Sim.publish_metrics sim;
   {
-    Fastpath.timestamps = Netsim.Tap.timestamps topo.Netsim.Topology.tap;
+    (* [Arena.tap_buffers] made the tap record into [tap_times]. *)
+    Fastpath.tap_times = arena.Arena.tap_times;
     overhead;
     payload_offered = Netsim.Traffic_gen.generated source;
     payload_delivered = Padding.Receiver.payload_received receiver;
@@ -118,7 +121,7 @@ let drive ~fresh_arena ~scenario cfg ~sender ~target ~expected_rate =
 
 let result cfg ?limit (o : Fastpath.outcome) =
   let timestamps, piats =
-    after_warmup ~warmup_piats:cfg.warmup_piats ?limit o.Fastpath.timestamps
+    after_warmup ~warmup_piats:cfg.warmup_piats ?limit o.Fastpath.tap_times
   in
   {
     piats;

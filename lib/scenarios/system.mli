@@ -37,9 +37,11 @@ type result = {
 }
 
 val after_warmup :
-  warmup_piats:int -> ?limit:int -> float array -> float array * float array
-(** Drop the first [warmup_piats + 1] tap timestamps; return the rest and
-    their {!Netsim.Trace.piats}, at most [limit] of them. *)
+  warmup_piats:int -> ?limit:int -> Netsim.Fvec.t -> float array * float array
+(** The one warm-up trim: drop the first [warmup_piats + 1] timestamps of
+    a tap's recording vector; return the rest (every one, overshoot
+    included) and their {!Netsim.Trace.piats}, at most [limit] of them.
+    Allocates exactly these two arrays. *)
 
 val validate_sender :
   timer:Padding.Timer.law ->
@@ -71,7 +73,13 @@ val run : ?fresh_arena:bool -> config -> piats:int -> result
     [desim.kernel.runs] / [desim.kernel.fallbacks{reason}] counters.
     {!Fastpath.set_enabled}[ false] forces the event loop.  Both paths
     reject a bad config (NaN and infinite values included) with the
-    same [Invalid_argument] before the first event. *)
+    same [Invalid_argument] before the first event.
+
+    Memory: on a recycled arena a run allocates two PIAT-length arrays,
+    [timestamps] and [piats] ({!after_warmup}), on either path.  The
+    kernel path allocates nothing per PIAT besides: its timer and jitter
+    draws write into register slots, and its tap and receiver read the
+    stage vectors in place. *)
 
 val run_unpadded : ?fresh_arena:bool -> config -> packets:int -> result
 (** Baseline without any gateway: the payload stream crosses the same hop

@@ -95,7 +95,8 @@ let test_invalid_params () =
       ignore (Stats.Special.normal_cdf ~mu:0.0 ~sigma:0.0 0.0));
   Alcotest.check_raises "uniform order"
     (Invalid_argument "Rng.float_range: requires lo <= hi") (fun () ->
-      ignore (Prng.Sampler.uniform (Prng.Rng.create ~seed:1) ~lo:1.0 ~hi:0.0));
+      Prng.Sampler.uniform_into (Prng.Rng.create ~seed:1) ~lo:1.0 ~hi:0.0
+        (Float.Array.make 1 0.0) 0);
   Alcotest.check_raises "gamma shape"
     (Invalid_argument "Special.gamma_p: a <= 0") (fun () ->
       ignore (Stats.Special.gamma_p ~a:0.0 ~x:1.0))

@@ -248,7 +248,7 @@ let window s =
   done;
   for _ = 1 to s.gaps do
     let i = Prng.Rng.int rng ~bound:s.len in
-    xs.(i) <- xs.(i) +. (10.0 ** Prng.Sampler.uniform rng ~lo:(-6.0) ~hi:0.0)
+    xs.(i) <- xs.(i) +. (10.0 ** Prng.Rng.float_range rng ~lo:(-6.0) ~hi:0.0)
   done;
   if s.whole_us then Array.map to_whole_us xs else xs
 

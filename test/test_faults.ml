@@ -162,8 +162,10 @@ let test_clock_ideal_identity () =
   let rng_direct = Prng.Rng.create ~seed:7 in
   let rng_gen = Prng.Rng.create ~seed:7 in
   let gen = Faults.Clock.intervals Faults.Clock.ideal ~law ~rng:rng_gen in
+  let timer = Padding.Timer.sampler law and slot = Float.Array.make 1 0.0 in
   for i = 1 to 2_000 do
-    let a = Padding.Timer.draw law rng_direct and b = gen () in
+    Padding.Timer.draw_into timer rng_direct slot 0;
+    let a = Float.Array.get slot 0 and b = gen () in
     if a <> b then Alcotest.failf "ideal clock diverged at draw %d" i
   done
 

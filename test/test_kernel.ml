@@ -146,11 +146,9 @@ let test_alloc_linkstage () =
     [ 0.0; 0.002 ]
 
 let test_alloc_kernel () =
-  (* The kernel's own loop (arrivals, fires, emissions) allocates
-     nothing: CIT without jitter draws nothing per fire.  With the
-     mechanistic jitter, and a VIT normal timer on top, the draws inside
-     [Jitter], [Timer] and [Sampler] return boxed floats; the stated
-     ceiling is 32 words per fire. *)
+  (* The kernel allocates nothing per fire: the loop itself, and the
+     timer and jitter draws, which write into a register slot.  Every
+     timer law under every jitter model, at 0 words per fire. *)
   let kgw = Padding.Kernel.create () in
   let run ~timer ~jitter chunks =
     Padding.Kernel.configure kgw ~rng_payload:(Prng.Rng.create ~seed:1)
@@ -160,26 +158,33 @@ let test_alloc_kernel () =
       (fun until -> Padding.Kernel.advance kgw ~until)
       (chunk_ends chunks)
   in
-  List.iter
-    (fun (name, timer, jitter, ceiling) ->
-      ignore (run ~timer ~jitter 2000 : float);
-      let per_fire =
-        run ~timer ~jitter 1000 /. float_of_int (Padding.Kernel.fires kgw)
-      in
-      if per_fire > ceiling then
-        Alcotest.failf "Kernel.advance (%s): %g words per fire (want <= %g)"
-          name per_fire ceiling)
+  let timers =
     [
-      ("CIT, no jitter", Padding.Timer.Constant 0.010, Padding.Jitter.none, 0.0);
-      ( "CIT, mechanistic jitter",
-        Padding.Timer.Constant 0.010,
-        Padding.Jitter.mechanistic (),
-        32.0 );
-      ( "VIT normal, mechanistic jitter",
-        Padding.Timer.Normal { mean = 0.010; sigma = 0.002 },
-        Padding.Jitter.mechanistic (),
-        32.0 );
+      ("CIT", Padding.Timer.Constant 0.010);
+      ("VIT normal", Padding.Timer.Normal { mean = 0.010; sigma = 0.002 });
+      ("VIT uniform", Padding.Timer.Uniform { mean = 0.010; half_width = 0.004 });
+      ("VIT exponential", Padding.Timer.Exponential { mean = 0.010 });
     ]
+  and jitters =
+    [
+      ("no jitter", Padding.Jitter.none);
+      ("parametric jitter", Padding.Jitter.parametric ~mu:3e-6 ~sigma:2e-6);
+      ("mechanistic jitter", Padding.Jitter.mechanistic ());
+    ]
+  in
+  List.iter
+    (fun (tname, timer) ->
+      List.iter
+        (fun (jname, jitter) ->
+          ignore (run ~timer ~jitter 2000 : float);
+          let per_fire =
+            run ~timer ~jitter 1000 /. float_of_int (Padding.Kernel.fires kgw)
+          in
+          if per_fire > 0.0 then
+            Alcotest.failf "Kernel.advance (%s, %s): %g words per fire (want 0)"
+              tname jname per_fire)
+        jitters)
+    timers
 
 let test_alloc_scoring () =
   (* KDE-Bayes scoring: the densities run plain loops, so what is left
@@ -681,6 +686,216 @@ let test_checkpoint_resume_mixed_paths () =
               first_kernel resume_kernel))
     [ (true, false); (false, true) ]
 
+(* --- the allocation-free draws against the scalar draws they replace ---
+
+   Reference code: the samplers, [Timer.draw] and [Jitter.latency_at] as
+   they were before the draws wrote into a slot, minus their parameter
+   checks (every generated parameter is valid).  Each draws through the
+   boxed [Rng.float_range] / [Rng.float_pos] and returns its float. *)
+module Oracle = struct
+  let rec standard_normal rng =
+    let u = Prng.Rng.float_range rng ~lo:(-1.0) ~hi:1.0 in
+    let v = Prng.Rng.float_range rng ~lo:(-1.0) ~hi:1.0 in
+    let s = (u *. u) +. (v *. v) in
+    if s >= 1.0 || s = 0.0 then standard_normal rng
+    else u *. sqrt (-2.0 *. log s /. s)
+
+  let normal rng ~mu ~sigma =
+    if sigma = 0.0 then mu else mu +. (sigma *. standard_normal rng)
+
+  let rec truncated_draw rng ~mu ~sigma attempts =
+    if attempts > 10_000 then mu
+    else
+      let x = normal rng ~mu ~sigma in
+      if x > 0.0 then x else truncated_draw rng ~mu ~sigma (attempts + 1)
+
+  let truncated_normal_pos rng ~mu ~sigma =
+    if sigma = 0.0 then mu else truncated_draw rng ~mu ~sigma 0
+
+  let uniform rng ~lo ~hi = Prng.Rng.float_range rng ~lo ~hi
+  let exponential rng ~rate = -.log (Prng.Rng.float_pos rng) /. rate
+
+  let timer_draw law rng =
+    match law with
+    | Padding.Timer.Constant tau -> tau
+    | Padding.Timer.Normal { mean; sigma } ->
+        if sigma = 0.0 then mean else truncated_normal_pos rng ~mu:mean ~sigma
+    | Padding.Timer.Uniform { mean; half_width } ->
+        uniform rng ~lo:(mean -. half_width) ~hi:(mean +. half_width)
+    | Padding.Timer.Exponential { mean } -> exponential rng ~rate:(1.0 /. mean)
+
+  type jitter =
+    | None_
+    | Parametric of float * float
+    | Mechanistic of float * float * float * float * float
+
+  let rec irq_sum rng ~rate k acc =
+    if k <= 0 then acc
+    else irq_sum rng ~rate (k - 1) (acc +. exponential rng ~rate)
+
+  let latency_at t rng ~sends_payload ~arrivals_in_window =
+    match t with
+    | None_ -> 0.0
+    | Parametric (mu, sigma) -> Float.max 0.0 (normal rng ~mu ~sigma)
+    | Mechanistic (cs_mu, cs_sigma, px_mu, px_sigma, irq_delay_mean) ->
+        let base = normal rng ~mu:cs_mu ~sigma:cs_sigma in
+        let path =
+          if sends_payload then normal rng ~mu:px_mu ~sigma:px_sigma else 0.0
+        in
+        let blocking =
+          if irq_delay_mean > 0.0 then
+            irq_sum rng ~rate:(1.0 /. irq_delay_mean) arrivals_in_window 0.0
+          else 0.0
+        in
+        Float.max 0.0 (base +. path +. blocking)
+
+  let live = function
+    | None_ -> Padding.Jitter.none
+    | Parametric (mu, sigma) -> Padding.Jitter.parametric ~mu ~sigma
+    | Mechanistic
+        ( context_switch_mu,
+          context_switch_sigma,
+          payload_extra_mu,
+          payload_extra_sigma,
+          irq_delay_mean ) ->
+        Padding.Jitter.mechanistic ~context_switch_mu ~context_switch_sigma
+          ~payload_extra_mu ~payload_extra_sigma ~irq_delay_mean ()
+end
+
+let same_bits what a b =
+  if not (Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)) then
+    QCheck.Test.fail_reportf "%s: %h (reference) vs %h" what a b
+
+(* One slot of a float array, written by a draw and read back. *)
+let slot f =
+  let buf = Float.Array.make 1 0.0 in
+  f buf 0;
+  Float.Array.get buf 0
+
+let timer_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun tau -> Padding.Timer.Constant tau) (float_range 1e-4 0.1);
+        map
+          (fun (mean, ratio) ->
+            Padding.Timer.Normal { mean; sigma = mean *. ratio })
+          (pair (float_range 1e-4 0.1)
+             (oneofl [ 0.0; 1e-3; 0.2; 1.0; 3.0 ]));
+        map
+          (fun (mean, frac) ->
+            Padding.Timer.Uniform { mean; half_width = mean *. frac })
+          (pair (float_range 1e-4 0.1) (float_range 0.01 0.99));
+        map (fun mean -> Padding.Timer.Exponential { mean }) (float_range 1e-4 0.1);
+      ])
+
+let jitter_gen =
+  QCheck.Gen.(
+    let micro = float_range 0.0 1e-5 in
+    oneof
+      [
+        return Oracle.None_;
+        map (fun (mu, sigma) -> Oracle.Parametric (mu, sigma)) (pair micro micro);
+        map
+          (fun ((a, b), (c, d), e) -> Oracle.Mechanistic (a, b, c, d, e))
+          (triple (pair micro micro) (pair micro micro)
+             (oneof [ return 0.0; micro ]));
+      ])
+
+let fires_gen = QCheck.Gen.(list_size (int_range 1 40) (pair bool (int_range 0 5)))
+
+let prop_draws_bit_identical =
+  QCheck.Test.make ~count:500
+    ~name:"timer and jitter draws equal the scalar reference, bit for bit"
+    (QCheck.make
+       QCheck.Gen.(quad (int_range 0 1_000_000) timer_gen jitter_gen fires_gen))
+    (fun (seed, law, jitter, fires) ->
+      let ra = Prng.Rng.create ~seed and rb = Prng.Rng.create ~seed in
+      let timer = Padding.Timer.sampler law and live = Oracle.live jitter in
+      List.iter
+        (fun (sends_payload, arrivals_in_window) ->
+          same_bits "timer draw"
+            (Oracle.timer_draw law ra)
+            (slot (Padding.Timer.draw_into timer rb));
+          same_bits "jitter draw"
+            (Oracle.latency_at jitter ra ~sends_payload ~arrivals_in_window)
+            (slot
+               (Padding.Jitter.latency_into live rb ~sends_payload
+                  ~arrivals_in_window)))
+        fires;
+      Int64.equal (Prng.Rng.bits64 ra) (Prng.Rng.bits64 rb))
+
+let prop_samplers_bit_identical =
+  QCheck.Test.make ~count:500
+    ~name:"Sampler draws equal the scalar reference, bit for bit"
+    (QCheck.make
+       QCheck.Gen.(
+         triple (int_range 0 1_000_000) (float_range (-5.0) 5.0)
+           (oneof [ return 0.0; float_range 0.0 5.0 ])))
+    (fun (seed, mu, sigma) ->
+      let ra = Prng.Rng.create ~seed and rb = Prng.Rng.create ~seed in
+      let pos = Float.abs mu +. 1e-3 in
+      for _ = 1 to 20 do
+        same_bits "normal" (Oracle.normal ra ~mu ~sigma)
+          (Prng.Sampler.normal rb ~mu ~sigma);
+        same_bits "normal_into" (Oracle.normal ra ~mu ~sigma)
+          (slot (Prng.Sampler.normal_into rb ~mu ~sigma));
+        same_bits "truncated_normal_pos_into"
+          (Oracle.truncated_normal_pos ra ~mu:pos ~sigma)
+          (slot (Prng.Sampler.truncated_normal_pos_into rb ~mu:pos ~sigma));
+        same_bits "uniform_into"
+          (Oracle.uniform ra ~lo:(mu -. sigma) ~hi:(mu +. sigma))
+          (slot (Prng.Sampler.uniform_into rb ~lo:(mu -. sigma) ~hi:(mu +. sigma)));
+        same_bits "exponential" (Oracle.exponential ra ~rate:pos)
+          (Prng.Sampler.exponential rb ~rate:pos);
+        same_bits "exponential_into" (Oracle.exponential ra ~rate:pos)
+          (slot (Prng.Sampler.exponential_into rb ~rate:pos))
+      done;
+      Int64.equal (Prng.Rng.bits64 ra) (Prng.Rng.bits64 rb))
+
+let test_alloc_rng_int () =
+  (* The rejection loop keeps its int64 bound and limit in locals: the
+     [Fleet.Mux] arrival path's class pick allocates nothing. *)
+  let rng = Prng.Rng.create ~seed:5 in
+  let words =
+    minor_words_per_call
+      (fun bound ->
+        for _ = 1 to 1000 do
+          ignore (Sys.opaque_identity (Prng.Rng.int rng ~bound))
+        done)
+      [ 1; 7; 1_000; 1 lsl 40; max_int ]
+  in
+  if words > 0.0 then
+    Alcotest.failf "Rng.int: %g words per draw (want 0)" (words /. 5000.0)
+
+let test_alloc_system_run_major () =
+  (* A gateway-only System.run allocates two PIAT-length arrays directly
+     in the major heap, the timestamps and the PIATs, on either engine:
+     the arena's buffers have grown in a first run of the same size. *)
+  let piats = 20_000 in
+  let cfg = System.default_config in
+  let direct_major () =
+    Gc.minor ();
+    let _, promoted, major = Gc.counters () in
+    major -. promoted
+  in
+  List.iter
+    (fun kernel ->
+      with_kernel kernel (fun () ->
+          ignore (System.run cfg ~piats : System.result);
+          let before = direct_major () in
+          let r = System.run cfg ~piats in
+          let words = direct_major () -. before in
+          Alcotest.(check int) "PIATs" piats (Array.length r.System.piats);
+          let ceiling = float_of_int ((2 * piats) + 64) in
+          if words > ceiling then
+            Alcotest.failf "System.run (%s): %g words in the major heap \
+                            (%.2f per PIAT, want <= 2 per PIAT + 64)"
+              (if kernel then "kernel" else "event loop")
+              words
+              (words /. float_of_int piats)))
+    [ true; false ]
+
 let suite =
   [
     Alcotest.test_case "exponential_fill bit-equality" `Quick
@@ -714,4 +929,10 @@ let suite =
       test_linkstage_chunk_at_finish;
     Alcotest.test_case "allocation: Entropy.of_sample_in span-free" `Quick
       test_alloc_entropy;
+    QCheck_alcotest.to_alcotest prop_draws_bit_identical;
+    QCheck_alcotest.to_alcotest prop_samplers_bit_identical;
+    Alcotest.test_case "allocation: Rng.int 0 words/draw" `Quick
+      test_alloc_rng_int;
+    Alcotest.test_case "allocation: System.run two arrays per run" `Quick
+      test_alloc_system_run_major;
   ]

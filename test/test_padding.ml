@@ -17,12 +17,17 @@ let test_timer_means_and_sigmas () =
   close "exponential sigma = mean" 0.01
     (Padding.Timer.sigma (Padding.Timer.Exponential { mean = 0.01 }))
 
+let draw law rng =
+  let slot = Float.Array.make 1 0.0 in
+  Padding.Timer.draw_into (Padding.Timer.sampler law) rng slot 0;
+  Float.Array.get slot 0
+
 let test_timer_draw_statistics () =
   let rng = Prng.Rng.create ~seed:111 in
   let check law =
     let acc = Stats.Descriptive.Acc.create () in
     for _ = 1 to 100_000 do
-      let x = Padding.Timer.draw law rng in
+      let x = draw law rng in
       if x <= 0.0 then Alcotest.fail "non-positive interval";
       Stats.Descriptive.Acc.add acc x
     done;
@@ -38,7 +43,7 @@ let test_timer_draw_statistics () =
 let test_timer_cit_draw_exact () =
   let rng = Prng.Rng.create ~seed:112 in
   for _ = 1 to 10 do
-    close "CIT exact" 0.01 (Padding.Timer.draw (Padding.Timer.Constant 0.01) rng)
+    close "CIT exact" 0.01 (draw (Padding.Timer.Constant 0.01) rng)
   done
 
 let test_timer_validation () =
@@ -67,7 +72,10 @@ let test_timer_validation () =
 (* --- Jitter --- *)
 
 let latency ?(sends_payload = false) ?(arrivals = 0) m rng =
-  Padding.Jitter.latency_at m rng ~sends_payload ~arrivals_in_window:arrivals
+  let slot = Float.Array.make 1 0.0 in
+  Padding.Jitter.latency_into m rng ~sends_payload ~arrivals_in_window:arrivals
+    slot 0;
+  Float.Array.get slot 0
 
 let test_jitter_none () =
   let rng = Prng.Rng.create ~seed:113 in
@@ -135,7 +143,38 @@ let test_parametric_moments () =
 
 let test_jitter_invalid () =
   Alcotest.check_raises "negative mu" (Invalid_argument "Jitter.parametric: mu < 0")
-    (fun () -> ignore (Padding.Jitter.parametric ~mu:(-1.0) ~sigma:1.0))
+    (fun () -> ignore (Padding.Jitter.parametric ~mu:(-1.0) ~sigma:1.0));
+  (* NaN and infinite parameters fail at construction, not at the first
+     fire (NaN) or in a starved or silently unblocked run (infinity). *)
+  let raises msg f =
+    Alcotest.check_raises msg (Invalid_argument msg) (fun () ->
+        ignore (f () : Padding.Jitter.t))
+  in
+  let mech = Padding.Jitter.mechanistic in
+  raises "Jitter.parametric: mu < 0" (fun () ->
+      Padding.Jitter.parametric ~mu:Float.nan ~sigma:1e-6);
+  raises "Jitter.parametric: sigma < 0" (fun () ->
+      Padding.Jitter.parametric ~mu:1e-6 ~sigma:Float.nan);
+  raises "Jitter.parametric: mu not finite" (fun () ->
+      Padding.Jitter.parametric ~mu:Float.infinity ~sigma:1e-6);
+  raises "Jitter.parametric: sigma not finite" (fun () ->
+      Padding.Jitter.parametric ~mu:1e-6 ~sigma:Float.infinity);
+  raises "Jitter.mechanistic: negative parameter" (fun () ->
+      mech ~context_switch_mu:Float.nan ());
+  raises "Jitter.mechanistic: negative parameter" (fun () ->
+      mech ~payload_extra_sigma:Float.nan ());
+  raises "Jitter.mechanistic: negative parameter" (fun () ->
+      mech ~irq_delay_mean:(-1e-6) ());
+  raises "Jitter.mechanistic: context_switch_sigma not finite" (fun () ->
+      mech ~context_switch_sigma:Float.infinity ());
+  raises "Jitter.mechanistic: irq_delay_mean not finite" (fun () ->
+      mech ~irq_delay_mean:Float.infinity ());
+  (* A zero IRQ delay turns blocking off: arrivals add nothing. *)
+  let off = mech ~irq_delay_mean:0.0 () in
+  let draw arrivals =
+    latency ~arrivals off (Prng.Rng.create ~seed:118)
+  in
+  Alcotest.(check (float 0.0)) "irq_delay_mean 0: no blocking" (draw 0) (draw 5)
 
 (* --- Gateway --- *)
 
