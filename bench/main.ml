@@ -203,18 +203,7 @@ let run_figures () =
       ignore (Scenarios.Fleet.run ~scale ~seed:(s + 21) ?csv_dir:(csv ()) fmt);
       fleet_throughput ());
   timed "ablations" (fun () ->
-      ignore (Scenarios.Ablations.run_jitter_models ~scale ~seed:(s + 9) fmt);
-      ignore (Scenarios.Ablations.run_vit_laws ~scale ~seed:(s + 10) fmt);
-      ignore (Scenarios.Ablations.run_entropy_bins ~scale ~seed:(s + 11) fmt);
-      ignore (Scenarios.Ablations.run_tap_positions ~scale ~seed:(s + 12) fmt);
-      ignore (Scenarios.Ablations.run_oracle_vs_kde ~scale ~seed:(s + 13) fmt);
-      ignore (Scenarios.Ablations.run_adaptive_vs_cit ~scale ~seed:(s + 14) fmt);
-      ignore (Scenarios.Ablations_ext.run_classifier_backends ~scale ~seed:(s + 15) fmt);
-      ignore (Scenarios.Ablations_ext.run_mix_vs_padding ~scale ~seed:(s + 16) fmt);
-      ignore (Scenarios.Ablations_ext.run_size_padding ~seed:(s + 18) fmt);
-      ignore (Scenarios.Ablations_ext.run_roc ~scale ~seed:(s + 19) fmt);
-      Scenarios.Ablations_ext.run_bounds_table fmt;
-      ignore (Scenarios.Ablations_ext.run_qos_table ~seed:(s + 17) fmt))
+      Scenarios.Ablations.run_all ~scale ~seed:(s + 9) fmt)
 
 (* --- Bechamel micro-benchmarks of the hot kernels --- *)
 

@@ -420,18 +420,7 @@ let ablations_cmd =
     apply_jobs jobs;
     apply_trace trace;
     let seed = Option.value seed ~default:51_000 in
-    ignore (Scenarios.Ablations.run_jitter_models ~scale ~seed fmt);
-    ignore (Scenarios.Ablations.run_vit_laws ~scale ~seed:(seed + 1) fmt);
-    ignore (Scenarios.Ablations.run_entropy_bins ~scale ~seed:(seed + 2) fmt);
-    ignore (Scenarios.Ablations.run_tap_positions ~scale ~seed:(seed + 3) fmt);
-    ignore (Scenarios.Ablations.run_oracle_vs_kde ~scale ~seed:(seed + 4) fmt);
-    ignore (Scenarios.Ablations.run_adaptive_vs_cit ~scale ~seed:(seed + 5) fmt);
-    ignore (Scenarios.Ablations_ext.run_classifier_backends ~scale ~seed:(seed + 6) fmt);
-    ignore (Scenarios.Ablations_ext.run_mix_vs_padding ~scale ~seed:(seed + 7) fmt);
-    ignore (Scenarios.Ablations_ext.run_size_padding ~seed:(seed + 9) fmt);
-    ignore (Scenarios.Ablations_ext.run_roc ~scale ~seed:(seed + 10) fmt);
-    Scenarios.Ablations_ext.run_bounds_table fmt;
-    ignore (Scenarios.Ablations_ext.run_qos_table ~seed:(seed + 8) fmt);
+    Scenarios.Ablations.run_all ~scale ~seed fmt;
     finish_obs metrics;
     finish_partial ~resilience ~csv_dir:None;
     `Ok ()

@@ -57,7 +57,9 @@ type report = {
 }
 
 val evaluate : spec -> report
-(** Run the full pipeline.  Deterministic in [spec.seed]. *)
+(** Run the full pipeline.  Deterministic in [spec.seed].  Raises
+    [Scenarios.Starvation.Tap_starved] / [Desim.Sim.Event_budget_exceeded]
+    as [Scenarios.System.run] does. *)
 
 val pp_report : Format.formatter -> report -> unit
 

@@ -9,8 +9,9 @@ let ideal =
   { drift = 0.0; miss_prob = 0.0; coalesce = true; max_consecutive_misses = 1 }
 
 let validate spec =
-  if Float.is_nan spec.drift || spec.drift <= -1.0 then
-    invalid_arg "Clock: drift must be > -1";
+  if not (spec.drift > -1.0) then invalid_arg "Clock: drift must be > -1";
+  if not (Float.is_finite spec.drift) then
+    invalid_arg "Clock: drift not finite";
   if
     Float.is_nan spec.miss_prob || spec.miss_prob < 0.0
     || spec.miss_prob >= 1.0

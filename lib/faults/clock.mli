@@ -18,7 +18,8 @@
 type spec = {
   drift : float;
       (** Fractional clock-rate error: intervals are scaled by
-          [1. +. drift].  Must be > -1 (a clock cannot run backwards). *)
+          [1. +. drift].  Must be finite and > -1 (a clock cannot run
+          backwards, and an infinite drift makes every interval [inf]). *)
   miss_prob : float;
       (** Probability, per scheduled fire, that the fire is silently
           missed; in \[0, 1). *)
@@ -34,6 +35,9 @@ val ideal : spec
 (** No drift, no misses — the identity layer. *)
 
 val validate : spec -> unit
+(** Raises [Invalid_argument] on a drift that is NaN, <= -1 or not
+    finite, a [miss_prob] outside \[0, 1) or [max_consecutive_misses]
+    < 1. *)
 
 val catchup_spacing : float
 (** Spacing of replayed catch-up fires (1 µs): effectively back-to-back

@@ -14,11 +14,3 @@ val pad_port : target:int -> dest:Netsim.Link.port -> Netsim.Link.port
     Raises [Invalid_argument] at wire-up if [target <= 0], and per packet
     if one exceeds [target] (choose the target as the network MTU; the
     fragmentation path of ref [7] is out of scope). *)
-
-val padded_bytes : unit -> int
-(** Total padding bytes added by all {!pad_port}s since the program
-    started — the bandwidth price of size padding.  (A process-global
-    counter: the simulator is single-threaded and figures run
-    sequentially.) *)
-
-val reset_padded_bytes : unit -> unit

@@ -13,38 +13,21 @@ let collect ~seed ~timer ~jitter ~hops ~tap_position ~piats =
   in
   Workload.collect_pair ~base ~piats
 
-let print_scored_table fmt ~title ~key_col ?(placeholders = []) rows =
-  let table =
-    Table.create ~title
-      ~columns:[ key_col; "r_hat"; "feature"; "empirical"; "theory" ]
-  in
-  List.iter
-    (fun (key, r_hat, scores) ->
-      List.iter
-        (fun (s : Workload.scored) ->
-          Table.add_row table
-            [
-              key;
-              Printf.sprintf "%.4f" r_hat;
-              Adversary.Feature.name s.feature;
-              Printf.sprintf "%.3f" s.empirical;
-              Printf.sprintf "%.3f" s.theory;
-            ])
-        scores)
-    rows;
-  List.iter
-    (fun (key, status) -> Table.add_row ~status table [ key; "-"; "-"; "-"; "-" ])
-    placeholders;
-  Table.print table fmt
+(* The table shape of the scored ablations: one row per feature of each
+   point, keyed by the point. *)
+let scored_columns key_col = [ key_col; "r_hat"; "feature"; "empirical"; "theory" ]
 
-(* Annotated placeholder entries for the non-ok cells of a sweep, keyed
-   like the ok rows so degraded tables stay readable. *)
-let placeholders_of keys cells =
-  List.filter_map
-    (fun (key, (c : _ Sweep.cell)) ->
-      if c.Sweep.status = Sweep.Point_ok then None
-      else Some (key, Sweep.row_status c))
-    (List.combine keys cells)
+let scored_rows (key, r_hat, scores) =
+  List.map
+    (fun (s : Workload.scored) ->
+      [
+        key;
+        Printf.sprintf "%.4f" r_hat;
+        Adversary.Feature.name s.feature;
+        Printf.sprintf "%.3f" s.empirical;
+        Printf.sprintf "%.3f" s.theory;
+      ])
+    scores
 
 let run_jitter_models ?(scale = 1.0) ?(seed = 51_001) fmt =
   let n = 1000 in
@@ -75,44 +58,32 @@ let run_jitter_models ?(scale = 1.0) ?(seed = 51_001) fmt =
   let cells =
     Sweep.mapi ~sweep:"ablations.jitter" ~digest ~seed
       ~task:(fun ~attempt _i (name, jitter_of_rate) ->
-        let root = Sweep.attempt_seed ~seed ~attempt in
-        (* Parametric jitter depends on the class, so run the two classes
-           with their own jitter instances. *)
-        let base rate seed =
-          {
-            System.default_config with
-            System.seed = seed;
-            payload_rate_pps = rate;
-            jitter = jitter_of_rate rate;
-          }
-        in
-        let low, high =
-          Exec.Pool.both
-            (fun () -> System.run (base Calibration.rate_low_pps root) ~piats)
-            (fun () ->
-              System.run (base Calibration.rate_high_pps (root + 7919)) ~piats)
-        in
-        let var_low = Stats.Descriptive.variance low.System.piats in
-        let var_high = Stats.Descriptive.variance high.System.piats in
+        (* Parametric jitter depends on the class, so each class run takes
+           the jitter of its own rate. *)
         let traces =
-          {
-            Workload.low;
-            high;
-            var_low;
-            var_high;
-            r_hat = Float.max (var_high /. var_low) 1.0;
-          }
+          Workload.run_pair
+            ~base:
+              {
+                System.default_config with
+                System.seed = Sweep.attempt_seed ~seed ~attempt;
+              }
+            ~run:(fun cfg ->
+              System.run
+                {
+                  cfg with
+                  System.jitter = jitter_of_rate cfg.System.payload_rate_pps;
+                }
+                ~piats)
         in
         (name, traces.Workload.r_hat, Workload.score traces ~features ~sample_size:n))
       models
   in
-  let rows = Sweep.ok_values cells in
-  print_scored_table fmt
+  Sweep.render
     ~title:"Ablation: mechanistic vs parametric gateway jitter (n=1000)"
-    ~key_col:"model"
-    ~placeholders:(placeholders_of (List.map fst models) cells)
-    rows;
-  rows
+    ~columns:(scored_columns "model") ~key:fst
+    ~rows:scored_rows
+    models cells fmt;
+  Sweep.ok_values cells
 
 let run_vit_laws ?(scale = 1.0) ?(seed = 51_002) fmt =
   let n = 2000 in
@@ -151,16 +122,15 @@ let run_vit_laws ?(scale = 1.0) ?(seed = 51_002) fmt =
         (name, traces.Workload.r_hat, Workload.score traces ~features ~sample_size:n))
       laws
   in
-  let rows = Sweep.ok_values cells in
-  print_scored_table fmt
+  Sweep.render
     ~title:
       (Printf.sprintf
          "Ablation: VIT interval law shape (sigma_T=%.0fus for normal/uniform; n=%d)"
          (sigma_t *. 1e6) n)
-    ~key_col:"law"
-    ~placeholders:(placeholders_of (List.map fst laws) cells)
-    rows;
-  rows
+    ~columns:(scored_columns "law") ~key:fst
+    ~rows:scored_rows
+    laws cells fmt;
+  Sweep.ok_values cells
 
 let run_entropy_bins ?(scale = 1.0) ?(seed = 51_003) fmt =
   let n = 1000 in
@@ -206,24 +176,13 @@ let run_entropy_bins ?(scale = 1.0) ?(seed = 51_003) fmt =
                  "entropy-bins: expected exactly one score per width"))
       widths
   in
-  let rows = Sweep.ok_values cells in
-  let table =
-    Table.create ~title:"Ablation: entropy-estimator bin width (CIT, n=1000)"
-      ~columns:[ "bin width (us)"; "empirical detection" ]
-  in
-  List.iter
-    (fun (w, v) ->
-      Table.add_row table
-        [ Printf.sprintf "%.2f" (w *. 1e6); Printf.sprintf "%.3f" v ])
-    rows;
-  List.iter2
-    (fun w (c : _ Sweep.cell) ->
-      if c.Sweep.status <> Sweep.Point_ok then
-        Table.add_row ~status:(Sweep.row_status c) table
-          [ Printf.sprintf "%.2f" (w *. 1e6); "-" ])
-    widths cells;
-  Table.print table fmt;
-  rows
+  let width_cell w = Printf.sprintf "%.2f" (w *. 1e6) in
+  Sweep.render ~title:"Ablation: entropy-estimator bin width (CIT, n=1000)"
+    ~columns:[ "bin width (us)"; "empirical detection" ]
+    ~key:width_cell
+    ~rows:(fun (w, v) -> [ [ width_cell w; Printf.sprintf "%.3f" v ] ])
+    widths cells fmt;
+  Sweep.ok_values cells
 
 let run_tap_positions ?(scale = 1.0) ?(seed = 51_004) fmt =
   let n = 1000 in
@@ -256,16 +215,15 @@ let run_tap_positions ?(scale = 1.0) ?(seed = 51_004) fmt =
           Workload.score traces ~features ~sample_size:n ))
       positions
   in
-  let rows = Sweep.ok_values cells in
-  print_scored_table fmt
+  Sweep.render
     ~title:
       (Printf.sprintf
          "Ablation: adversary position along a 3-router path (util %.2f, n=%d)"
          utilization n)
-    ~key_col:"tap hop"
-    ~placeholders:(placeholders_of (List.map string_of_int positions) cells)
-    (List.map (fun (p, r, s) -> (string_of_int p, r, s)) rows);
-  rows
+    ~columns:(scored_columns "tap hop") ~key:string_of_int
+    ~rows:(fun (p, r_hat, scores) -> scored_rows (string_of_int p, r_hat, scores))
+    positions cells fmt;
+  Sweep.ok_values cells
 
 let run_oracle_vs_kde ?(scale = 1.0) ?(seed = 51_005) fmt =
   let n = 200 in
@@ -306,108 +264,48 @@ let run_oracle_vs_kde ?(scale = 1.0) ?(seed = 51_005) fmt =
           scores)
       [ () ]
   in
-  let rows = List.concat (Sweep.ok_values cells) in
-  let table =
-    Table.create
-      ~title:
-        (Printf.sprintf
-           "Ablation: KDE-Bayes adversary vs exact distributional oracle (n=%d)"
-           n)
-      ~columns:[ "feature"; "empirical (KDE)"; "oracle (exact law)" ]
-  in
-  List.iter
-    (fun (name, emp, orc) ->
-      Table.add_row table
-        [ name; Printf.sprintf "%.3f" emp; Printf.sprintf "%.3f" orc ])
-    rows;
-  List.iter
-    (fun (c : _ Sweep.cell) ->
-      if c.Sweep.status <> Sweep.Point_ok then
-        Table.add_row ~status:(Sweep.row_status c) table
-          [ "all features"; "-"; "-" ])
-    cells;
-  Table.print table fmt;
-  rows
+  Sweep.render
+    ~title:
+      (Printf.sprintf
+         "Ablation: KDE-Bayes adversary vs exact distributional oracle (n=%d)"
+         n)
+    ~columns:[ "feature"; "empirical (KDE)"; "oracle (exact law)" ]
+    ~key:(fun () -> "all features")
+    ~rows:
+      (List.map (fun (name, emp, orc) ->
+           [ name; Printf.sprintf "%.3f" emp; Printf.sprintf "%.3f" orc ]))
+    [ () ] cells fmt;
+  List.concat (Sweep.ok_values cells)
 
 let run_adaptive_vs_cit ?(scale = 1.0) ?(seed = 51_006) fmt =
   let n = 500 in
   let windows = Stdlib.max 8 (int_of_float (24.0 *. scale)) in
-  let piats = n * windows in
-  let schemes =
+  let timer law cfg = System.run { cfg with System.timer = law } in
+  Ablations_ext.scheme_sweep ~sweep:"ablations.adaptive"
+    ~title:"Ablation: padding scheme vs detectability and bandwidth cost (n=500)"
+    ~seed ~n ~piats:(n * windows)
     [
-      ("CIT", `Timer (Padding.Timer.Constant Calibration.timer_mean));
+      ("CIT", timer (Padding.Timer.Constant Calibration.timer_mean));
       ( "VIT(20us)",
-        `Timer
-          (Padding.Timer.Normal
-             { mean = Calibration.timer_mean; sigma = 20e-6 }) );
-      ("adaptive", `Adaptive);
+        timer
+          (Padding.Timer.Normal { mean = Calibration.timer_mean; sigma = 20e-6 })
+      );
+      ("adaptive", System.run_adaptive);
     ]
-  in
-  let digest =
-    Sweep.digest_of_string
-      (Printf.sprintf "ablations.adaptive|seed=%d|n=%d|piats=%d|points=%s" seed
-         n piats
-         (String.concat "," (List.map fst schemes)))
-  in
-  let cells =
-    Sweep.mapi ~sweep:"ablations.adaptive" ~digest ~seed
-      ~task:(fun ~attempt i (name, scheme) ->
-        let root = Sweep.attempt_seed ~seed:(seed + (100 * i)) ~attempt in
-        let run_scheme rate seed =
-          let cfg =
-            {
-              System.default_config with
-              System.seed = seed;
-              payload_rate_pps = rate;
-            }
-          in
-          match scheme with
-          | `Timer timer -> System.run { cfg with System.timer } ~piats
-          | `Adaptive -> System.run_adaptive cfg ~piats
-        in
-        let low, high =
-          Exec.Pool.both
-            (fun () -> run_scheme Calibration.rate_low_pps root)
-            (fun () -> run_scheme Calibration.rate_high_pps (root + 7919))
-        in
-        ignore (low.System.sim_time, high.System.sim_time);
-        let classes =
-          [|
-            (Calibration.label_low, low.System.piats);
-            (Calibration.label_high, high.System.piats);
-          |]
-        in
-        let results =
-          Adversary.Detection.estimate_features ~features
-            ~reference:Calibration.timer_mean ~sample_size:n ~classes ()
-        in
-        let worst =
-          List.fold_left
-            (fun acc (r : Adversary.Detection.result) ->
-              Float.max acc r.Adversary.Detection.detection_rate)
-            0.5 results
-        in
-        let overhead =
-          0.5 *. (low.System.overhead +. high.System.overhead)
-        in
-        (name, worst, overhead))
-      schemes
-  in
-  let rows = Sweep.ok_values cells in
-  let table =
-    Table.create
-      ~title:"Ablation: padding scheme vs detectability and bandwidth cost (n=500)"
-      ~columns:[ "scheme"; "worst-feature detection"; "dummy overhead" ]
-  in
-  List.iter
-    (fun (name, worst, overhead) ->
-      Table.add_row table
-        [ name; Printf.sprintf "%.3f" worst; Printf.sprintf "%.3f" overhead ])
-    rows;
-  List.iter2
-    (fun (name, _) (c : _ Sweep.cell) ->
-      if c.Sweep.status <> Sweep.Point_ok then
-        Table.add_row ~status:(Sweep.row_status c) table [ name; "-"; "-" ])
-    schemes cells;
-  Table.print table fmt;
-  rows
+    fmt
+
+(* The one ablation list, in print order; each table's seed is a fixed
+   offset from [seed]. *)
+let run_all ~scale ~seed fmt =
+  ignore (run_jitter_models ~scale ~seed fmt);
+  ignore (run_vit_laws ~scale ~seed:(seed + 1) fmt);
+  ignore (run_entropy_bins ~scale ~seed:(seed + 2) fmt);
+  ignore (run_tap_positions ~scale ~seed:(seed + 3) fmt);
+  ignore (run_oracle_vs_kde ~scale ~seed:(seed + 4) fmt);
+  ignore (run_adaptive_vs_cit ~scale ~seed:(seed + 5) fmt);
+  ignore (Ablations_ext.run_classifier_backends ~scale ~seed:(seed + 6) fmt);
+  ignore (Ablations_ext.run_mix_vs_padding ~scale ~seed:(seed + 7) fmt);
+  ignore (Ablations_ext.run_size_padding ~seed:(seed + 9) fmt);
+  ignore (Ablations_ext.run_roc ~scale ~seed:(seed + 10) fmt);
+  Ablations_ext.run_bounds_table fmt;
+  ignore (Ablations_ext.run_qos_table ~seed:(seed + 8) fmt)

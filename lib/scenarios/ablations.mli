@@ -24,7 +24,9 @@ val run_entropy_bins :
     (bin width, empirical detection).  The feature works across a decade
     of bin widths — the robustness the paper claims for eq. (25).
     Raises [Sweep.Sweep_internal_error] if the sweep journal layer
-    misbehaves. *)
+    misbehaves; under {!Sweep.set_strict} the trace collection's
+    [Starvation.Tap_starved] / [Desim.Sim.Event_budget_exceeded] escape
+    too. *)
 
 val run_tap_positions :
   ?scale:float -> ?seed:int -> Format.formatter -> (int * float * Workload.scored list) list
@@ -47,4 +49,14 @@ val run_adaptive_vs_cit :
 (** Timmerman-style adaptive masking vs. CIT vs. VIT: (scheme, worst
     empirical detection at n = 500, dummy overhead).  Adaptive masking
     saves bandwidth but is detectable even by the sample mean.  Raises
-    [Sweep.Sweep_internal_error] if the sweep journal layer misbehaves. *)
+    [Sweep.Sweep_internal_error] if the sweep journal layer misbehaves;
+    under {!Sweep.set_strict} a class run's [Starvation.Tap_starved] /
+    [Desim.Sim.Event_budget_exceeded] escape too. *)
+
+val run_all : scale:float -> seed:int -> Format.formatter -> unit
+(** Every ablation table of both groups (this module's and
+    {!Ablations_ext}'s), in their print order, each at a fixed seed offset
+    from [seed]: the list behind [ta_lab ablations] and the bench's
+    [ablations] stage.  Raises what those runners raise:
+    [Starvation.Tap_starved], [Desim.Sim.Event_budget_exceeded] and
+    [Sweep.Sweep_internal_error]. *)

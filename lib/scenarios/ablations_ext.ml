@@ -75,112 +75,81 @@ let run_classifier_backends ?(scale = 1.0) ?(seed = 52_001) fmt =
   let r_hat =
     match Sweep.ok_values cells with (_, _, r) :: _ -> r | [] -> Float.nan
   in
-  let rows = List.map (fun (name, v, _) -> (name, v)) (Sweep.ok_values cells) in
-  let table =
-    Table.create
-      ~title:
-        (Printf.sprintf
-           "Ablation: adversary backends on the same CIT traces (n=%d, \
-            r_hat=%.3f)"
-           n r_hat)
-      ~columns:[ "adversary"; "detection rate" ]
-  in
-  List.iter
-    (fun (name, v) -> Table.add_row table [ name; Printf.sprintf "%.3f" v ])
-    rows;
-  List.iter2
-    (fun (name, _) (c : _ Sweep.cell) ->
-      if c.Sweep.status <> Sweep.Point_ok then
-        Table.add_row ~status:(Sweep.row_status c) table [ name; "-" ])
-    backends cells;
-  Table.print table fmt;
-  rows
+  Sweep.render
+    ~title:
+      (Printf.sprintf
+         "Ablation: adversary backends on the same CIT traces (n=%d, \
+          r_hat=%.3f)"
+         n r_hat)
+    ~columns:[ "adversary"; "detection rate" ] ~key:fst
+    ~rows:(fun (name, v, _) -> [ [ name; Printf.sprintf "%.3f" v ] ])
+    backends cells fmt;
+  List.map (fun (name, v, _) -> (name, v)) (Sweep.ok_values cells)
 
-let run_mix_vs_padding ?(scale = 1.0) ?(seed = 52_002) fmt =
-  let n = 200 in
-  let windows = Stdlib.max 10 (int_of_float (30.0 *. scale)) in
-  let piats = n * windows in
-  let schemes =
-    [
-      ("CIT", `Cit);
-      ("VIT(20us)", `Vit 20e-6);
-      ("mix(K=8,500ms)", `Mix);
-    ]
-  in
+let scheme_sweep ~sweep ~title ~seed ~n ~piats schemes fmt =
   let digest =
     Sweep.digest_of_string
-      (Printf.sprintf "ablations.mix|seed=%d|n=%d|piats=%d|points=%s" seed n
-         piats
+      (Printf.sprintf "%s|seed=%d|n=%d|piats=%d|points=%s" sweep seed n piats
          (String.concat "," (List.map fst schemes)))
   in
   let cells =
-    Sweep.mapi ~sweep:"ablations.mix" ~digest ~seed
-      ~task:(fun ~attempt i (name, scheme) ->
-        let root = Sweep.attempt_seed ~seed:(seed + (100 * i)) ~attempt in
-        let run rate seed =
-          let cfg =
-            {
-              System.default_config with
-              System.seed = seed;
-              payload_rate_pps = rate;
-            }
-          in
-          match scheme with
-          | `Cit -> System.run cfg ~piats
-          | `Vit sigma ->
-              System.run
-                {
-                  cfg with
-                  System.timer =
-                    Padding.Timer.Normal
-                      { mean = Calibration.timer_mean; sigma };
-                }
-                ~piats
-          | `Mix -> System.run_mix cfg ~piats
-        in
-        let low, high =
-          Exec.Pool.both
-            (fun () -> run Calibration.rate_low_pps root)
-            (fun () -> run Calibration.rate_high_pps (root + 7919))
-        in
-        let classes =
-          [|
-            (Calibration.label_low, low.System.piats);
-            (Calibration.label_high, high.System.piats);
-          |]
-        in
-        let results =
-          Adversary.Detection.estimate_features
-            ~features:Adversary.Feature.standard_set
-            ~reference:Calibration.timer_mean ~sample_size:n ~classes ()
+    Sweep.mapi ~sweep ~digest ~seed
+      ~task:(fun ~attempt i (name, run) ->
+        let traces =
+          Workload.run_pair
+            ~base:
+              {
+                System.default_config with
+                System.seed =
+                  Sweep.attempt_seed ~seed:(seed + (100 * i)) ~attempt;
+              }
+            ~run:(fun cfg -> run cfg ~piats)
         in
         let worst =
           List.fold_left
             (fun acc (r : Adversary.Detection.result) ->
               Float.max acc r.Adversary.Detection.detection_rate)
-            0.5 results
+            0.5
+            (Adversary.Detection.estimate_features
+               ~features:Adversary.Feature.standard_set
+               ~reference:Calibration.timer_mean ~sample_size:n
+               ~classes:(Workload.classes traces) ())
         in
-        (name, worst, 0.5 *. (low.System.overhead +. high.System.overhead)))
+        ( name,
+          worst,
+          0.5
+          *. (traces.Workload.low.System.overhead
+             +. traces.Workload.high.System.overhead) ))
       schemes
   in
-  let rows = Sweep.ok_values cells in
-  let table =
-    Table.create
-      ~title:"Ablation: mixing vs padding as rate-hiding (n=200)"
-      ~columns:[ "scheme"; "worst-feature detection"; "dummy overhead" ]
-  in
-  List.iter
-    (fun (name, worst, overhead) ->
-      Table.add_row table
-        [ name; Printf.sprintf "%.3f" worst; Printf.sprintf "%.3f" overhead ])
-    rows;
-  List.iter2
-    (fun (name, _) (c : _ Sweep.cell) ->
-      if c.Sweep.status <> Sweep.Point_ok then
-        Table.add_row ~status:(Sweep.row_status c) table [ name; "-"; "-" ])
-    schemes cells;
-  Table.print table fmt;
-  rows
+  Sweep.render ~title
+    ~columns:[ "scheme"; "worst-feature detection"; "dummy overhead" ]
+    ~key:fst
+    ~rows:(fun (name, worst, overhead) ->
+      [ [ name; Printf.sprintf "%.3f" worst; Printf.sprintf "%.3f" overhead ] ])
+    schemes cells fmt;
+  Sweep.ok_values cells
+
+let run_mix_vs_padding ?(scale = 1.0) ?(seed = 52_002) fmt =
+  let n = 200 in
+  let windows = Stdlib.max 10 (int_of_float (30.0 *. scale)) in
+  scheme_sweep ~sweep:"ablations.mix"
+    ~title:"Ablation: mixing vs padding as rate-hiding (n=200)" ~seed ~n
+    ~piats:(n * windows)
+    [
+      ("CIT", System.run);
+      ( "VIT(20us)",
+        fun cfg ->
+          System.run
+            {
+              cfg with
+              System.timer =
+                Padding.Timer.Normal
+                  { mean = Calibration.timer_mean; sigma = 20e-6 };
+            } );
+      ("mix(K=8,500ms)", fun cfg -> System.run_mix cfg);
+    ]
+    fmt
 
 let run_bounds_table fmt =
   let table =
@@ -352,21 +321,18 @@ let run_qos_table ?(seed = 52_003) fmt =
         (timer_rate, analytic, res.System.mean_payload_latency))
       timer_rates
   in
-  let rows = Sweep.ok_values cells in
-  let table =
-    Table.create
-      ~title:
-        (Printf.sprintf
-           "QoS: payload delay vs timer rate (Poisson payload %.0f pps), \
-            analytic M/D/1 vs simulation"
-           payload_rate)
-      ~columns:
-        [ "timer (pps)"; "util"; "analytic delay (ms)"; "simulated (ms)";
-          "overhead" ]
-  in
-  List.iter
-    (fun (rate, analytic, simulated) ->
-      Table.add_row table
+  Sweep.render
+    ~title:
+      (Printf.sprintf
+         "QoS: payload delay vs timer rate (Poisson payload %.0f pps), \
+          analytic M/D/1 vs simulation"
+         payload_rate)
+    ~columns:
+      [ "timer (pps)"; "util"; "analytic delay (ms)"; "simulated (ms)";
+        "overhead" ]
+    ~key:(Printf.sprintf "%.0f")
+    ~rows:(fun (rate, analytic, simulated) ->
+      [
         [
           Printf.sprintf "%.0f" rate;
           Printf.sprintf "%.2f"
@@ -377,13 +343,7 @@ let run_qos_table ?(seed = 52_003) fmt =
           Printf.sprintf "%.2f"
             (Padding.Qos.overhead ~payload_rate_pps:payload_rate
                ~timer_mean:(1.0 /. rate));
-        ])
-    rows;
-  List.iter2
-    (fun rate (c : _ Sweep.cell) ->
-      if c.Sweep.status <> Sweep.Point_ok then
-        Table.add_row ~status:(Sweep.row_status c) table
-          [ Printf.sprintf "%.0f" rate; "-"; "-"; "-"; "-" ])
-    timer_rates cells;
-  Table.print table fmt;
-  rows
+        ];
+      ])
+    timer_rates cells fmt;
+  Sweep.ok_values cells

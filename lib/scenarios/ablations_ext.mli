@@ -7,7 +7,26 @@ val run_classifier_backends :
     n = 1000: KDE-Bayes per feature, plain-Gaussian per feature, the joint
     (variance, entropy) naive-Bayes, and the two spectral features.
     Returns (adversary label, detection rate).  Raises
-    [Sweep.Sweep_internal_error] if the sweep journal layer misbehaves. *)
+    [Sweep.Sweep_internal_error] if the sweep journal layer misbehaves;
+    under {!Sweep.set_strict} the trace collection's
+    [Starvation.Tap_starved] / [Desim.Sim.Event_budget_exceeded] escape
+    too. *)
+
+val scheme_sweep :
+  sweep:string ->
+  title:string ->
+  seed:int ->
+  n:int ->
+  piats:int ->
+  (string * (System.config -> piats:int -> System.result)) list ->
+  Format.formatter ->
+  (string * float * float) list
+(** The rate-hiding comparison both scheme tables share: each named
+    scheme is a per-class run, collected as a {!Workload.run_pair} of
+    [piats] PIATs per class at seed [seed + 100 i] and reported as
+    (scheme, worst-feature detection at sample size [n], mean dummy
+    overhead of the two classes).  Raises [Sweep.Sweep_internal_error] if
+    the sweep journal layer misbehaves. *)
 
 val run_mix_vs_padding :
   ?scale:float -> ?seed:int -> Format.formatter -> (string * float * float) list
@@ -16,7 +35,9 @@ val run_mix_vs_padding :
     hides message correspondence but its flush epochs track the rate, so
     detection stays ≈ 1.0 — the motivation for link padding (paper §2).
     Raises [Sweep.Sweep_internal_error] if the sweep journal layer
-    misbehaves. *)
+    misbehaves; under {!Sweep.set_strict} a class run's
+    [Starvation.Tap_starved] / [Desim.Sim.Event_budget_exceeded] escape
+    too. *)
 
 val run_bounds_table : Format.formatter -> unit
 (** Pure analytics: for a grid of variance ratios and sample sizes, print
@@ -39,7 +60,9 @@ val run_roc :
 (** Threshold-free view of the CIT leak: per feature and sample size, the
     ROC AUC and the best achievable (equal-prior) accuracy along the
     curve: (n, feature, AUC, best accuracy).  AUC isolates the feature's
-    intrinsic separability from the KDE classifier's threshold choice. *)
+    intrinsic separability from the KDE classifier's threshold choice.
+    Raises [Starvation.Tap_starved] / [Desim.Sim.Event_budget_exceeded]
+    as [System.run] does. *)
 
 val run_qos_table :
   ?seed:int -> Format.formatter -> (float * float * float) list

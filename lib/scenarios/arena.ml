@@ -8,7 +8,7 @@ type t = {
   kernel_tap_trace : Netsim.Tracebuf.t;
 }
 
-let fresh () =
+let create () =
   {
     sim = Desim.Sim.create ();
     tap_times = Netsim.Fvec.create ~capacity:1024 ();
@@ -22,7 +22,7 @@ let fresh () =
 (* One arena per domain: Exec.Pool workers never share a simulator, and a
    single-domain sweep reuses the same arena run after run.  The key's
    initializer runs lazily on first use in each domain. *)
-let key = Domain.DLS.new_key fresh
+let key = Domain.DLS.new_key create
 
 let tap_buffers t = (t.tap_times, t.tap_sizes)
 
@@ -37,8 +37,8 @@ let kernel_hops t n =
           if i < len then t.kernel_hops.(i) else Netsim.Linkstage.create ());
   t.kernel_hops
 
-let get ~fresh:want_fresh =
-  let t = if want_fresh then fresh () else Domain.DLS.get key in
+let get () =
+  let t = Domain.DLS.get key in
   (* Reset up front — not at run end — so state left by an aborted or
      starved run can never leak into the next one.  [Sim.reset] restores
      the event queue's push counter, making a reused arena's (time, seq)

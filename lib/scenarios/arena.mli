@@ -26,11 +26,11 @@ type t = {
       (** deferred [tap.observe] records for the kernel's inline tap *)
 }
 
-val get : fresh:bool -> t
-(** [get ~fresh:false] returns the calling domain's arena, reset and ready
-    to drive a run.  [get ~fresh:true] builds a brand-new arena instead
-    (used by determinism tests to compare the two paths, and by callers
-    that need two concurrent simulations on one domain). *)
+val get : unit -> t
+(** The calling domain's arena, reset and ready to drive a run.  There is
+    no opt-out: every run resets its arena first, and a newly spawned
+    domain starts with a new one (the determinism tests take their fresh
+    run from such a domain). *)
 
 val tap_buffers : t -> Netsim.Fvec.t * Netsim.Fvec.t
 (** The [(times, sizes)] pair for {!Netsim.Topology.chain}'s

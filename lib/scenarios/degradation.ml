@@ -290,18 +290,6 @@ let run ?(scale = 1.0) ?(seed = 47_000) ?csv_dir
     ?(intensities = default_intensities) fmt =
   let sample_size = Stdlib.max 100 (int_of_float (400.0 *. scale)) in
   let piats = 20 * sample_size in
-  let table =
-    Table.create
-      ~title:
-        "Degradation: detection and QoS vs fault intensity (gap-aware \
-         adversary folds the holes back out)"
-      ~columns:
-        [
-          "intensity"; "v_mean"; "v_var"; "v_entropy"; "v_gap"; "gap_frac";
-          "overhead"; "latency(ms)"; "delivered"; "drops(gw)"; "lost(wire)";
-          "lost(down)"; "crashes";
-        ]
-  in
   let digest =
     Sweep.digest_of_string
       (Printf.sprintf "degradation|seed=%d|n=%d|piats=%d|points=%s" seed
@@ -320,32 +308,34 @@ let run ?(scale = 1.0) ?(seed = 47_000) ?csv_dir
           ~profile:(profile_of_intensity x) ~intensity:x ())
       intensities
   in
-  List.iter2
-    (fun x (c : _ Sweep.cell) ->
-      match c.Sweep.value with
-      | Some p ->
-          Table.add_row table
-            [
-              Printf.sprintf "%.2f" p.intensity;
-              Table.fcell p.v_mean;
-              Table.fcell p.v_variance;
-              Table.fcell p.v_entropy;
-              Table.fcell p.v_gap;
-              Table.fcell p.gap_fraction;
-              Table.fcell p.overhead;
-              Printf.sprintf "%.3f" (p.mean_latency *. 1e3);
-              Table.fcell p.delivered_frac;
-              string_of_int p.dropped_gw;
-              string_of_int p.lost_wire;
-              string_of_int p.lost_down;
-              string_of_int p.crashes;
-            ]
-      | None ->
-          Table.add_row ~status:(Sweep.row_status c) table
-            (Printf.sprintf "%.2f" x :: List.init 12 (fun _ -> "-")))
-    intensities cells;
-  Table.print table fmt;
-  (match csv_dir with
-  | Some dir -> Table.save_csv table ~path:(Filename.concat dir "degradation.csv")
-  | None -> ());
+  Sweep.render ~csv:(csv_dir, "degradation.csv")
+    ~title:
+      "Degradation: detection and QoS vs fault intensity (gap-aware \
+       adversary folds the holes back out)"
+    ~columns:
+      [
+        "intensity"; "v_mean"; "v_var"; "v_entropy"; "v_gap"; "gap_frac";
+        "overhead"; "latency(ms)"; "delivered"; "drops(gw)"; "lost(wire)";
+        "lost(down)"; "crashes";
+      ]
+    ~key:(Printf.sprintf "%.2f")
+    ~rows:(fun p ->
+      [
+        [
+          Printf.sprintf "%.2f" p.intensity;
+          Table.fcell p.v_mean;
+          Table.fcell p.v_variance;
+          Table.fcell p.v_entropy;
+          Table.fcell p.v_gap;
+          Table.fcell p.gap_fraction;
+          Table.fcell p.overhead;
+          Printf.sprintf "%.3f" (p.mean_latency *. 1e3);
+          Table.fcell p.delivered_frac;
+          string_of_int p.dropped_gw;
+          string_of_int p.lost_wire;
+          string_of_int p.lost_down;
+          string_of_int p.crashes;
+        ];
+      ])
+    intensities cells fmt;
   Sweep.ok_values cells

@@ -70,12 +70,12 @@ type outcome = {
   sim_time : float;
 }
 
-let try_run ~fresh_arena ~scenario ~rng_payload ~rng_gateway ~rng_cross ~timer
+let try_run ~scenario ~rng_payload ~rng_gateway ~rng_cross ~timer
     ~jitter ~payload_rate_pps ~packet_size ~hops ~tap_position ~target
     ~expected_rate =
   Netsim.Topology.validate ~hops ~tap_position;
   let n = Array.length hops in
-  let arena = Arena.get ~fresh:fresh_arena in
+  let arena = Arena.get () in
   let sim = arena.Arena.sim in
   Exec.Supervise.arm_event_budget sim;
   let cross_streams = Netsim.Topology.cross_streams ~rng:rng_cross hops in

@@ -46,7 +46,6 @@ type outcome = {
 }
 
 val try_run :
-  fresh_arena:bool ->
   scenario:string ->
   rng_payload:Prng.Rng.t ->
   rng_gateway:Prng.Rng.t ->

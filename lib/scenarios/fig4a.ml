@@ -106,8 +106,5 @@ let run ?(scale = 1.0) ?(seed = 42_001) ?csv_dir fmt =
           Printf.sprintf "%.4f" (dh /. 1e3);
         ])
     density_grid;
-  Table.print density_table fmt;
-  (match csv_dir with
-  | Some dir -> Table.save_csv density_table ~path:(Filename.concat dir "fig4a.csv")
-  | None -> ());
+  Table.print ~csv:(csv_dir, "fig4a.csv") density_table fmt;
   { low; high; r_hat = traces.Workload.r_hat; density_grid }

@@ -28,4 +28,5 @@ type t = {
 val run : ?scale:float -> ?seed:int -> ?csv_dir:string -> Format.formatter -> t
 (** Default workload: 30 000 PIATs per class (scaled, floor 2 000).
     Prints the statistics table and a coarse density table; optionally
-    writes [fig4a.csv]. *)
+    writes [fig4a.csv].  Raises [Starvation.Tap_starved] /
+    [Desim.Sim.Event_budget_exceeded] as [System.run] does. *)

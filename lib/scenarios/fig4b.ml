@@ -3,7 +3,7 @@ type t = { r_hat : float; rows : Workload.scored list }
 let default_sample_sizes = [ 10; 20; 50; 100; 200; 400; 700; 1000 ]
 
 let run ?(scale = 1.0) ?(seed = 42_002) ?(sample_sizes = default_sample_sizes)
-    ?jitter ?csv_dir fmt =
+    ?csv_dir fmt =
   let sample_sizes = List.sort_uniq compare sample_sizes in
   let max_n =
     match List.rev sample_sizes with
@@ -11,17 +11,10 @@ let run ?(scale = 1.0) ?(seed = 42_002) ?(sample_sizes = default_sample_sizes)
     | [] -> invalid_arg "Fig4b.run: empty sample_sizes"
   in
   let windows = Stdlib.max 8 (int_of_float (60.0 *. scale)) in
-  let base =
-    match jitter with
-    | None -> { System.default_config with System.seed }
-    | Some jitter -> { System.default_config with System.seed; jitter }
-  in
+  let base = { System.default_config with System.seed } in
   let digest =
     Sweep.digest_of_string
-      (Printf.sprintf "fig4b|seed=%d|w=%d|jitter=%s|points=%s" seed windows
-         (* [Jitter.t] is abstract; callers wiring a custom jitter into a
-            checkpointed run must use a distinct checkpoint directory. *)
-         (match jitter with None -> "default" | Some _ -> "custom")
+      (Printf.sprintf "fig4b|seed=%d|w=%d|points=%s" seed windows
          (String.concat "," (List.map string_of_int sample_sizes)))
   in
   (* The trace pair is shared by every sample size: collect it once in
@@ -54,36 +47,24 @@ let run ?(scale = 1.0) ?(seed = 42_002) ?(sample_sizes = default_sample_sizes)
   let r_hat =
     match Sweep.ok_values cells with (r, _) :: _ -> r | [] -> Float.nan
   in
-  let table =
-    Table.create
-      ~title:
-        (Printf.sprintf
-           "Fig 4(b): detection rate vs sample size (CIT, no cross traffic, \
-            r_hat=%.3f)"
-           r_hat)
-      ~columns:[ "n"; "feature"; "empirical"; "95% CI"; "theory" ]
-  in
-  List.iter2
-    (fun n (c : _ Sweep.cell) ->
-      match c.Sweep.value with
-      | Some (_, scores) ->
-          List.iter
-            (fun (s : Workload.scored) ->
-              Table.add_row table
-                [
-                  string_of_int s.sample_size;
-                  Adversary.Feature.name s.feature;
-                  Printf.sprintf "%.3f" s.empirical;
-                  Workload.pp_ci s;
-                  Printf.sprintf "%.3f" s.theory;
-                ])
-            scores
-      | None ->
-          Table.add_row ~status:(Sweep.row_status c) table
-            [ string_of_int n; "-"; "-"; "-"; "-" ])
-    sample_sizes cells;
-  Table.print table fmt;
-  (match csv_dir with
-  | Some dir -> Table.save_csv table ~path:(Filename.concat dir "fig4b.csv")
-  | None -> ());
+  Sweep.render ~csv:(csv_dir, "fig4b.csv")
+    ~title:
+      (Printf.sprintf
+         "Fig 4(b): detection rate vs sample size (CIT, no cross traffic, \
+          r_hat=%.3f)"
+         r_hat)
+    ~columns:[ "n"; "feature"; "empirical"; "95% CI"; "theory" ]
+    ~key:string_of_int
+    ~rows:(fun (_, scores) ->
+      List.map
+        (fun (s : Workload.scored) ->
+          [
+            string_of_int s.sample_size;
+            Adversary.Feature.name s.feature;
+            Printf.sprintf "%.3f" s.empirical;
+            Workload.pp_ci s;
+            Printf.sprintf "%.3f" s.theory;
+          ])
+        scores)
+    sample_sizes cells fmt;
   { r_hat; rows = List.concat_map snd (Sweep.ok_values cells) }

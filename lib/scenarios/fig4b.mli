@@ -17,11 +17,12 @@ val run :
   ?scale:float ->
   ?seed:int ->
   ?sample_sizes:int list ->
-  ?jitter:Padding.Jitter.t ->
   ?csv_dir:string ->
   Format.formatter ->
   t
 (** Workload: 60 windows of the largest sample size per class (scaled,
-    floor 8 windows).  [jitter] overrides the gateway model (used by the
-    mechanistic-vs-parametric ablation).  Raises
-    [Sweep.Sweep_internal_error] if the sweep journal layer misbehaves. *)
+    floor 8 windows), default gateway jitter.  Raises
+    [Sweep.Sweep_internal_error] if the sweep journal layer misbehaves;
+    under {!Sweep.set_strict} the trace collection's
+    [Starvation.Tap_starved] / [Desim.Sim.Event_budget_exceeded] escape
+    too. *)

@@ -11,15 +11,14 @@ type t = {
   points : point list;
 }
 
-let default_sigma_ts = [ 0.0; 1e-6; 2e-6; 5e-6; 10e-6; 20e-6; 50e-6; 100e-6 ]
+let sigma_ts = [ 0.0; 1e-6; 2e-6; 5e-6; 10e-6; 20e-6; 50e-6; 100e-6 ]
+let sample_size = 2000
 
-let default_law ~sigma_t =
+let law ~sigma_t =
   if sigma_t = 0.0 then Padding.Timer.Constant Calibration.timer_mean
   else Padding.Timer.Normal { mean = Calibration.timer_mean; sigma = sigma_t }
 
-let run ?(scale = 1.0) ?(seed = 42_003) ?(sample_size = 2000)
-    ?(sigma_ts = default_sigma_ts) ?(law = default_law) ?csv_dir fmt =
-  if sample_size < 2 then invalid_arg "Fig5a.run: sample_size < 2";
+let run ?(scale = 1.0) ?(seed = 42_003) ?csv_dir fmt =
   let windows = Stdlib.max 6 (int_of_float (24.0 *. scale)) in
   let calibration = Calibration.measure_gateway_sigmas ~seed:(seed + 13) () in
   let predicted sigma_t =
@@ -29,25 +28,11 @@ let run ?(scale = 1.0) ?(seed = 42_003) ?(sample_size = 2000)
          ~sigma_gw_high:calibration.Calibration.sigma_high ())
   in
   let features = Adversary.Feature.standard_set in
-  (* The journal key fingerprints every input that determines point
-     values, including the (possibly caller-supplied) interval law. *)
-  let law_tag sigma_t =
-    let l = law ~sigma_t in
-    let tag =
-      match l with
-      | Padding.Timer.Constant _ -> "c"
-      | Normal _ -> "n"
-      | Uniform _ -> "u"
-      | Exponential _ -> "e"
-    in
-    Printf.sprintf "%s:%h:%h" tag (Padding.Timer.mean l) (Padding.Timer.sigma l)
-  in
   let digest =
     Sweep.digest_of_string
       (Printf.sprintf "fig5a|seed=%d|n=%d|w=%d|points=%s" seed sample_size
          windows
-         (String.concat ","
-            (List.map (fun s -> Printf.sprintf "%h=%s" s (law_tag s)) sigma_ts)))
+         (String.concat "," (List.map (Printf.sprintf "%h") sigma_ts)))
   in
   (* Sweep points are seeded by index, hence independent: fan them out. *)
   let cells =
@@ -72,39 +57,27 @@ let run ?(scale = 1.0) ?(seed = 42_003) ?(sample_size = 2000)
         })
       sigma_ts
   in
-  let table =
-    Table.create
-      ~title:
-        (Printf.sprintf
-           "Fig 5(a): VIT padding, detection rate vs sigma_T (sample size \
-            %d)"
-           sample_size)
-      ~columns:
-        [ "sigma_T(us)"; "r_hat"; "r_pred"; "feature"; "empirical"; "95% CI"; "theory" ]
-  in
-  List.iter2
-    (fun sigma_t (c : _ Sweep.cell) ->
-      match c.Sweep.value with
-      | Some p ->
-          List.iter
-            (fun (s : Workload.scored) ->
-              Table.add_row table
-                [
-                  Printf.sprintf "%.1f" (p.sigma_t *. 1e6);
-                  Printf.sprintf "%.4f" p.r_hat;
-                  Printf.sprintf "%.4f" p.r_predicted;
-                  Adversary.Feature.name s.feature;
-                  Printf.sprintf "%.3f" s.empirical;
-                  Workload.pp_ci s;
-                  Printf.sprintf "%.3f" s.theory;
-                ])
-            p.scores
-      | None ->
-          Table.add_row ~status:(Sweep.row_status c) table
-            [ Printf.sprintf "%.1f" (sigma_t *. 1e6); "-"; "-"; "-"; "-"; "-"; "-" ])
-    sigma_ts cells;
-  Table.print table fmt;
-  (match csv_dir with
-  | Some dir -> Table.save_csv table ~path:(Filename.concat dir "fig5a.csv")
-  | None -> ());
+  let sigma_cell sigma_t = Printf.sprintf "%.1f" (sigma_t *. 1e6) in
+  Sweep.render ~csv:(csv_dir, "fig5a.csv")
+    ~title:
+      (Printf.sprintf
+         "Fig 5(a): VIT padding, detection rate vs sigma_T (sample size %d)"
+         sample_size)
+    ~columns:
+      [ "sigma_T(us)"; "r_hat"; "r_pred"; "feature"; "empirical"; "95% CI"; "theory" ]
+    ~key:sigma_cell
+    ~rows:(fun p ->
+      List.map
+        (fun (s : Workload.scored) ->
+          [
+            sigma_cell p.sigma_t;
+            Printf.sprintf "%.4f" p.r_hat;
+            Printf.sprintf "%.4f" p.r_predicted;
+            Adversary.Feature.name s.feature;
+            Printf.sprintf "%.3f" s.empirical;
+            Workload.pp_ci s;
+            Printf.sprintf "%.3f" s.theory;
+          ])
+        p.scores)
+    sigma_ts cells fmt;
   { sample_size; calibration; points = Sweep.ok_values cells }

@@ -18,22 +18,12 @@ type t = {
   points : point list;
 }
 
-val default_sigma_ts : float list
-(** 0 (CIT baseline), 1, 2, 5, 10, 20, 50, 100 µs. *)
-
 val run :
-  ?scale:float ->
-  ?seed:int ->
-  ?sample_size:int ->
-  ?sigma_ts:float list ->
-  ?law:(sigma_t:float -> Padding.Timer.law) ->
-  ?csv_dir:string ->
-  Format.formatter ->
-  t
-(** Default sample size 2000 (paper's Fig. 5(a)); 24 windows per class per
-    point (scaled, floor 6).  [law] maps a σ_T to the interval law
-    (default: truncated normal around the calibration mean) — the
-    uniform/exponential ablation passes a different constructor.
-    Raises [Starvation.Tap_starved] / [Desim.Sim.Event_budget_exceeded]
-    from the calibration run (as [System.run] does) and
-    [Sweep.Sweep_internal_error] if the sweep journal layer misbehaves. *)
+  ?scale:float -> ?seed:int -> ?csv_dir:string -> Format.formatter -> t
+(** σ_T = 0 (CIT baseline), 1, 2, 5, 10, 20, 50, 100 µs, each a truncated
+    normal interval law around the calibration mean (constant at 0);
+    sample size 2000 (paper's Fig. 5(a)); 24 windows per class per point
+    (scaled, floor 6).  Raises [Starvation.Tap_starved] /
+    [Desim.Sim.Event_budget_exceeded] from the calibration run (as
+    [System.run] does) and [Sweep.Sweep_internal_error] if the sweep
+    journal layer misbehaves. *)

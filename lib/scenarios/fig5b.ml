@@ -58,8 +58,5 @@ let run ?(seed = 42_004) ?(target = 0.99) ?(sigma_ts = default_sigma_ts)
           Printf.sprintf "%.3e" p.n_entropy;
         ])
     points;
-  Table.print table fmt;
-  (match csv_dir with
-  | Some dir -> Table.save_csv table ~path:(Filename.concat dir "fig5b.csv")
-  | None -> ());
+  Table.print ~csv:(csv_dir, "fig5b.csv") table fmt;
   { target; calibration; points }

@@ -34,8 +34,7 @@ let hop_for_utilization ~utilization ~burst =
   }
 
 let run ?(scale = 1.0) ?(seed = 42_005) ?(sample_size = 1000)
-    ?(utilizations = default_utilizations) ?(burst = `Poisson) ?half_width
-    ?csv_dir fmt =
+    ?(utilizations = default_utilizations) ?half_width ?csv_dir fmt =
   if sample_size < 2 then invalid_arg "Fig6.run: sample_size < 2";
   let windows = Stdlib.max 6 (int_of_float (40.0 *. scale)) in
   let features = Adversary.Feature.standard_set in
@@ -45,24 +44,19 @@ let run ?(scale = 1.0) ?(seed = 42_005) ?(sample_size = 1000)
   let digest =
     Sweep.digest_of_string
       (Printf.sprintf
-         "fig6|seed=%d|n=%d|w=%d|stride=%d|wps=%d|minw=%d|hw=%s|burst=%s|points=%s"
+         "fig6|seed=%d|n=%d|w=%d|stride=%d|wps=%d|minw=%d|hw=%s|points=%s"
          seed sample_size windows plan.Workload.stride
          plan.Workload.windows_per_shard plan.Workload.min_windows
          (match plan.Workload.half_width with
          | None -> "-"
          | Some h -> Printf.sprintf "%h" h)
-         (match burst with
-         | `Poisson -> "poisson"
-         | `On_off (a, b, c) ->
-             Printf.sprintf "onoff:%h:%h:%s" a b
-               (match c with None -> "-" | Some x -> Printf.sprintf "%h" x))
          (String.concat "," (List.map (Printf.sprintf "%h") utilizations)))
   in
   (* Sweep points are seeded by index, hence independent: fan them out. *)
   let cells =
     Sweep.mapi ~sweep:"fig6" ~digest ~seed
       ~task:(fun ~attempt i utilization ->
-        let hop = hop_for_utilization ~utilization ~burst in
+        let hop = hop_for_utilization ~utilization ~burst:`Poisson in
         let base =
           {
             System.default_config with
@@ -92,39 +86,27 @@ let run ?(scale = 1.0) ?(seed = 42_005) ?(sample_size = 1000)
         })
       utilizations
   in
-  let table =
-    Table.create
-      ~title:
-        (Printf.sprintf
-           "Fig 6: CIT + cross traffic (lab), detection vs link utilization \
-            (sample size %d)"
-           sample_size)
-      ~columns:
-        [ "util"; "sigma_l(us)"; "r_hat"; "feature"; "empirical"; "95% CI"; "theory" ]
-  in
-  List.iter2
-    (fun utilization (c : _ Sweep.cell) ->
-      match c.Sweep.value with
-      | Some p ->
-          List.iter
-            (fun (s : Workload.scored) ->
-              Table.add_row table
-                [
-                  Printf.sprintf "%.2f" p.utilization;
-                  Printf.sprintf "%.2f" (p.sigma_low *. 1e6);
-                  Printf.sprintf "%.4f" p.r_hat;
-                  Adversary.Feature.name s.feature;
-                  Printf.sprintf "%.3f" s.empirical;
-                  Workload.pp_ci s;
-                  Printf.sprintf "%.3f" s.theory;
-                ])
-            p.scores
-      | None ->
-          Table.add_row ~status:(Sweep.row_status c) table
-            [ Printf.sprintf "%.2f" utilization; "-"; "-"; "-"; "-"; "-"; "-" ])
-    utilizations cells;
-  Table.print table fmt;
-  (match csv_dir with
-  | Some dir -> Table.save_csv table ~path:(Filename.concat dir "fig6.csv")
-  | None -> ());
+  Sweep.render ~csv:(csv_dir, "fig6.csv")
+    ~title:
+      (Printf.sprintf
+         "Fig 6: CIT + cross traffic (lab), detection vs link utilization \
+          (sample size %d)"
+         sample_size)
+    ~columns:
+      [ "util"; "sigma_l(us)"; "r_hat"; "feature"; "empirical"; "95% CI"; "theory" ]
+    ~key:(Printf.sprintf "%.2f")
+    ~rows:(fun p ->
+      List.map
+        (fun (s : Workload.scored) ->
+          [
+            Printf.sprintf "%.2f" p.utilization;
+            Printf.sprintf "%.2f" (p.sigma_low *. 1e6);
+            Printf.sprintf "%.4f" p.r_hat;
+            Adversary.Feature.name s.feature;
+            Printf.sprintf "%.3f" s.empirical;
+            Workload.pp_ci s;
+            Printf.sprintf "%.3f" s.theory;
+          ])
+        p.scores)
+    utilizations cells fmt;
   { sample_size; points = Sweep.ok_values cells }

@@ -32,7 +32,6 @@ val run :
   ?seed:int ->
   ?sample_size:int ->
   ?utilizations:float list ->
-  ?burst:[ `Poisson | `On_off of float * float * float option ] ->
   ?half_width:float ->
   ?csv_dir:string ->
   Format.formatter ->

@@ -28,11 +28,10 @@ let hops_for kind ~hour =
           if List.mem i congested_positions then hop ~utilization:congested
           else hop ~utilization:light)
 
-let default_hours = [ 0.; 2.; 4.; 6.; 8.; 10.; 12.; 14.; 16.; 18.; 20.; 22. ]
+let hours = [ 0.; 2.; 4.; 6.; 8.; 10.; 12.; 14.; 16.; 18.; 20.; 22. ]
+let sample_size = 1000
 
-let run ?(scale = 1.0) ?(seed = 42_006) ?(sample_size = 1000)
-    ?(hours = default_hours) ?half_width ~kind ?csv_dir fmt =
-  if sample_size < 2 then invalid_arg "Fig8.run: sample_size < 2";
+let run ?(scale = 1.0) ?(seed = 42_006) ?half_width ~kind ?csv_dir fmt =
   let windows = Stdlib.max 6 (int_of_float (16.0 *. scale)) in
   let features = Adversary.Feature.standard_set in
   let plan =
@@ -72,40 +71,27 @@ let run ?(scale = 1.0) ?(seed = 42_006) ?(sample_size = 1000)
         { hour; utilization; r_hat = pair.Workload.ratio_hat; scores })
       hours
   in
-  let table =
-    Table.create
-      ~title:
-        (Printf.sprintf
-           "Fig 8(%s): detection rate over the day (%s path, sample size %d)"
-           (match kind with Campus -> "a" | Wan -> "b")
-           (kind_name kind) sample_size)
-      ~columns:[ "hour"; "util"; "r_hat"; "feature"; "empirical"; "95% CI"; "theory" ]
-  in
-  List.iter2
-    (fun hour (c : _ Sweep.cell) ->
-      match c.Sweep.value with
-      | Some p ->
-          List.iter
-            (fun (s : Workload.scored) ->
-              Table.add_row table
-                [
-                  Printf.sprintf "%02.0f:00" p.hour;
-                  Printf.sprintf "%.3f" p.utilization;
-                  Printf.sprintf "%.4f" p.r_hat;
-                  Adversary.Feature.name s.feature;
-                  Printf.sprintf "%.3f" s.empirical;
-                  Workload.pp_ci s;
-                  Printf.sprintf "%.3f" s.theory;
-                ])
-            p.scores
-      | None ->
-          Table.add_row ~status:(Sweep.row_status c) table
-            [ Printf.sprintf "%02.0f:00" hour; "-"; "-"; "-"; "-"; "-"; "-" ])
-    hours cells;
-  Table.print table fmt;
-  (match csv_dir with
-  | Some dir ->
-      Table.save_csv table
-        ~path:(Filename.concat dir (Printf.sprintf "fig8_%s.csv" (kind_name kind)))
-  | None -> ());
+  Sweep.render
+    ~csv:(csv_dir, Printf.sprintf "fig8_%s.csv" (kind_name kind))
+    ~title:
+      (Printf.sprintf
+         "Fig 8(%s): detection rate over the day (%s path, sample size %d)"
+         (match kind with Campus -> "a" | Wan -> "b")
+         (kind_name kind) sample_size)
+    ~columns:[ "hour"; "util"; "r_hat"; "feature"; "empirical"; "95% CI"; "theory" ]
+    ~key:(Printf.sprintf "%02.0f:00")
+    ~rows:(fun p ->
+      List.map
+        (fun (s : Workload.scored) ->
+          [
+            Printf.sprintf "%02.0f:00" p.hour;
+            Printf.sprintf "%.3f" p.utilization;
+            Printf.sprintf "%.4f" p.r_hat;
+            Adversary.Feature.name s.feature;
+            Printf.sprintf "%.3f" s.empirical;
+            Workload.pp_ci s;
+            Printf.sprintf "%.3f" s.theory;
+          ])
+        p.scores)
+    hours cells fmt;
   { kind; sample_size; points = Sweep.ok_values cells }

@@ -24,21 +24,17 @@ val hops_for : kind -> hour:float -> Netsim.Topology.hop_spec array
     1/6 of it (the paper's path crosses a few loaded exchange points and
     many quiet backbone hops). *)
 
-val default_hours : float list
-(** 0, 2, …, 22 — every two hours across the day. *)
-
 val run :
   ?scale:float ->
   ?seed:int ->
-  ?sample_size:int ->
-  ?hours:float list ->
   ?half_width:float ->
   kind:kind ->
   ?csv_dir:string ->
   Format.formatter ->
   t
-(** Default sample size 1000 (paper); up to 16 sliding windows per class
-    per time point (scaled, floor 6), collected by
+(** Every two hours across the day (0, 2, …, 22); sample size 1000
+    (paper); up to 16 sliding windows per class per time point (scaled,
+    floor 6), collected by
     {!Workload.collect_windowed} (overlapping, default stride
     [sample_size/16]) — the long WAN path is simulated once per
     (hour, class) shard instead of once per window, which is what makes

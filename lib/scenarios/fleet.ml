@@ -91,7 +91,7 @@ let evaluate ?(sample_size = 100) ?(max_windows = 16) ?(load = Flat)
   let mux =
     Mux.run
       ~env_for:(fun _g ->
-        let a = Arena.get ~fresh:false in
+        let a = Arena.get () in
         { Mux.sim = a.Arena.sim; gw_buffers = Some a.Arena.gw })
       cfg
   in
@@ -172,20 +172,6 @@ let run ?(scale = 1.0) ?(seed = 48_000) ?csv_dir
   in
   let sample_size = Stdlib.max 25 (int_of_float (200.0 *. scale)) in
   let max_windows = 16 in
-  let table =
-    Table.create
-      ~title:
-        (Printf.sprintf
-           "Fleet: per-flow detection distribution vs fleet size (%s load, \
-            %d probes, n=%d)"
-           (load_label load) probes sample_size)
-      ~columns:
-        [
-          "flows"; "gateways"; "arrivals"; "active"; "overhead"; "delivered";
-          "latency(ms)"; "v_mean"; "v_p10"; "v_p25"; "v_p50"; "v_p75";
-          "v_p90"; "wilson95";
-        ]
-  in
   let mix_tag =
     String.concat ","
       (Array.to_list
@@ -213,34 +199,38 @@ let run ?(scale = 1.0) ?(seed = 48_000) ?csv_dir
           ~probes ~duration ())
       flow_counts
   in
-  List.iter2
-    (fun flows (c : _ Sweep.cell) ->
-      match c.Sweep.value with
-      | Some p ->
-          Table.add_row table
-            [
-              string_of_int p.flows;
-              string_of_int p.gateways;
-              string_of_int p.arrivals;
-              string_of_int p.active_flows;
-              Table.fcell p.overhead;
-              Table.fcell p.delivered_frac;
-              Printf.sprintf "%.3f" (p.mean_latency *. 1e3);
-              Table.fcell p.v_mean;
-              Table.fcell p.v_p10;
-              Table.fcell p.v_p25;
-              Table.fcell p.v_p50;
-              Table.fcell p.v_p75;
-              Table.fcell p.v_p90;
-              Printf.sprintf "[%.3f, %.3f]" p.wilson.Stats.Confidence.lo
-                p.wilson.Stats.Confidence.hi;
-            ]
-      | None ->
-          Table.add_row ~status:(Sweep.row_status c) table
-            (string_of_int flows :: List.init 13 (fun _ -> "-")))
-    flow_counts cells;
-  Table.print table fmt;
-  (match csv_dir with
-  | Some dir -> Table.save_csv table ~path:(Filename.concat dir "fleet.csv")
-  | None -> ());
+  Sweep.render ~csv:(csv_dir, "fleet.csv")
+    ~title:
+      (Printf.sprintf
+         "Fleet: per-flow detection distribution vs fleet size (%s load, \
+          %d probes, n=%d)"
+         (load_label load) probes sample_size)
+    ~columns:
+      [
+        "flows"; "gateways"; "arrivals"; "active"; "overhead"; "delivered";
+        "latency(ms)"; "v_mean"; "v_p10"; "v_p25"; "v_p50"; "v_p75";
+        "v_p90"; "wilson95";
+      ]
+    ~key:string_of_int
+    ~rows:(fun p ->
+      [
+        [
+          string_of_int p.flows;
+          string_of_int p.gateways;
+          string_of_int p.arrivals;
+          string_of_int p.active_flows;
+          Table.fcell p.overhead;
+          Table.fcell p.delivered_frac;
+          Printf.sprintf "%.3f" (p.mean_latency *. 1e3);
+          Table.fcell p.v_mean;
+          Table.fcell p.v_p10;
+          Table.fcell p.v_p25;
+          Table.fcell p.v_p50;
+          Table.fcell p.v_p75;
+          Table.fcell p.v_p90;
+          Printf.sprintf "[%.3f, %.3f]" p.wilson.Stats.Confidence.lo
+            p.wilson.Stats.Confidence.hi;
+        ];
+      ])
+    flow_counts cells fmt;
   Sweep.ok_values cells

@@ -5,9 +5,9 @@ type t = {
   confusion : int array array;
 }
 
-let run ?(scale = 1.0) ?(seed = 42_007) ?(rates = [ 10.0; 20.0; 30.0; 40.0 ])
-    ?(sample_size = 1000) ?csv_dir fmt =
-  if List.length rates < 2 then invalid_arg "Multirate.run: need >= 2 rates";
+let rates = [ 10.0; 20.0; 30.0; 40.0 ]
+
+let run ?(scale = 1.0) ?(seed = 42_007) ?(sample_size = 1000) ?csv_dir fmt =
   if sample_size < 2 then invalid_arg "Multirate.run: sample_size < 2";
   let windows = Stdlib.max 6 (int_of_float (30.0 *. scale)) in
   let digest =
@@ -82,49 +82,49 @@ let run ?(scale = 1.0) ?(seed = 42_007) ?(rates = [ 10.0; 20.0; 30.0; 40.0 ])
       confusion
     end
   in
-  let table =
-    Table.create
-      ~title:
-        (Printf.sprintf "Multi-rate extension: %d-ary detection (n=%d)"
-           (List.length rates) sample_size)
-      ~columns:[ "feature"; "detection rate"; "floor (1/m)" ]
+  let floor_cell = Printf.sprintf "%.3f" (1.0 /. float_of_int m) in
+  let rate_rows =
+    List.map
+      (fun (feature, v) ->
+        [ Adversary.Feature.name feature; Printf.sprintf "%.3f" v; floor_cell ])
+      results
   in
-  List.iter
-    (fun (feature, v) ->
-      Table.add_row table
-        [
-          Adversary.Feature.name feature;
-          Printf.sprintf "%.3f" v;
-          Printf.sprintf "%.3f" (1.0 /. float_of_int m);
-        ])
-    results;
   (* Analytic m-ary oracle for the variance feature: exact Bayes rate from
      the measured per-class PIAT variances (defined when they are strictly
      increasing with the rate, which the jitter mechanism guarantees up to
      sampling noise). *)
-  (if m >= 2 then
-     let sigma2s =
-       Array.map (fun (_, trace) -> Stats.Descriptive.variance trace) classes
-     in
-     let increasing =
-       Array.for_all Fun.id
-         (Array.init (m - 1) (fun i -> sigma2s.(i + 1) > sigma2s.(i)))
-     in
-     if increasing then
-       Table.add_row table
-         [
-           "variance (exact m-ary oracle)";
-           Printf.sprintf "%.3f"
-             (Analytical.Multirate.mary_variance_exact ~sigma2s ~n:sample_size);
-           Printf.sprintf "%.3f" (1.0 /. float_of_int m);
-         ]);
-  List.iter2
-    (fun rate (c : _ Sweep.cell) ->
-      if c.Sweep.status <> Sweep.Point_ok then
-        Table.add_row ~status:(Sweep.row_status c) table
-          [ Printf.sprintf "class %.0fpps" rate; "-"; "-" ])
-    rates cells;
-  Table.print table fmt;
+  let oracle_rows =
+    if m < 2 then []
+    else
+      let sigma2s =
+        Array.map (fun (_, trace) -> Stats.Descriptive.variance trace) classes
+      in
+      let increasing =
+        Array.for_all Fun.id
+          (Array.init (m - 1) (fun i -> sigma2s.(i + 1) > sigma2s.(i)))
+      in
+      if not increasing then []
+      else
+        [
+          [
+            "variance (exact m-ary oracle)";
+            Printf.sprintf "%.3f"
+              (Analytical.Multirate.mary_variance_exact ~sigma2s ~n:sample_size);
+            floor_cell;
+          ];
+        ]
+  in
+  (* The rows aggregate every class, so a failed class adds only its
+     annotated row, after them. *)
+  Sweep.render ~csv:(csv_dir, "multirate.csv")
+    ~aggregate:(rate_rows @ oracle_rows)
+    ~title:
+      (Printf.sprintf "Multi-rate extension: %d-ary detection (n=%d)"
+         (List.length rates) sample_size)
+    ~columns:[ "feature"; "detection rate"; "floor (1/m)" ]
+    ~key:(Printf.sprintf "class %.0fpps")
+    ~rows:(fun _ -> [])
+    rates cells fmt;
   (if m >= 2 then begin
      let ctable =
        Table.create ~title:"Confusion matrix (variance feature, rows = truth)"
@@ -139,7 +139,4 @@ let run ?(scale = 1.0) ?(seed = 42_007) ?(rates = [ 10.0; 20.0; 30.0; 40.0 ])
        confusion;
      Table.print ctable fmt
    end);
-  (match csv_dir with
-  | Some dir -> Table.save_csv table ~path:(Filename.concat dir "multirate.csv")
-  | None -> ());
   { rates; sample_size; results; confusion }

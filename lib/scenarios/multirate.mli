@@ -18,11 +18,10 @@ type t = {
 val run :
   ?scale:float ->
   ?seed:int ->
-  ?rates:float list ->
   ?sample_size:int ->
   ?csv_dir:string ->
   Format.formatter ->
   t
-(** Defaults: rates 10/20/30/40 pps, sample size 1000, CIT at the gateway,
+(** Rates 10/20/30/40 pps, default sample size 1000, CIT at the gateway,
     30 windows per class (scaled, floor 6).  Raises
     [Sweep.Sweep_internal_error] if the sweep journal layer misbehaves. *)

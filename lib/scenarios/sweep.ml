@@ -421,8 +421,22 @@ let mapi ~sweep ~digest ~seed ?prepare ~task xs =
 let ok_values cells =
   List.filter_map (fun (c : _ cell) -> c.value) cells
 
+(* --- rendering: one row group per point --- *)
+
 let row_status (c : _ cell) =
   match c.status with
   | Point_ok -> Table.Row_ok
   | Point_failed -> Table.Row_failed c.error
   | Point_quarantined -> Table.Row_quarantined c.error
+
+let render ?csv ?(aggregate = []) ~title ~columns ~key ~rows xs cells fmt =
+  let table = Table.create ~title ~columns in
+  List.iter (Table.add_row table) aggregate;
+  let dashes = List.init (List.length columns - 1) (fun _ -> "-") in
+  List.iter2
+    (fun x (c : _ cell) ->
+      match c.value with
+      | Some v -> List.iter (Table.add_row table) (rows v)
+      | None -> Table.add_row ~status:(row_status c) table (key x :: dashes))
+    xs cells;
+  Table.print ?csv table fmt

@@ -147,5 +147,25 @@ val write_manifest : path:string -> unit
 val pp_failures : Format.formatter -> unit
 (** One human-readable line per failure. *)
 
-val row_status : 'a cell -> Table.row_status
-(** Map a cell's outcome onto the table-row annotation. *)
+(** {1 Rendering a sweep} *)
+
+val render :
+  ?csv:string option * string ->
+  ?aggregate:string list list ->
+  title:string ->
+  columns:string list ->
+  key:('a -> string) ->
+  rows:('b -> string list list) ->
+  'a list ->
+  'b cell list ->
+  Format.formatter ->
+  unit
+(** The one sweep-to-table path: build the table of a sweep's points
+    (the {!mapi} input list and its cells), print it with {!Table.print}
+    and, with [csv], save its CSV copy there too.  Rows come in this
+    order: the [aggregate] rows (a table whose rows summarize all points,
+    such as the m-ary detection rates), then one row group per point in
+    point order — [rows v] for an ok point, and for a failed or
+    quarantined point one row of [key x] followed by ["-"] in every
+    other column, annotated with its status.  A failed point thus keeps
+    its position, and a complete sweep renders exactly its ok rows. *)

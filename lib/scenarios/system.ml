@@ -75,8 +75,8 @@ let streams seed =
    ties.  [sender] returns its input port and a [finish] that stops it
    and returns its overhead.  Runs inside the caller's
    [Obs.Trace.with_run]. *)
-let drive ~fresh_arena ~scenario cfg ~sender ~target ~expected_rate =
-  let arena = Arena.get ~fresh:fresh_arena in
+let drive ~scenario cfg ~sender ~target ~expected_rate =
+  let arena = Arena.get () in
   let sim = arena.Arena.sim in
   Exec.Supervise.arm_event_budget sim;
   let rng_payload, rng_gateway, rng_cross = streams cfg.seed in
@@ -159,7 +159,7 @@ let kernel_fallback cfg =
   else if not (Fastpath.eligible_hops cfg.hops) then Some Fastpath.Onoff_cross
   else None
 
-let run ?(fresh_arena = false) cfg ~piats =
+let run cfg ~piats =
   validate cfg;
   if piats < 1 then invalid_arg "System.run: piats < 1";
   traced ~scenario:"system.run" cfg @@ fun () ->
@@ -168,7 +168,7 @@ let run ?(fresh_arena = false) cfg ~piats =
   let target = piats + cfg.warmup_piats + 2 in
   let expected_rate = 1.0 /. Padding.Timer.mean cfg.timer in
   let event_loop () =
-    drive ~fresh_arena ~scenario:"system.run" cfg
+    drive ~scenario:"system.run" cfg
       ~sender:(gateway_sender cfg) ~target ~expected_rate
   in
   result cfg ~limit:piats
@@ -180,7 +180,7 @@ let run ?(fresh_arena = false) cfg ~piats =
   | None -> (
       let rng_payload, rng_gateway, rng_cross = streams cfg.seed in
       match
-        Fastpath.try_run ~fresh_arena ~scenario:"system.run" ~rng_payload
+        Fastpath.try_run ~scenario:"system.run" ~rng_payload
           ~rng_gateway ~rng_cross ~timer:cfg.timer ~jitter:cfg.jitter
           ~payload_rate_pps:cfg.payload_rate_pps ~packet_size:cfg.packet_size
           ~hops:cfg.hops ~tap_position:cfg.tap_position ~target ~expected_rate
@@ -192,8 +192,7 @@ let run ?(fresh_arena = false) cfg ~piats =
           event_loop ()
       | Some o -> o)
 
-let run_mix ?(fresh_arena = false) ?(threshold = 8) ?(timeout = 0.5) cfg
-    ~piats =
+let run_mix ?(threshold = 8) ?(timeout = 0.5) cfg ~piats =
   validate cfg;
   if piats < 1 then invalid_arg "System.run_mix: piats < 1";
   traced ~scenario:"system.mix" cfg @@ fun () ->
@@ -210,11 +209,11 @@ let run_mix ?(fresh_arena = false) ?(threshold = 8) ?(timeout = 0.5) cfg
   (* Each timeout flush emits [threshold] packets, so the slowest possible
      wire rate is threshold/timeout. *)
   result cfg ~limit:piats
-    (drive ~fresh_arena ~scenario:"system.mix" cfg ~sender
+    (drive ~scenario:"system.mix" cfg ~sender
        ~target:(piats + cfg.warmup_piats + 2)
        ~expected_rate:(float_of_int threshold /. timeout))
 
-let run_adaptive ?(fresh_arena = false) cfg ~piats =
+let run_adaptive cfg ~piats =
   validate cfg;
   if piats < 1 then invalid_arg "System.run_adaptive: piats < 1";
   traced ~scenario:"system.adaptive" cfg @@ fun () ->
@@ -230,16 +229,16 @@ let run_adaptive ?(fresh_arena = false) cfg ~piats =
   in
   (* Worst case the adaptive gateway idles at max_period. *)
   result cfg ~limit:piats
-    (drive ~fresh_arena ~scenario:"system.adaptive" cfg ~sender
+    (drive ~scenario:"system.adaptive" cfg ~sender
        ~target:(piats + cfg.warmup_piats + 2)
        ~expected_rate:(1.0 /. Padding.Adaptive.max_period))
 
-let run_unpadded ?(fresh_arena = false) cfg ~packets =
+let run_unpadded cfg ~packets =
   validate cfg;
   if packets < 1 then invalid_arg "System.run_unpadded: packets < 1";
   traced ~scenario:"system.unpadded" cfg @@ fun () ->
   let sender _sim ~buffers:_ ~rng:_ ~dest = (dest, fun () -> 0.0) in
   result cfg
-    (drive ~fresh_arena ~scenario:"system.unpadded" cfg ~sender
+    (drive ~scenario:"system.unpadded" cfg ~sender
        ~target:(packets + cfg.warmup_piats + 2)
        ~expected_rate:cfg.payload_rate_pps)

@@ -54,16 +54,16 @@ val validate_sender :
     finite payload rate (NaN fails), a positive packet size and a
     non-negative warm-up, else [Invalid_argument]. *)
 
-val run : ?fresh_arena:bool -> config -> piats:int -> result
+val run : config -> piats:int -> result
 (** Simulate until the tap has recorded [piats] inter-arrival times beyond
     the warm-up, then stop.  Raises [Desim.Sim.Event_budget_exceeded] if
     a supervising sweep armed an event budget and the run overran it, and
     [Starvation.Tap_starved] if the tap stops making progress before the
     budget is met.  Deterministic in [config.seed].
-    [piats >= 1].  By default the run recycles the calling domain's
-    {!Arena} (simulator, tap vectors, gateway buffers) — observably
-    identical to a fresh simulator but without re-growing storage on every
-    run of a sweep; [fresh_arena:true] forces brand-new state.
+    [piats >= 1].  The run recycles the calling domain's {!Arena}
+    (simulator, tap vectors, gateway buffers) — observably identical to a
+    fresh simulator but without re-growing storage on every run of a
+    sweep.
 
     Eligible configurations (Poisson payload, cross traffic absent or
     Poisson — the no-fault common case) execute on the fused
@@ -81,7 +81,7 @@ val run : ?fresh_arena:bool -> config -> piats:int -> result
     draws write into register slots, and its tap and receiver read the
     stage vectors in place. *)
 
-val run_unpadded : ?fresh_arena:bool -> config -> packets:int -> result
+val run_unpadded : config -> packets:int -> result
 (** Baseline without any gateway: the payload stream crosses the same hop
     chain in the clear ([timer]/[jitter] ignored, [piats] are payload
     inter-arrivals).  Used by the packet-counting attack example.
@@ -89,7 +89,6 @@ val run_unpadded : ?fresh_arena:bool -> config -> packets:int -> result
     as {!run} does. *)
 
 val run_mix :
-  ?fresh_arena:bool ->
   ?threshold:int ->
   ?timeout:float ->
   config ->
@@ -101,7 +100,7 @@ val run_mix :
     Raises [Starvation.Tap_starved] / [Desim.Sim.Event_budget_exceeded]
     as {!run} does. *)
 
-val run_adaptive : ?fresh_arena:bool -> config -> piats:int -> result
+val run_adaptive : config -> piats:int -> result
 (** Same assembly but with the sender gateway's period set by the
     Timmerman-style {!Padding.Adaptive} policy (10–40 ms) instead of
     [config.timer], which is ignored; [jitter] applies as in {!run}.

@@ -65,27 +65,6 @@ let rec register_digest entry =
 
 let printed_digests () = List.rev (Atomic.get registry)
 
-let print t fmt =
-  register_digest (t.title, digest t);
-  let columns, rows = effective t in
-  let widths =
-    List.mapi
-      (fun i col ->
-        List.fold_left
-          (fun acc row -> Stdlib.max acc (String.length (List.nth row i)))
-          (String.length col) rows)
-      columns
-  in
-  let pad s w = s ^ String.make (w - String.length s) ' ' in
-  let render_row cells =
-    String.concat "  " (List.map2 pad cells widths)
-  in
-  Format.fprintf fmt "@.%s@." t.title;
-  let header = render_row columns in
-  Format.fprintf fmt "%s@." header;
-  Format.fprintf fmt "%s@." (String.make (String.length header) '-');
-  List.iter (fun row -> Format.fprintf fmt "%s@." (render_row row)) rows
-
 let rec mkdir_p dir =
   if dir = "" || dir = "." || dir = "/" || Sys.file_exists dir then ()
   else begin
@@ -119,3 +98,27 @@ let save_csv t ~path =
       Fun.protect
         ~finally:(fun () -> close_out oc)
         (fun () -> output_string oc (to_csv t))
+
+let print ?csv t fmt =
+  register_digest (t.title, digest t);
+  let columns, rows = effective t in
+  let widths =
+    List.mapi
+      (fun i col ->
+        List.fold_left
+          (fun acc row -> Stdlib.max acc (String.length (List.nth row i)))
+          (String.length col) rows)
+      columns
+  in
+  let pad s w = s ^ String.make (w - String.length s) ' ' in
+  let render_row cells =
+    String.concat "  " (List.map2 pad cells widths)
+  in
+  Format.fprintf fmt "@.%s@." t.title;
+  let header = render_row columns in
+  Format.fprintf fmt "%s@." header;
+  Format.fprintf fmt "%s@." (String.make (String.length header) '-');
+  List.iter (fun row -> Format.fprintf fmt "%s@." (render_row row)) rows;
+  match csv with
+  | Some (Some dir, file) -> save_csv t ~path:(Filename.concat dir file)
+  | Some (None, _) | None -> ()

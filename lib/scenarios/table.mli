@@ -22,11 +22,17 @@ val has_failures : t -> bool
 val fcell : float -> string
 (** Default float formatting ("%.4g"); scientific when warranted. *)
 
-val print : t -> Format.formatter -> unit
+val print : ?csv:string option * string -> t -> Format.formatter -> unit
 (** Render with column alignment, a title line, and a rule.  Also records
     [(title, digest)] in the process-global registry read by
     {!printed_digests} — the bench harness serializes that registry so
-    the regression differ can bind on table content. *)
+    the regression differ can bind on table content.
+
+    [~csv:(Some dir, file)] also writes {!to_csv} to [dir/file] (the
+    [--csv] copy), creating missing directories (mkdir -p semantics);
+    [~csv:(None, _)] writes nothing.  A failed write raises [Sys_error]
+    with an actionable message naming the offending path instead of the
+    raw [open_out] error. *)
 
 val digest : t -> string
 (** Hex MD5 of the title plus the {!to_csv} rendering — one stable
@@ -38,9 +44,3 @@ val printed_digests : unit -> (string * string) list
 
 val to_csv : t -> string
 (** RFC-4180-ish CSV (quotes cells containing commas/quotes/newlines). *)
-
-val save_csv : t -> path:string -> unit
-(** Write {!to_csv} to [path], creating missing parent directories
-    (mkdir -p semantics).  Failures surface as [Sys_error] with an
-    actionable message naming the offending path instead of the raw
-    [open_out] error. *)

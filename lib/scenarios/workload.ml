@@ -6,26 +6,30 @@ type traces = {
   r_hat : float;
 }
 
-let collect_pair ~base ~piats =
-  (* The two classes have disjoint derived seeds, so they are independent
-     simulations; run them concurrently when a pool worker is free. *)
-  let low_cfg = { base with System.payload_rate_pps = Calibration.rate_low_pps } in
-  let high_cfg =
+(* The one class pair: ω_l at the base seed, ω_h at a seed displaced by
+   a prime so the two classes draw disjoint streams. *)
+let class_configs base =
+  ( { base with System.payload_rate_pps = Calibration.rate_low_pps },
     {
       base with
       System.payload_rate_pps = Calibration.rate_high_pps;
       seed = base.System.seed + 7919;
-    }
-  in
+    } )
+
+let run_pair ~base ~run =
+  (* The two classes are independent simulations; run them concurrently
+     when a pool worker is free. *)
+  let low_cfg, high_cfg = class_configs base in
   let low, high =
-    Exec.Pool.both
-      (fun () -> System.run low_cfg ~piats)
-      (fun () -> System.run high_cfg ~piats)
+    Exec.Pool.both (fun () -> run low_cfg) (fun () -> run high_cfg)
   in
   let var_low = Stats.Descriptive.variance low.System.piats in
   let var_high = Stats.Descriptive.variance high.System.piats in
   let r_hat = Float.max (var_high /. var_low) 1.0 in
   { low; high; var_low; var_high; r_hat }
+
+let collect_pair ~base ~piats =
+  run_pair ~base ~run:(fun cfg -> System.run cfg ~piats)
 
 let classes t =
   [|
@@ -137,16 +141,7 @@ let collect_windowed ~base ~plan ~features =
   let per_shard_piats = shard_piats plan in
   let max_shards = (plan.max_windows + wps - 1) / wps in
   let min_shards = Stdlib.max 1 ((plan.min_windows + wps - 1) / wps) in
-  let low_cfg =
-    { base with System.payload_rate_pps = Calibration.rate_low_pps }
-  in
-  let high_cfg =
-    {
-      base with
-      System.payload_rate_pps = Calibration.rate_high_pps;
-      seed = base.System.seed + 7919;
-    }
-  in
+  let low_cfg, high_cfg = class_configs base in
   (* One task per (shard, class).  The shard seed is derived from the
      class seed and the shard index, so the work plan — and with it every
      byte of the result — is a function of (base.seed, plan) alone; the

@@ -11,12 +11,21 @@ type traces = {
                                offline estimate of the variance ratio *)
 }
 
+val run_pair :
+  base:System.config -> run:(System.config -> System.result) -> traces
+(** The one class pair: call [run] on ω_l's config ([base] at the
+    calibration low payload rate) and on ω_h's ([base] at the high rate,
+    seed [base.seed + 7919]), then measure r̂ from the two PIAT
+    variances.  [run] is the per-class simulation: any [System.run*], or
+    one that sets a per-class field from the config's rate.  The two runs
+    go concurrently when {!Exec.Pool} has a free worker; parallelism is
+    transparent — the result is bit-identical to the sequential
+    computation. *)
+
 val collect_pair : base:System.config -> piats:int -> traces
-(** Run [base] at the calibration low and high payload rates (distinct
-    derived seeds) until each yields [piats] inter-arrival times.  The two
-    collections run concurrently when {!Exec.Pool} has a free worker;
-    parallelism is transparent — the result is bit-identical to the
-    sequential computation. *)
+(** {!run_pair} with [System.run]: each class yields [piats]
+    inter-arrival times.  Raises [Starvation.Tap_starved] /
+    [Desim.Sim.Event_budget_exceeded] as {!System.run} does. *)
 
 val classes : traces -> (string * float array) array
 (** Labeled PIAT traces in (low, high) order, for {!Adversary.Detection}. *)
@@ -120,7 +129,7 @@ val collect_windowed :
     accumulated window features together with the final scoring (so
     callers never re-train the classifier).  Each (shard, class) task
     seeds its simulation with [Rng.mix_seed class_seed shard] (class
-    seeds as in {!collect_pair}) and extracts features in-task; shard
+    seeds as in {!run_pair}) and extracts features in-task; shard
     results are merged in index order.  Both the collected data and the
     early-stopping decision are functions of [(base.seed, plan)] only —
     bit-identical at any [--jobs].  PIAT variances come from merged

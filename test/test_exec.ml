@@ -68,10 +68,11 @@ let test_fig4b_bit_identical_across_jobs () =
 
 let test_arena_reuse_bit_identical () =
   (* System.run recycles a per-domain arena (simulator, tap vectors,
-     gateway buffers) by default; forcing brand-new state for every run
-     must change nothing, at any worker count.  Prime the arena with an
-     unrelated differently-shaped run first so reuse starts from dirty,
-     already-grown storage. *)
+     gateway buffers); a run on brand-new state must match it, at any
+     worker count.  Prime the arena with an unrelated differently-shaped
+     run first so reuse starts from dirty, already-grown storage; the
+     fresh run comes from a newly spawned domain, whose [Domain.DLS]
+     arena is new. *)
   let cfg =
     { Scenarios.System.default_config with Scenarios.System.seed = 31_337 }
   in
@@ -81,7 +82,9 @@ let test_arena_reuse_bit_identical () =
        ~piats:120
       : Scenarios.System.result);
   let reused = Scenarios.System.run cfg ~piats:400 in
-  let fresh = Scenarios.System.run ~fresh_arena:true cfg ~piats:400 in
+  let fresh =
+    Domain.join (Domain.spawn (fun () -> Scenarios.System.run cfg ~piats:400))
+  in
   Alcotest.(check bool) "piats bit-identical" true
     (reused.Scenarios.System.piats = fresh.Scenarios.System.piats);
   Alcotest.(check bool) "timestamps bit-identical" true

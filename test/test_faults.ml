@@ -488,6 +488,30 @@ let test_degradation_rejects_non_finite_rate () =
       ("infinite rate", infinity, "System: payload_rate not finite");
     ]
 
+(* An infinite drift makes every interval [inf]: the clock check rejects
+   it before the first event, so the run never starves its tap. *)
+let test_degradation_rejects_infinite_drift () =
+  Obs.Metrics.reset ();
+  let profile = Scenarios.Degradation.profile_of_intensity 0.1 in
+  let cfg =
+    {
+      Scenarios.Degradation.default_config with
+      profile =
+        {
+          profile with
+          clock = { profile.Scenarios.Degradation.clock with drift = infinity };
+        };
+    }
+  in
+  Alcotest.check_raises "infinite drift"
+    (Invalid_argument "Clock: drift not finite") (fun () ->
+      ignore
+        (Scenarios.Degradation.run_faulty cfg ~piats:50
+          : Scenarios.Degradation.run_result));
+  Alcotest.(check int) "no timer fire" 0
+    (Obs.Metrics.Snapshot.counter_value (Obs.Metrics.snapshot ())
+       "padding.gateway.fires")
+
 let suite =
   [
     Alcotest.test_case "lossy validation" `Quick test_lossy_validation;
@@ -519,4 +543,6 @@ let suite =
       test_degradation_profile_validation;
     Alcotest.test_case "degradation: non-finite payload rate rejected" `Quick
       test_degradation_rejects_non_finite_rate;
+    Alcotest.test_case "degradation: infinite clock drift rejected" `Quick
+      test_degradation_rejects_infinite_drift;
   ]

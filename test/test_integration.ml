@@ -443,7 +443,7 @@ let test_known_answers () =
     let was = Scenarios.Fastpath.enabled () in
     Scenarios.Fastpath.set_enabled kernel;
     Fun.protect ~finally:(fun () -> Scenarios.Fastpath.set_enabled was)
-    @@ fun () -> system_digest (S.run ~fresh_arena:true cfg ~piats:300)
+    @@ fun () -> system_digest (S.run cfg ~piats:300)
   in
   let faulty () =
     let r =
@@ -481,16 +481,53 @@ let test_known_answers () =
         fun () -> run { cfg with hops = onoff } );
       ( "run_mix",
         "25e32092813a2650216134c4a39099a9",
-        fun () -> system_digest (S.run_mix ~fresh_arena:true cfg ~piats:300) );
+        fun () -> system_digest (S.run_mix cfg ~piats:300) );
       ( "run_adaptive",
         "6333662e815a0d5dce0e1dd6ee24061d",
-        fun () ->
-          system_digest (S.run_adaptive ~fresh_arena:true cfg ~piats:300) );
+        fun () -> system_digest (S.run_adaptive cfg ~piats:300) );
       ( "run_unpadded",
         "5f081b9fc7b3d3cef604417a75461c4a",
-        fun () ->
-          system_digest (S.run_unpadded ~fresh_arena:true cfg ~packets:300) );
+        fun () -> system_digest (S.run_unpadded cfg ~packets:300) );
       ("Degradation.run_faulty", "b2652e65bcb9e320fcf3938561ba1410", faulty);
+    ]
+
+(* Known answers for the three ablations that hand the class pair a
+   per-class run of their own (per-rate jitter, adaptive padding, the
+   mix): their table digests at a small scale. *)
+let test_pair_ablation_known_answers () =
+  let printed_digest title =
+    match
+      List.rev
+        (List.filter
+           (fun (t, _) -> t = title)
+           (Scenarios.Table.printed_digests ()))
+    with
+    | (_, d) :: _ -> d
+    | [] -> Alcotest.fail ("table not printed: " ^ title)
+  in
+  List.iter
+    (fun (title, expected, run) ->
+      run ();
+      Alcotest.(check string) title expected (printed_digest title))
+    [
+      ( "Ablation: mechanistic vs parametric gateway jitter (n=1000)",
+        "ea975e859fda2294f1663a7396b47789",
+        fun () ->
+          ignore
+            (Scenarios.Ablations.run_jitter_models ~scale:0.05 ~seed:93_001
+               null_fmt) );
+      ( "Ablation: padding scheme vs detectability and bandwidth cost (n=500)",
+        "20d1e4da044916963a976390108d9fb1",
+        fun () ->
+          ignore
+            (Scenarios.Ablations.run_adaptive_vs_cit ~scale:0.05 ~seed:93_002
+               null_fmt) );
+      ( "Ablation: mixing vs padding as rate-hiding (n=200)",
+        "e6114d5fc50e810940a9e0e681d86b4a",
+        fun () ->
+          ignore
+            (Scenarios.Ablations_ext.run_mix_vs_padding ~scale:0.05
+               ~seed:93_003 null_fmt) );
     ]
 
 let suite =
@@ -526,4 +563,6 @@ let suite =
     Alcotest.test_case "linkpad recommend" `Quick test_linkpad_recommend;
     Alcotest.test_case "known answers: every System.run* entry point" `Quick
       test_known_answers;
+    Alcotest.test_case "known answers: class-pair ablation tables" `Quick
+      test_pair_ablation_known_answers;
   ]

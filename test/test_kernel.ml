@@ -468,7 +468,7 @@ let run_on ~kernel ~traced cfg =
       (fun () ->
         let r =
           with_kernel kernel (fun () ->
-              System.run ~fresh_arena:true cfg ~piats:400)
+              System.run cfg ~piats:400)
         in
         Obs.Trace.flush ();
         r)
@@ -612,7 +612,7 @@ let test_bad_configs_agree () =
           let name = name ^ if kernel then ", kernel" else ", event loop" in
           Alcotest.check_raises name (Invalid_argument msg) (fun () ->
               with_kernel kernel (fun () ->
-                  ignore (System.run ~fresh_arena:true cfg ~piats:50)));
+                  ignore (System.run cfg ~piats:50)));
           Alcotest.(check int) (name ^ ": no timer fire") 0
             (Obs.Metrics.Snapshot.counter_value (Obs.Metrics.snapshot ())
                "padding.gateway.fires"))

@@ -504,6 +504,45 @@ let test_table_status_column () =
         true (contains needle))
     [ "status"; "ok"; "failed: tap starved"; "quarantined: boom" ]
 
+(* --- the sweep renderer --- *)
+
+(* The one rule of every sweep table: each point adds its row group in
+   point order, so a failed point's key row (then "-" cells, with its
+   status) sits at its position; rows that aggregate all points come
+   first. *)
+let test_render_failed_point_in_place () =
+  with_defaults @@ fun () ->
+  with_temp_dir @@ fun dir ->
+  Sweep.set_retries 0;
+  (match Sweep.parse_injection "t.render:1" with
+  | Ok injs -> Sweep.set_injections injs
+  | Error e -> Alcotest.fail e);
+  let points = [ 10; 20; 30 ] in
+  let cells =
+    Sweep.mapi ~sweep:"t.render" ~digest:"d" ~seed:1
+      ~task:(fun ~attempt:_ _i x -> 2 * x)
+      points
+  in
+  let null_fmt = Format.make_formatter (fun _ _ _ -> ()) ignore in
+  let csv ?aggregate ~rows file =
+    Sweep.render ~csv:(Some dir, file) ?aggregate ~title:"t"
+      ~columns:[ "x"; "2x" ] ~key:string_of_int ~rows points cells null_fmt;
+    read_file (Filename.concat dir file)
+  in
+  let placeholder =
+    "20,-,\"quarantined: injected failure (t.render point 1, attempt 0)\""
+  in
+  Alcotest.(check string)
+    "ok, quarantined placeholder, ok"
+    (String.concat "\n"
+       [ "x,2x,status"; "10,20,ok"; placeholder; "30,60,ok"; "" ])
+    (csv "per_point.csv" ~rows:(fun v ->
+         [ [ string_of_int (v / 2); string_of_int v ] ]));
+  Alcotest.(check string)
+    "aggregated rows first, placeholder after them"
+    (String.concat "\n" [ "x,2x,status"; "all,80,ok"; placeholder; "" ])
+    (csv "aggregate.csv" ~aggregate:[ [ "all"; "80" ] ] ~rows:(fun _ -> []))
+
 let suite =
   [
     Alcotest.test_case "CRC-32 known answers" `Quick test_crc_known_answers;
@@ -526,4 +565,6 @@ let suite =
     Alcotest.test_case "resume replays journaled failures" `Quick
       test_resume_replays_failures;
     Alcotest.test_case "table status column" `Quick test_table_status_column;
+    Alcotest.test_case "sweep render: failed point keeps its position"
+      `Quick test_render_failed_point_in_place;
   ]

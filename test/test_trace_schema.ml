@@ -297,8 +297,7 @@ let test_cli_starvation_exit () =
    its runs account and trace like every other gateway run. *)
 let adaptive_run () =
   ignore
-    (Scenarios.System.run_adaptive ~fresh_arena:true
-       Scenarios.System.default_config ~piats:300
+    (Scenarios.System.run_adaptive Scenarios.System.default_config ~piats:300
       : Scenarios.System.result);
   Obs.Metrics.snapshot ()
 
