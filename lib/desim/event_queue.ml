@@ -30,6 +30,7 @@ type 'a t = {
   mutable free_len : int;
   mutable len : int;
   mutable next_seq : int;
+  mutable popped_seq : int; (* seq of the last popped event *)
 }
 
 let create () =
@@ -42,6 +43,7 @@ let create () =
     free_len = 0;
     len = 0;
     next_seq = 0;
+    popped_seq = -1;
   }
 
 let is_empty t = t.len = 0
@@ -108,6 +110,9 @@ let min_time t =
   if t.len = 0 then invalid_arg "Event_queue.min_time: empty queue";
   Float.Array.get t.times 0
 
+let next_seq t = t.next_seq
+let popped_seq t = t.popped_seq
+
 (* Remove the root entry; the caller has already read it out. *)
 let remove_root t =
   t.len <- t.len - 1;
@@ -151,6 +156,7 @@ let pop_exn t =
   if t.len = 0 then invalid_arg "Event_queue.pop_exn: empty queue";
   let slot = t.slots.(0) in
   let payload = t.payloads.(slot) in
+  t.popped_seq <- t.seqs.(0);
   t.free.(t.free_len) <- slot;
   t.free_len <- t.free_len + 1;
   remove_root t;
@@ -167,6 +173,7 @@ let pop t =
 let clear t =
   t.len <- 0;
   t.next_seq <- 0;
+  t.popped_seq <- -1;
   let cap = capacity t in
   for i = 0 to cap - 1 do
     t.free.(i) <- i

@@ -13,6 +13,9 @@ type t = {
      chunk granularity (entry/exit of [run_until]), never per event, so
      arming it costs nothing on the hot path. *)
   mutable budget_limit : int;
+  (* True while [run_until] drains the queue (and after a callback
+     raised out of it): the last popped event is then being dispatched. *)
+  mutable dispatching : bool;
 }
 
 let create ?(start_time = 0.0) () =
@@ -22,6 +25,7 @@ let create ?(start_time = 0.0) () =
     events_processed = 0;
     queue_hwm = 0;
     budget_limit = max_int;
+    dispatching = false;
   }
 
 let reset ?(start_time = 0.0) t =
@@ -31,13 +35,18 @@ let reset ?(start_time = 0.0) t =
   t.queue_hwm <- 0;
   (* Budgets are per-run: arena reuse resets the simulator on acquire, so
      a leaked budget could otherwise abort an unrelated run. *)
-  t.budget_limit <- max_int
+  t.budget_limit <- max_int;
+  t.dispatching <- false
 
 let now t = t.clock
 (* talint: allow U001 — tests read it to observe the live queue *)
 let pending t = Event_queue.size t.queue
 let events_processed t = t.events_processed
 let queue_hwm t = t.queue_hwm
+let dispatch_seq t =
+  if t.dispatching then Event_queue.popped_seq t.queue else max_int
+
+let next_seq t = Event_queue.next_seq t.queue
 
 let m_events = Obs.Metrics.counter "desim.events_processed"
 let m_hwm = Obs.Metrics.gauge "desim.queue_hwm"
@@ -128,6 +137,7 @@ let run_until t ~time =
      the loop performs one min_time read, one pop and the callback — no
      options, no tuples. *)
   let continue = ref true in
+  t.dispatching <- true;
   while !continue do
     if Event_queue.is_empty q then continue := false
     else begin
@@ -141,5 +151,6 @@ let run_until t ~time =
       end
     end
   done;
+  t.dispatching <- false;
   if time > t.clock then t.clock <- time;
   check_budget t

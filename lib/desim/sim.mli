@@ -38,6 +38,19 @@ val queue_hwm : t -> int
 (** Queue-depth high-water mark since creation or the last
     {!publish_metrics}. *)
 
+val dispatch_seq : t -> int
+(** Queue sequence number of the event {!run_until} is dispatching:
+    events at one time pop in this order.  [max_int] when no event is
+    being dispatched (before the first, after {!run_until} returns);
+    after a callback raised, its event stays the one being dispatched. *)
+
+val next_seq : t -> int
+(** The sequence number the next scheduled event takes.  A departure
+    that is recorded instead of scheduled keeps this value: at a time tie
+    it would have popped before the current event exactly when the value
+    is [<= dispatch_seq t].  [Netsim.Link] settles packets that exit at
+    its far end this way. *)
+
 val publish_metrics : t -> unit
 (** Flush the local tallies into the [Obs] registry
     ([desim.events_processed] counter, [desim.queue_hwm] gauge) and reset

@@ -110,4 +110,6 @@ type result = {
 val run : ?env_for:(int -> env) -> config -> result
 (** Run every shard (fanned out on [Exec.Pool]) and merge.  [env_for g]
     is evaluated inside the worker task — on the domain that runs shard
-    [g] — so arena-style per-domain pools resolve correctly. *)
+    [g] — so arena-style per-domain pools resolve correctly.  Raises
+    [Desim.Sim.Event_budget_exceeded] when a supervisor-armed event
+    budget trips in a shard (the pool re-raises it as raised). *)

@@ -244,14 +244,13 @@ let collect ~mutables body_exprs =
       :: c.calls
   in
   (* The entry points whose contract is "task exceptions are caught and
-     classified, never re-raised raw": closures handed to them defer. *)
+     classified, never re-raised raw": closures handed to them defer.
+     [Exec.Pool] is not one: it re-raises the lowest-indexed task's
+     exception as raised, so a raise inside its thunks escapes. *)
   let supervised path =
     match List.rev path with
     | "mapi" :: "Sweep" :: _ -> true
     | ("run" | "with_event_budget") :: "Supervise" :: _ -> true
-    | ("parallel_map" | "parallel_init" | "both" | "with_jobs") :: "Pool" :: _
-      ->
-        true
     | _ -> false
   in
   let catch_of_pattern (p : Parsetree.pattern) =

@@ -33,8 +33,15 @@ val validate :
 val send : t -> Packet.t -> unit
 (** Enqueue a packet for transmission at the current simulation time. *)
 
-val port : t -> port
-(** [send] as a port, for wiring into upstream components. *)
+val send_exiting : t -> Packet.t -> unit
+(** {!send} for a packet that leaves the network at this link's far end
+    instead of reaching [dest]: dropped, or served and counted the same,
+    but no event is scheduled.  Its finish time and the queue seq its
+    departure event would have taken ({!Desim.Sim.next_seq}) are kept,
+    and the departure settles at the next send and whenever {!sent},
+    {!queue_depth} or {!exited} is read, once the event loop would have
+    popped it ({!Desim.Sim.dispatch_seq} breaks a time tie).  Every
+    observable count is the one an event per departure gives. *)
 
 val sent : t -> int
 (** Packets fully transmitted so far. *)
@@ -43,9 +50,19 @@ val dropped : t -> int
 val queue_depth : t -> int
 (** Packets currently waiting or in transmission. *)
 
+val exited : t -> int
+(** {!send_exiting} packets that reached the far end so far. *)
+
 val utilization : t -> float
 (** Fraction of elapsed time (since creation) the wire was transmitting
     ({!Linkstage.busy_fraction}). *)
+
+val publish : t -> unit
+(** Add the link's enqueues and drops since the last call to the
+    [netsim.link.*] counters, observe its queue high-water mark, and
+    emit its deferred [packet.dropped] trace records.  A send touches
+    no shared state: call this wherever a run can stop (the event-loop
+    driver does at the end, on starving and on an event-budget trip). *)
 
 val note_batch : Linkstage.t -> unit
 (** Publish a fused stage's whole-run counts into the link metrics. *)

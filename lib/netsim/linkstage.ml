@@ -247,21 +247,22 @@ let[@inline] settle t ~until ~arrival =
     if m > until then continue := false
     else if tf = td || (arrival && m = until) then raise Tie
     else if tf < td then begin
-      (* transmit-finish event *)
+      (* transmit finish: an event for a padded packet only *)
       let tag = Float.Array.unsafe_get t.ring (slot t t.fin + 1) in
       t.fin <- t.fin + 1;
       t.depth <- t.depth - 1;
-      t.events <- t.events + 1;
+      if tag <> neg_infinity then t.events <- t.events + 1;
       if t.propagation = 0.0 then begin
         t.del <- t.fin;
         deliver t ~time:m ~tag
       end
     end
     else begin
-      (* far-end delivery event (propagation > 0) *)
+      (* far-end delivery (propagation > 0): an event for a padded
+         packet only *)
       let tag = Float.Array.unsafe_get t.ring (slot t t.del + 1) in
       t.del <- t.del + 1;
-      t.events <- t.events + 1;
+      if tag <> neg_infinity then t.events <- t.events + 1;
       deliver t ~time:m ~tag
     end
   done

@@ -15,7 +15,8 @@
     an arrival against a finish or a delivery, a finish against a
     delivery — the stage raises {!Tie}.  Packets are (time, tag) float
     pairs: payload tag = creation time, dummy = NaN, cross = -inf; cross
-    packets are diverted at the link exit as the router does.  Scratch
+    packets are diverted at the link exit as the router does, and their
+    finish and delivery count as no event, as there.  Scratch
     is reusable across runs.  With tracing off,
     {!advance} allocates nothing per packet once its buffers have grown
     to the working size: the pending trains live in one in-module
@@ -84,8 +85,10 @@ val trace : t -> Tracebuf.t
 
 val chunk_events : t -> int
 (** Events the event loop would have dispatched for the last {!advance}
-    chunk (cross arrivals + finishes + deliveries; input sends happen
-    inside the upstream stage's events and are counted there). *)
+    chunk: cross arrivals, and padded packets' finishes and deliveries.
+    A cross packet exits at its hop with no departure event
+    ({!Link.send_exiting}); input sends happen inside the upstream
+    stage's events and are counted there. *)
 
 val dropped : t -> int
 val enqueued : t -> int

@@ -1,35 +1,25 @@
-type t = {
-  link : Link.t;
-  mutable forwarded : int;
-  mutable diverted : int;
-}
+type t = { link : Link.t; forwarded : int ref }
 
 let create sim ~bandwidth_bps ?propagation ?queue_limit ~dest () =
-  (* Tie the knot: the link's destination consults the router record to
-     decide between forwarding and diverting. *)
-  let rec t =
-    lazy
-      {
-        link =
-          Link.create sim ~bandwidth_bps ?propagation ?queue_limit
-            ~dest:(fun pkt ->
-              let t = Lazy.force t in
-              if pkt.Packet.kind = Packet.Cross then
-                t.diverted <- t.diverted + 1
-              else begin
-                t.forwarded <- t.forwarded + 1;
-                dest pkt
-              end)
-            ();
-        forwarded = 0;
-        diverted = 0;
-      }
+  let forwarded = ref 0 in
+  let link =
+    Link.create sim ~bandwidth_bps ?propagation ?queue_limit
+      ~dest:(fun pkt ->
+        incr forwarded;
+        dest pkt)
+      ()
   in
-  Lazy.force t
+  { link; forwarded }
 
-let port t = Link.port t.link
+(* Cross packets exit at this hop: they take the link's no-event path. *)
+let port t =
+  let link = t.link in
+  fun pkt ->
+    if pkt.Packet.kind = Packet.Cross then Link.send_exiting link pkt
+    else Link.send link pkt
+
 let link t = t.link
 (* talint: allow U001 — tests read it to observe the live router *)
-let forwarded t = t.forwarded
+let forwarded t = !(t.forwarded)
 (* talint: allow U001 — tests read it to observe the live router *)
-let diverted t = t.diverted
+let diverted t = Link.exited t.link

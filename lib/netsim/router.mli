@@ -6,7 +6,9 @@
     padded stream for the output link, which is how the Marconi ESR-5000
     experiment of the paper creates δ_net.  After traversing the link,
     cross packets are diverted to a local sink instead of the next hop
-    (mirroring the paper's Subnet D receiver). *)
+    (mirroring the paper's Subnet D receiver).  They take the link's
+    no-event path ({!Link.send_exiting}): a cross packet costs the event
+    loop nothing after its arrival. *)
 
 type t
 

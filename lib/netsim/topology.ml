@@ -40,9 +40,17 @@ let validate_cross c =
   if c.size_bytes <= 0 then invalid_arg "Topology.chain: cross size_bytes <= 0";
   match c.burst with
   | `Poisson -> ()
-  | `On_off (mean_on, mean_off, _) ->
+  | `On_off (mean_on, mean_off, pareto_shape) -> (
       if not (mean_on > 0.0 && mean_off > 0.0) then
-        invalid_arg "Topology.chain: cross on/off period means must be positive"
+        invalid_arg "Topology.chain: cross on/off period means must be positive";
+      (* An infinite OFF mean makes the duty cycle 0 and the ON rate
+         infinite: bursts repeat at one instant and the run never ends. *)
+      if not (Float.is_finite mean_on && Float.is_finite mean_off) then
+        invalid_arg "Topology.chain: cross on/off period means not finite";
+      match pareto_shape with
+      | Some shape when not (shape > 1.0 && Float.is_finite shape) ->
+          invalid_arg "Topology.chain: cross pareto_shape must be finite and > 1"
+      | _ -> ())
 
 let validate ~hops ~tap_position =
   if tap_position < 0 || tap_position > Array.length hops then
@@ -122,12 +130,16 @@ let chain sim ~rng ~hops ~tap_position ?tap_buffers ?dest () =
 
 let h_utilization = Obs.Metrics.histogram "netsim.link.utilization"
 
+let publish t = Array.iter (fun r -> Link.publish (Router.link r)) t.routers
+
 let stop_cross t =
   (* End-of-run hook for every scenario: fold each hop's lifetime
-     utilization into the registry while the links are still in scope. *)
+     utilization and tallies into the registry while the links are still
+     in scope. *)
   Array.iter
     (fun r -> Obs.Metrics.observe h_utilization (Link.utilization (Router.link r)))
     t.routers;
+  publish t;
   List.iter Traffic_gen.stop t.cross_sources
 
 let note_utilization st ~now =

@@ -32,8 +32,9 @@ type t = {
 
 val validate : hops:hop_spec array -> tap_position:int -> unit
 (** [0 <= tap_position <= Array.length hops], {!Link.validate} on every
-    hop, and per cross spec a finite [rate_pps > 0], [size_bytes > 0] and
-    positive on/off period means (NaN fails); else [Invalid_argument]. *)
+    hop, and per cross spec a finite [rate_pps > 0], [size_bytes > 0],
+    finite positive on/off period means and a finite Pareto shape [> 1]
+    (NaN fails each); else [Invalid_argument]. *)
 
 val cross_streams : rng:Prng.Rng.t -> hop_spec array -> Prng.Rng.t option array
 (** One child of [rng] per hop with cross traffic, split back to front. *)
@@ -57,9 +58,13 @@ val chain :
     way.  [tap_buffers] is handed to {!Tap.create} for recording-storage
     reuse across runs. *)
 
+val publish : t -> unit
+(** {!Link.publish} every hop, in chain order. *)
+
 val stop_cross : t -> unit
-(** Stop all cross-traffic sources (used between experiment phases) and
-    observe every hop's utilization in [netsim.link.utilization]. *)
+(** Stop all cross-traffic sources (used between experiment phases),
+    observe every hop's utilization in [netsim.link.utilization] and
+    {!publish}. *)
 
 val note_utilization : Linkstage.t -> now:float -> unit
 (** Observe a fused stage's utilization at [now] in the same histogram. *)

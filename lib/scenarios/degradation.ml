@@ -93,10 +93,11 @@ let validate cfg =
 (* Advance until the tap holds [target] timestamps.  The chunk estimate
    uses the *surviving* packet rate so heavy-fault runs do not starve the
    chunking loop; a run that truly stops making progress raises
-   [Starvation.Tap_starved] with the metrics snapshot. *)
+   [Starvation.Tap_starved] with the metrics snapshot.  The faulty
+   pipeline has no links, so nothing but the simulator counts locally. *)
 let run_until_tap_count sim ~tap ~target ~expected_rate =
   Starvation.run_until_tap_count ~scenario:"degradation.run" ~slack:1.2
-    ~min_chunk:0.2 sim ~tap ~target ~expected_rate
+    ~min_chunk:0.2 sim ~tap ~publish:ignore ~target ~expected_rate
 
 let run_faulty cfg ~piats =
   validate cfg;

@@ -103,7 +103,9 @@ val evaluate :
   point
 (** Run the low/high payload-rate pair under [profile] and score all four
     adversaries at [sample_size] (default 400; [piats] defaults to
-    20 × sample_size per class).  QoS numbers aggregate both classes. *)
+    20 × sample_size per class).  QoS numbers aggregate both classes.
+    Raises [Starvation.Tap_starved] / [Desim.Sim.Event_budget_exceeded]
+    from a class run, as {!run_faulty} does. *)
 
 val run :
   ?scale:float ->

@@ -5,24 +5,12 @@ type point = {
   n_entropy : float;
 }
 
-type t = {
-  target : float;
-  calibration : Calibration.gateway_sigmas;
-  points : point list;
-}
+let target = 0.99
 
-let default_sigma_ts =
-  [ 1e-6; 2e-6; 5e-6; 1e-5; 2e-5; 5e-5; 1e-4; 2e-4; 5e-4; 1e-3 ]
+let sigma_ts = [ 1e-6; 2e-6; 5e-6; 1e-5; 2e-5; 5e-5; 1e-4; 2e-4; 5e-4; 1e-3 ]
 
-let run ?(seed = 42_004) ?(target = 0.99) ?(sigma_ts = default_sigma_ts)
-    ?calibration ?csv_dir fmt =
-  if target <= 0.5 || target >= 1.0 then
-    invalid_arg "Fig5b.run: target out of (0.5, 1)";
-  let calibration =
-    match calibration with
-    | Some c -> c
-    | None -> Calibration.measure_gateway_sigmas ~seed:(seed + 13) ()
-  in
+let run ?(seed = 42_004) ?csv_dir fmt =
+  let calibration = Calibration.measure_gateway_sigmas ~seed:(seed + 13) () in
   let points =
     List.map
       (fun sigma_t ->
@@ -59,4 +47,4 @@ let run ?(seed = 42_004) ?(target = 0.99) ?(sigma_ts = default_sigma_ts)
         ])
     points;
   Table.print ~csv:(csv_dir, "fig5b.csv") table fmt;
-  { target; calibration; points }
+  points

@@ -13,24 +13,9 @@ type point = {
   n_entropy : float;
 }
 
-type t = {
-  target : float;  (** the detection-rate target, 0.99 *)
-  calibration : Calibration.gateway_sigmas;
-  points : point list;
-}
-
-val default_sigma_ts : float list
-(** 1 µs … 1 ms, log-spaced. *)
-
-val run :
-  ?seed:int ->
-  ?target:float ->
-  ?sigma_ts:float list ->
-  ?calibration:Calibration.gateway_sigmas ->
-  ?csv_dir:string ->
-  Format.formatter ->
-  t
-(** [calibration] defaults to a fresh measurement run (pass one in to
-    reuse across figures) — that run simulates, so it raises
-    [Starvation.Tap_starved] / [Desim.Sim.Event_budget_exceeded] as
-    [System.run] does. *)
+val run : ?seed:int -> ?csv_dir:string -> Format.formatter -> point list
+(** The table at σ_T = 1 µs … 1 ms, log-spaced, for a 99% detection
+    rate.  The variance ratio comes from a fresh gateway calibration run
+    ({!Calibration.measure_gateway_sigmas}); that run simulates, so it
+    raises [Starvation.Tap_starved] / [Desim.Sim.Event_budget_exceeded]
+    as [System.run] does. *)

@@ -62,7 +62,11 @@ val evaluate :
     arena-backed), then the per-probe windowed two-class estimates at
     the calibration parameters with flow-derived seeds
     ([mix_seed (mix_seed seed 999983) flow]).  Raises [Invalid_argument]
-    on out-of-range parameters (via [Mux.validate]). *)
+    on out-of-range parameters (via [Mux.validate]);
+    [Desim.Sim.Event_budget_exceeded] from the mux or a probe's class
+    run, and [Starvation.Tap_starved] from a probe's, as {!Mux.run} and
+    [System.run] do; [Sweep.Sweep_internal_error] if a probe's scoring
+    returns no feature. *)
 
 val default_flow_counts : int list
 

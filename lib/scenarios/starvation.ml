@@ -58,13 +58,19 @@ let drive ~scenario ?(slack = 1.1) ?(min_chunk = 0.1) ~now ~count ~advance
   in
   go ~chunks:0 ~last_count:(-1) ~last_progress_t:(now ())
 
-let run_until_tap_count ~scenario ?slack ?min_chunk sim ~tap ~target
+let run_until_tap_count ~scenario ?slack ?min_chunk sim ~tap ~publish ~target
     ~expected_rate =
   drive ~scenario ?slack ?min_chunk
     ~now:(fun () -> Desim.Sim.now sim)
     ~count:(fun () -> Netsim.Tap.count tap)
-    ~advance:(fun time -> Desim.Sim.run_until sim ~time)
-    ~on_starve:(fun () -> Desim.Sim.publish_metrics sim)
+    ~advance:(fun time ->
+      try Desim.Sim.run_until sim ~time
+      with Desim.Sim.Event_budget_exceeded _ as e ->
+        publish ();
+        raise e)
+    ~on_starve:(fun () ->
+      publish ();
+      Desim.Sim.publish_metrics sim)
     ~target ~expected_rate ()
 
 let pp_starved ppf = function

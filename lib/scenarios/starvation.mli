@@ -47,6 +47,7 @@ val run_until_tap_count :
   ?min_chunk:float ->
   Desim.Sim.t ->
   tap:Netsim.Tap.t ->
+  publish:(unit -> unit) ->
   target:int ->
   expected_rate:float ->
   unit
@@ -55,7 +56,9 @@ val run_until_tap_count :
     timestamps.  Raises {!Tap_starved} when the chunk budget runs out or
     the tap makes no progress for many consecutive chunks; raises
     [Desim.Sim.Event_budget_exceeded] when a supervisor-armed event
-    budget trips first. *)
+    budget trips first.  [publish] flushes the run's components that
+    count locally (a chain's links, {!Netsim.Topology.publish}) on both
+    raising paths, before the simulator's own tallies on starving. *)
 
 val pp_starved : Format.formatter -> exn -> bool
 (** Render a {!Tap_starved} exception as an operator-facing report

@@ -104,7 +104,9 @@ let drive ~scenario cfg ~sender ~target ~expected_rate =
           ()
   in
   Starvation.run_until_tap_count ~scenario ~slack:1.1 ~min_chunk:0.1 sim
-    ~tap:topo.Netsim.Topology.tap ~target ~expected_rate;
+    ~tap:topo.Netsim.Topology.tap
+    ~publish:(fun () -> Netsim.Topology.publish topo)
+    ~target ~expected_rate;
   Netsim.Traffic_gen.stop source;
   let overhead = finish () in
   Netsim.Topology.stop_cross topo;

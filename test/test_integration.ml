@@ -219,16 +219,14 @@ let test_fig4b_shape () =
   Alcotest.(check bool) "mean weak" true (m400 < 0.85)
 
 let test_fig5b_monotone () =
-  let t = Scenarios.Fig5b.run ~seed:91_003 null_fmt in
-  let ns =
-    List.map (fun p -> p.Scenarios.Fig5b.n_variance) t.Scenarios.Fig5b.points
-  in
+  let points = Scenarios.Fig5b.run ~seed:91_003 null_fmt in
+  let ns = List.map (fun p -> p.Scenarios.Fig5b.n_variance) points in
   let rec is_increasing = function
     | a :: (b :: _ as rest) -> a <= b && is_increasing rest
     | _ -> true
   in
   Alcotest.(check bool) "n(99%) increasing in sigma_T" true (is_increasing ns);
-  let last = List.nth t.Scenarios.Fig5b.points (List.length t.Scenarios.Fig5b.points - 1) in
+  let last = List.nth points (List.length points - 1) in
   Alcotest.(check bool) "headline: n > 1e11 at 1ms" true
     (last.Scenarios.Fig5b.n_variance > 1e11)
 
@@ -530,6 +528,74 @@ let test_pair_ablation_known_answers () =
                ~seed:93_003 null_fmt) );
     ]
 
+(* Known answers for event-loop configs whose hops drop, delay and
+   divert cross traffic: on/off (Pareto) bursts into a short queue, CBR
+   payload behind Poisson cross traffic, and propagation delays on
+   loaded hops.  The digest covers the result and the [netsim.*] and
+   [padding.*] metric totals (drops, enqueues, link queue high-water
+   marks, utilization), so a cross departure settled out of its
+   event-loop order moves it.  Recorded before cross traffic lost its
+   departure events. *)
+let test_event_loop_known_answers () =
+  let module S = Scenarios.System in
+  let hop ?(prop = 0.0) ?qlimit burst rate_pps =
+    {
+      Netsim.Topology.bandwidth_bps = 1e6;
+      propagation = prop;
+      queue_limit = qlimit;
+      cross = Some { Netsim.Topology.rate_pps; size_bytes = 400; burst };
+    }
+  in
+  let run cfg =
+    let was = Scenarios.Fastpath.enabled () in
+    Scenarios.Fastpath.set_enabled false;
+    Obs.Metrics.reset ();
+    Fun.protect ~finally:(fun () -> Scenarios.Fastpath.set_enabled was)
+    @@ fun () ->
+    let r = S.run { cfg with S.warmup_piats = 50 } ~piats:300 in
+    let metrics prefix =
+      Format.asprintf "%a" Obs.Metrics.Snapshot.pp
+        (Obs.Metrics.Snapshot.filter_prefix prefix (Obs.Metrics.snapshot ()))
+    in
+    Digest.to_hex
+      (Digest.string (system_digest r ^ metrics "netsim." ^ metrics "padding."))
+  in
+  List.iter
+    (fun (name, expected, cfg) ->
+      Alcotest.(check string) name expected (run cfg))
+    [
+      ( "on/off Pareto cross, queue limit 3",
+        "b4f83b669480edb7aa2e51ec6713b515",
+        {
+          S.default_config with
+          seed = 2025;
+          hops = [| hop ~qlimit:3 (`On_off (0.02, 0.03, Some 2.5)) 250.0 |];
+          tap_position = 1;
+        } );
+      ( "CBR payload behind Poisson cross",
+        "1134c6576d91d8997c38385d2e15d56e",
+        {
+          S.default_config with
+          seed = 2026;
+          payload_model = S.Cbr_payload;
+          hops =
+            [| hop ~qlimit:2 `Poisson 150.0; hop ~prop:0.002 `Poisson 100.0 |];
+          tap_position = 2;
+        } );
+      ( "propagation on loaded hops",
+        "b0ef2f78107e8ec87eef7d11c753d52d",
+        {
+          S.default_config with
+          seed = 2027;
+          hops =
+            [|
+              hop ~prop:0.003 ~qlimit:4 `Poisson 200.0;
+              hop ~prop:0.001 (`On_off (0.1, 0.4, None)) 120.0;
+            |];
+          tap_position = 1;
+        } );
+    ]
+
 let suite =
   [
     Alcotest.test_case "system run counts" `Quick test_system_run_counts;
@@ -565,4 +631,6 @@ let suite =
       test_known_answers;
     Alcotest.test_case "known answers: class-pair ablation tables" `Quick
       test_pair_ablation_known_answers;
+    Alcotest.test_case "known answers: event-loop cross traffic" `Quick
+      test_event_loop_known_answers;
   ]

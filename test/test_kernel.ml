@@ -603,7 +603,7 @@ let bad_configs =
         (fun n -> with_hop (hop ~cross:(cross ~size:n ()) ()));
     ]
 
-let test_bad_configs_agree () =
+let check_rejected configs =
   List.iter
     (fun (name, msg, cfg) ->
       List.iter
@@ -617,7 +617,9 @@ let test_bad_configs_agree () =
             (Obs.Metrics.Snapshot.counter_value (Obs.Metrics.snapshot ())
                "padding.gateway.fires"))
         [ true; false ])
-    bad_configs
+    configs
+
+let test_bad_configs_agree () = check_rejected bad_configs
 
 let test_checkpoint_resume_mixed_paths () =
   (* Kill-resume through Sweep.mapi: half the points journaled by a
@@ -896,6 +898,35 @@ let test_alloc_system_run_major () =
               (words /. float_of_int piats)))
     [ true; false ]
 
+(* On/off cross specs that cannot run are rejected by the config check,
+   before the first event.  An infinite OFF mean used to make the duty
+   cycle 0 and the ON rate infinite, so [System.run] never returned; a
+   NaN, infinite or <= 1 Pareto shape and an infinite ON mean failed
+   later, in a sampler, with its own message. *)
+let test_bad_onoff_specs_rejected () =
+  let onoff burst =
+    {
+      System.default_config with
+      hops =
+        [|
+          hop
+            ~cross:{ Netsim.Topology.rate_pps = 100.0; size_bytes = 400; burst }
+            ();
+        |];
+      tap_position = 1;
+    }
+  in
+  let means = "Topology.chain: cross on/off period means not finite" in
+  let shape = "Topology.chain: cross pareto_shape must be finite and > 1" in
+  check_rejected
+    [
+      ("infinite mean_off", means, onoff (`On_off (0.02, infinity, None)));
+      ("infinite mean_on", means, onoff (`On_off (infinity, 0.02, None)));
+      ("pareto_shape nan", shape, onoff (`On_off (0.02, 0.02, Some Float.nan)));
+      ("pareto_shape inf", shape, onoff (`On_off (0.02, 0.02, Some infinity)));
+      ("pareto_shape 1", shape, onoff (`On_off (0.02, 0.02, Some 1.0)));
+    ]
+
 let suite =
   [
     Alcotest.test_case "exponential_fill bit-equality" `Quick
@@ -935,4 +966,6 @@ let suite =
       test_alloc_rng_int;
     Alcotest.test_case "allocation: System.run two arrays per run" `Quick
       test_alloc_system_run_major;
+    Alcotest.test_case "bad configs: on/off cross specs that cannot run"
+      `Quick test_bad_onoff_specs_rejected;
   ]

@@ -560,6 +560,18 @@ let test_cli_rules () =
                        rs)
               | _ -> Alcotest.fail "rules is not an array"))
 
+(* [Exec.Pool] re-raises a task's exception as raised, so a raise inside
+   a [Pool.both] thunk escapes the function that hands the thunk over. *)
+let test_tree_e001_pool () =
+  let r = run_tree "tree_e001_pool" in
+  Alcotest.check span_t "one E001 at the function handing over the thunk"
+    [ (("E001", "lib/demo/api.ml"), (1, 0)) ]
+    (spans r.Lint.Driver.findings);
+  let msg = (List.hd r.Lint.Driver.findings).Lint.Finding.message in
+  Alcotest.(check bool)
+    "witness chain enters the thunk" true
+    (contains msg "may raise Boom (via Api.pair -> Deep.boom_if)")
+
 let suite =
   [
     Alcotest.test_case "positive fixtures: exact rule + span" `Quick
@@ -599,4 +611,6 @@ let suite =
       test_tree_u001_ok;
     Alcotest.test_case "U001: top-level opens survive the cache" `Quick
       test_cache_keeps_opens;
+    Alcotest.test_case "E001: a raise inside a Pool.both thunk escapes" `Quick
+      test_tree_e001_pool;
   ]

@@ -401,6 +401,137 @@ let test_chain_tap_positions_valid () =
   Desim.Sim.run_until sim ~time:1.0;
   Alcotest.(check int) "tap at entry" 1 (Netsim.Tap.count topo.Netsim.Topology.tap)
 
+(* --- Departures that get no event --- *)
+
+let gauge name =
+  match Obs.Metrics.Snapshot.find (Obs.Metrics.snapshot ()) name with
+  | Some (Obs.Metrics.Snapshot.Gauge g) -> g
+  | _ -> Alcotest.fail ("no gauge " ^ name)
+
+(* A padded send lands exactly on a cross packet's departure.  1000 bytes
+   at 8000 b/s take 1 s, so the cross packet sent at 0 leaves at 1.0,
+   where the padded send is scheduled either before the cross send (its
+   event pops first: the cross packet still holds the queue) or after it
+   (the departure pops first).  The cross packet has no departure event;
+   it must settle in the order its event would have popped.  The
+   outcomes are the ones an event per departure gives. *)
+let test_router_exit_tie_order () =
+  let run ?queue_limit ~padded_first () =
+    Obs.Metrics.reset ();
+    let sim = Desim.Sim.create () in
+    let router =
+      Netsim.Router.create sim ~bandwidth_bps:8000.0 ?queue_limit
+        ~dest:(fun _ -> ())
+        ()
+    in
+    let send kind () = Netsim.Router.port router (mk_packet ~kind sim) in
+    let schedule_padded () =
+      ignore
+        (Desim.Sim.at sim ~time:1.0 (send Netsim.Packet.Payload)
+          : Desim.Sim.handle)
+    in
+    if padded_first then begin
+      schedule_padded ();
+      send Netsim.Packet.Cross ()
+    end
+    else begin
+      send Netsim.Packet.Cross ();
+      schedule_padded ()
+    end;
+    Desim.Sim.run_until sim ~time:10.0;
+    let link = Netsim.Router.link router in
+    Netsim.Link.publish link;
+    ( Netsim.Link.dropped link,
+      Netsim.Router.forwarded router,
+      Netsim.Router.diverted router,
+      gauge "netsim.link.queue_hwm" )
+  in
+  let outcome = Alcotest.(pair (pair int int) (pair int (float 0.0))) in
+  let check name expected (dropped, forwarded, diverted, hwm) =
+    Alcotest.check outcome name expected ((dropped, forwarded), (diverted, hwm))
+  in
+  check "queue limit 1, padded first: dropped" ((1, 0), (1, 1.0))
+    (run ~queue_limit:1 ~padded_first:true ());
+  check "queue limit 1, cross first: accepted" ((0, 1), (1, 1.0))
+    (run ~queue_limit:1 ~padded_first:false ());
+  check "unbounded, padded first: queue high-water mark 2" ((0, 1), (1, 2.0))
+    (run ~padded_first:true ());
+  check "unbounded, cross first: queue high-water mark 1" ((0, 1), (1, 1.0))
+    (run ~padded_first:false ())
+
+(* The far-end exit of a cross packet (one propagation delay after its
+   finish) settles in event order too: a read at exactly that instant
+   sees it only when the reader was scheduled after the cross send. *)
+let test_router_exit_tie_propagation () =
+  let read_at_exit ~reader_first =
+    let sim = Desim.Sim.create () in
+    let router =
+      Netsim.Router.create sim ~bandwidth_bps:8000.0 ~propagation:0.5
+        ~dest:(fun _ -> ())
+        ()
+    in
+    let seen = ref (-1, -1) in
+    let schedule_reader () =
+      ignore
+        (Desim.Sim.at sim ~time:1.5 (fun () ->
+             seen :=
+               ( Netsim.Router.diverted router,
+                 Netsim.Link.sent (Netsim.Router.link router) ))
+          : Desim.Sim.handle)
+    in
+    let cross () =
+      Netsim.Router.port router (mk_packet ~kind:Netsim.Packet.Cross sim)
+    in
+    if reader_first then begin
+      schedule_reader ();
+      cross ()
+    end
+    else begin
+      cross ();
+      schedule_reader ()
+    end;
+    Desim.Sim.run_until sim ~time:10.0;
+    !seen
+  in
+  Alcotest.(check (pair int int)) "reader first: not yet exited" (0, 1)
+    (read_at_exit ~reader_first:true);
+  Alcotest.(check (pair int int)) "reader second: exited" (1, 1)
+    (read_at_exit ~reader_first:false)
+
+(* A cross packet costs the event loop one event, its arrival, with or
+   without propagation delay on its hop. *)
+let test_cross_one_event_per_packet () =
+  List.iter
+    (fun propagation ->
+      let name = Printf.sprintf "propagation %g" propagation in
+      let sim = Desim.Sim.create () in
+      let rng = Prng.Rng.create ~seed:110 in
+      let hop = { (lab_hop ~cross_rate:2000.0 ()) with propagation } in
+      let topo =
+        Netsim.Topology.chain sim ~rng ~hops:[| hop |] ~tap_position:1 ()
+      in
+      Desim.Sim.run_until sim ~time:5.0;
+      let generated =
+        List.fold_left
+          (fun acc g -> acc + Netsim.Traffic_gen.generated g)
+          0 topo.Netsim.Topology.cross_sources
+      in
+      Alcotest.(check bool) (name ^ ": cross flowed") true (generated > 5000);
+      Alcotest.(check int)
+        (name ^ ": one event per cross packet")
+        generated
+        (Desim.Sim.events_processed sim);
+      Netsim.Topology.stop_cross topo;
+      Desim.Sim.run_until sim ~time:6.0;
+      let router = topo.Netsim.Topology.routers.(0) in
+      Alcotest.(check int) (name ^ ": all diverted") generated
+        (Netsim.Router.diverted router);
+      Alcotest.(check int) (name ^ ": all sent") generated
+        (Netsim.Link.sent (Netsim.Router.link router));
+      Alcotest.(check int) (name ^ ": queue drained") 0
+        (Netsim.Link.queue_depth (Netsim.Router.link router)))
+    [ 0.0; 0.002 ]
+
 let suite =
   [
     Alcotest.test_case "fvec" `Quick test_fvec;
@@ -429,4 +560,10 @@ let suite =
     Alcotest.test_case "chain delivery + tap" `Quick test_chain_delivery_and_tap;
     Alcotest.test_case "chain diverts cross" `Quick test_chain_cross_does_not_reach_sink;
     Alcotest.test_case "chain tap positions" `Quick test_chain_tap_positions_valid;
+    Alcotest.test_case "cross exit: tie order at a padded send" `Quick
+      test_router_exit_tie_order;
+    Alcotest.test_case "cross exit: tie order at the far end" `Quick
+      test_router_exit_tie_propagation;
+    Alcotest.test_case "cross exit: one event per cross packet" `Quick
+      test_cross_one_event_per_packet;
   ]

@@ -72,7 +72,7 @@ let test_saturated_link_still_conserves () =
   in
   let src =
     Netsim.Traffic_gen.poisson sim ~rng ~rate_pps:200.0 ~size_bytes:500
-      ~kind:Netsim.Packet.Cross ~dest:(Netsim.Link.port link) ()
+      ~kind:Netsim.Packet.Cross ~dest:(Netsim.Link.send link) ()
   in
   Desim.Sim.run_until sim ~time:60.0;
   Netsim.Traffic_gen.stop src;
