@@ -31,13 +31,13 @@ val pop : 'a t -> (float * 'a) option
 val min_time : 'a t -> float
 (** Earliest timestamp.  Raises [Invalid_argument] when empty. *)
 
+val min_seq : 'a t -> int
+(** Sequence number of the earliest event, the one {!min_time} times.
+    Raises [Invalid_argument] when empty. *)
+
 val next_seq : 'a t -> int
 (** The sequence number the next {!push} takes: pushes since creation or
     the last {!clear}. *)
-
-val popped_seq : 'a t -> int
-(** Sequence number of the event the last {!pop_exn} or {!pop} removed
-    ([-1] before the first). *)
 
 val pop_exn : 'a t -> 'a
 (** Remove the earliest event and return its payload without allocating.

@@ -1,6 +1,13 @@
 type event = { mutable cancelled : bool; run : unit -> unit }
 type handle = event
 
+(* A train is an event source whose events schedule no event: the loop
+   runs them between dispatches instead of queueing them.  Slot 0 of
+   [next] holds the time of its pending event, [vseq] the queue seq that
+   event would have taken: [next_seq] when the source would have pushed
+   it (at registration, or while its previous event ran). *)
+type train = { next : floatarray; mutable vseq : int; step : unit -> unit }
+
 type t = {
   mutable clock : float;
   queue : event Event_queue.t;
@@ -13,9 +20,10 @@ type t = {
      chunk granularity (entry/exit of [run_until]), never per event, so
      arming it costs nothing on the hot path. *)
   mutable budget_limit : int;
-  (* True while [run_until] drains the queue (and after a callback
-     raised out of it): the last popped event is then being dispatched. *)
-  mutable dispatching : bool;
+  (* Seq of the event being dispatched, queued or a train's; [max_int]
+     outside [run_until] (it stays set after a callback raised). *)
+  mutable dispatch_seq : int;
+  mutable trains : train array;
 }
 
 let create ?(start_time = 0.0) () =
@@ -25,7 +33,8 @@ let create ?(start_time = 0.0) () =
     events_processed = 0;
     queue_hwm = 0;
     budget_limit = max_int;
-    dispatching = false;
+    dispatch_seq = max_int;
+    trains = [||];
   }
 
 let reset ?(start_time = 0.0) t =
@@ -36,15 +45,15 @@ let reset ?(start_time = 0.0) t =
   (* Budgets are per-run: arena reuse resets the simulator on acquire, so
      a leaked budget could otherwise abort an unrelated run. *)
   t.budget_limit <- max_int;
-  t.dispatching <- false
+  t.dispatch_seq <- max_int;
+  t.trains <- [||]
 
 let now t = t.clock
 (* talint: allow U001 — tests read it to observe the live queue *)
 let pending t = Event_queue.size t.queue
 let events_processed t = t.events_processed
 let queue_hwm t = t.queue_hwm
-let dispatch_seq t =
-  if t.dispatching then Event_queue.popped_seq t.queue else max_int
+let dispatch_seq t = t.dispatch_seq
 
 let next_seq t = Event_queue.next_seq t.queue
 
@@ -129,28 +138,63 @@ let account_external t ~events ~queue_hwm =
   t.events_processed <- t.events_processed + events;
   if queue_hwm > t.queue_hwm then t.queue_hwm <- queue_hwm
 
+let add_train t ~next step =
+  let first : float = Float.Array.get next 0 in
+  if Float.is_nan first then invalid_arg "Sim.add_train: NaN time";
+  if first < t.clock then invalid_arg "Sim.add_train: time in the past";
+  t.trains <-
+    Array.append t.trains [| { next; vseq = Event_queue.next_seq t.queue; step } |]
+
+(* Run every train event the queue order puts before the queued event
+   (time, seq): an earlier one, or one at [time] whose vseq is <= [seq].
+   That rule is exact: a train event pushes no queued event, so the next
+   seq does not move between two dispatches, and at an equal seq the
+   train's push came first.  Trains share no state, so each runs its due
+   events in turn.  An infinite time is a stopped train's. *)
+let[@inline] run_trains t ~(time : float) ~seq =
+  let trains = t.trains in
+  for i = 0 to Array.length trains - 1 do
+    let tr = Array.unsafe_get trains i in
+    let continue = ref true in
+    while !continue do
+      let due : float = Float.Array.unsafe_get tr.next 0 in
+      if due < time || (due = time && tr.vseq <= seq && due < infinity)
+      then begin
+        t.events_processed <- t.events_processed + 1;
+        t.dispatch_seq <- tr.vseq;
+        tr.step ();
+        tr.vseq <- Event_queue.next_seq t.queue
+      end
+      else continue := false
+    done
+  done
+
 let run_until t ~time =
   if Float.is_nan time then invalid_arg "Sim.run_until: NaN time";
   check_budget t;
   let q = t.queue in
   (* One event at a time on the allocation-free queue primitives: per event
      the loop performs one min_time read, one pop and the callback — no
-     options, no tuples. *)
+     options, no tuples.  The trains run first up to each event, and up
+     to [time] at the end. *)
   let continue = ref true in
-  t.dispatching <- true;
   while !continue do
     if Event_queue.is_empty q then continue := false
     else begin
       let next = Event_queue.min_time q in
       if next > time then continue := false
       else begin
+        let seq = Event_queue.min_seq q in
+        run_trains t ~time:next ~seq;
         let ev = Event_queue.pop_exn q in
         t.clock <- next;
         t.events_processed <- t.events_processed + 1;
+        t.dispatch_seq <- seq;
         if not ev.cancelled then ev.run ()
       end
     end
   done;
-  t.dispatching <- false;
+  run_trains t ~time ~seq:max_int;
+  t.dispatch_seq <- max_int;
   if time > t.clock then t.clock <- time;
   check_budget t

@@ -7,7 +7,10 @@
 
     Events can be cancelled through the handle returned by the schedulers;
     cancellation is O(1) (the event is skipped when popped).  A periodic
-    helper covers the timer-driven padding gateways. *)
+    helper covers the timer-driven padding gateways.  A source whose
+    events schedule nothing registers as a {e train} ({!add_train}): its
+    events are not queued, and {!run_until} runs them between dispatches
+    in the order the queue would have popped them. *)
 
 type t
 
@@ -19,10 +22,11 @@ val create : ?start_time:float -> unit -> t
 val reset : ?start_time:float -> t -> unit
 (** Return the simulator to its just-created state while keeping the
     event queue's allocated capacity: pending events are discarded, the
-    clock rewinds to [start_time] (default 0) and the local tallies are
-    zeroed.  A reset simulator behaves exactly like a fresh one — the
-    arena-reuse hook that lets sweep harnesses run thousands of
-    simulations without re-growing the queue each time.  Unpublished
+    clock rewinds to [start_time] (default 0), the local tallies are
+    zeroed and registered trains are dropped.  A reset simulator behaves
+    exactly like a fresh one — the arena-reuse hook that lets sweep
+    harnesses run thousands of simulations without re-growing the queue
+    each time.  Unpublished
     tallies are dropped; call {!publish_metrics} first if they matter. *)
 
 val now : t -> float
@@ -32,7 +36,8 @@ val pending : t -> int
 (** Number of scheduled (possibly cancelled) events still queued. *)
 
 val events_processed : t -> int
-(** Events popped since creation or the last {!publish_metrics}. *)
+(** Events popped or run as train events since creation or the last
+    {!publish_metrics}. *)
 
 val queue_hwm : t -> int
 (** Queue-depth high-water mark since creation or the last
@@ -40,9 +45,10 @@ val queue_hwm : t -> int
 
 val dispatch_seq : t -> int
 (** Queue sequence number of the event {!run_until} is dispatching:
-    events at one time pop in this order.  [max_int] when no event is
-    being dispatched (before the first, after {!run_until} returns);
-    after a callback raised, its event stays the one being dispatched. *)
+    events at one time pop in this order.  For a train's event it is the
+    event's vseq (see {!add_train}).  [max_int] when no event is being
+    dispatched (before the first, after {!run_until} returns); after a
+    callback raised, its event stays the one being dispatched. *)
 
 val next_seq : t -> int
 (** The sequence number the next scheduled event takes.  A departure
@@ -100,8 +106,24 @@ val account_external : t -> events:int -> queue_hwm:int -> unit
     same totals as a real drain.  Raises [Invalid_argument] on negative
     arguments. *)
 
+val add_train : t -> next:floatarray -> (unit -> unit) -> unit
+(** [add_train t ~next step] registers a source of events that schedule
+    nothing, e.g. a hop's cross arrivals ([Netsim.Cross_train]).  Slot 0
+    of [next] holds the time of its pending event (infinity: none); [step
+    ()] runs that event and writes the following one's time there.  The
+    pending event's vseq is {!next_seq} when the source would have queued
+    it: now, then each time [step] returns.  {!run_until} runs it right
+    before the first queued event (time, seq) the queue would have
+    popped after it: a later time, or the same time and vseq <= seq.
+    That is the queue's own order, because [step] pushes no event and so
+    the next seq does not move between two dispatches.  While [step] runs, {!dispatch_seq}
+    is the vseq; {!now} is not moved, so [step] takes its time from
+    [next].  Each run counts as one processed event.  Raises
+    [Invalid_argument] if slot 0 is NaN or in the past. *)
+
 val run_until : t -> time:float -> unit
-(** Execute all events with timestamp <= [time]; afterwards [now] = [time].
+(** Execute all events with timestamp <= [time], trains' included;
+    afterwards [now] = [time].
     Callbacks may schedule more events, including at the current instant.
     If an event budget is armed (see {!set_event_budget}) and
     [events_processed] has exceeded it, raises {!Event_budget_exceeded} —

@@ -19,6 +19,10 @@ type t = {
   mutable exit_fin : int;
   mutable exit_del : int;
   mutable exit_tail : int;
+  (* The hop's cross train, if any: its arrivals exit like [send_exiting]
+     packets of [cross_tx] transmit time. *)
+  mutable cross : Cross_train.t option;
+  mutable cross_tx : float;
   (* Run tallies, kept local so a send touches no shared state: the
      [netsim.link.*] metrics and deferred [packet.dropped] records reach
      Obs through [publish], which adds what it has not added yet. *)
@@ -61,6 +65,8 @@ let create sim ~bandwidth_bps ?(propagation = 0.0) ?queue_limit ~dest () =
     exit_fin = 0;
     exit_del = 0;
     exit_tail = 0;
+    cross = None;
+    cross_tx = 0.0;
     trace = Tracebuf.create ();
     queue_depth = 0;
     queue_hwm = 0;
@@ -120,10 +126,10 @@ let settle_exits t ~now =
     done
   end
 
-(* The part of a send both paths share: settle, then drop the packet or
+(* The part of a send every path shares: settle, then drop the packet or
    serve it.  True when it was enqueued; its finish is then busy-until,
    slot 0 of [regs]. *)
-let[@inline] admit t pkt ~now =
+let[@inline] admit t ~now ~kind ~tx =
   settle t ~now;
   let over_limit =
     match t.queue_limit with Some l -> t.queue_depth >= l | None -> false
@@ -133,7 +139,7 @@ let[@inline] admit t pkt ~now =
     if Obs.Trace.enabled () then
       Tracebuf.push t.trace ~time:now
         ~code:
-          (match pkt.Packet.kind with
+          (match kind with
           | Packet.Payload -> Tracebuf.drop_payload
           | Packet.Dummy -> Tracebuf.drop_dummy
           | Packet.Cross -> Tracebuf.drop_cross)
@@ -141,10 +147,6 @@ let[@inline] admit t pkt ~now =
     false
   end
   else begin
-    let tx =
-      Linkstage.tx_time ~size_bytes:pkt.Packet.size_bytes
-        ~bandwidth_bps:t.bandwidth_bps
-    in
     ignore (Linkstage.serve t.regs ~now ~tx : float);
     t.queue_depth <- t.queue_depth + 1;
     t.enqueued <- t.enqueued + 1;
@@ -152,8 +154,13 @@ let[@inline] admit t pkt ~now =
     true
   end
 
+let tx_of t pkt =
+  Linkstage.tx_time ~size_bytes:pkt.Packet.size_bytes
+    ~bandwidth_bps:t.bandwidth_bps
+
 let send t pkt =
-  if admit t pkt ~now:(Desim.Sim.now t.sim) then begin
+  if admit t ~now:(Desim.Sim.now t.sim) ~kind:pkt.Packet.kind ~tx:(tx_of t pkt)
+  then begin
     let finish = Float.Array.get t.regs 0 in
     (* The packet leaves the transmitter (and the queue) at [finish]; it
        reaches the far end one propagation delay later.  Fuse the two
@@ -179,22 +186,46 @@ let send t pkt =
     end
   end
 
+(* An exiting packet accepted at [now]: keep its finish and the queue seq
+   its departure event would have taken. *)
+let[@inline] record_exit t ~now =
+  let cap = Array.length t.exit_seqs in
+  if t.exit_tail - t.exit_del = cap then settle_exits t ~now;
+  (* Still full: doubling each ring by appending a copy keeps every
+     pending packet p at slot p land mask under the doubled mask too. *)
+  if t.exit_tail - t.exit_del = cap then begin
+    t.exit_times <- Float.Array.append t.exit_times t.exit_times;
+    t.exit_seqs <- Array.append t.exit_seqs t.exit_seqs
+  end;
+  let i = t.exit_tail land (Array.length t.exit_seqs - 1) in
+  Float.Array.unsafe_set t.exit_times i (Float.Array.get t.regs 0);
+  Array.unsafe_set t.exit_seqs i (Desim.Sim.next_seq t.sim);
+  t.exit_tail <- t.exit_tail + 1
+
 let send_exiting t pkt =
   let now = Desim.Sim.now t.sim in
-  if admit t pkt ~now then begin
-    let cap = Array.length t.exit_seqs in
-    if t.exit_tail - t.exit_del = cap then settle_exits t ~now;
-    (* Still full: doubling each ring by appending a copy keeps every
-       pending packet p at slot p land mask under the doubled mask too. *)
-    if t.exit_tail - t.exit_del = cap then begin
-      t.exit_times <- Float.Array.append t.exit_times t.exit_times;
-      t.exit_seqs <- Array.append t.exit_seqs t.exit_seqs
-    end;
-    let i = t.exit_tail land (Array.length t.exit_seqs - 1) in
-    Float.Array.unsafe_set t.exit_times i (Float.Array.get t.regs 0);
-    Array.unsafe_set t.exit_seqs i (Desim.Sim.next_seq t.sim);
-    t.exit_tail <- t.exit_tail + 1
-  end
+  if admit t ~now ~kind:pkt.Packet.kind ~tx:(tx_of t pkt) then
+    record_exit t ~now
+
+(* The train's pending event, run by the simulator between dispatches:
+   an arrival is [send_exiting] of a cross packet at the train's time,
+   with no packet built. *)
+let pull_cross t tr =
+  let now = Float.Array.get (Cross_train.times tr) 0 in
+  if Cross_train.step tr && admit t ~now ~kind:Packet.Cross ~tx:t.cross_tx
+  then record_exit t ~now
+
+let attach_cross t tr ~size_bytes =
+  if Option.is_some t.cross then invalid_arg "Link.attach_cross: already fed";
+  t.cross <- Some tr;
+  t.cross_tx <- Linkstage.tx_time ~size_bytes ~bandwidth_bps:t.bandwidth_bps;
+  Desim.Sim.add_train t.sim ~next:(Cross_train.times tr) (fun () ->
+      pull_cross t tr)
+
+let stop_cross t = Option.iter Cross_train.stop t.cross
+
+(* talint: allow U001 — tests read it to observe the live link *)
+let cross_train t = t.cross
 
 let note ~enqueued ~dropped ~hwm =
   Obs.Metrics.add m_enqueued enqueued;

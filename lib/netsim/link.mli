@@ -43,6 +43,19 @@ val send_exiting : t -> Packet.t -> unit
     popped it ({!Desim.Sim.dispatch_seq} breaks a time tie).  Every
     observable count is the one an event per departure gives. *)
 
+val attach_cross : t -> Cross_train.t -> size_bytes:int -> unit
+(** Feed the link a cross train: each arrival is a [size_bytes] packet
+    that takes {!send_exiting}'s path at the arrival's time and vseq,
+    with no packet built and no event queued.  Registers the train with
+    the link's simulator ({!Desim.Sim.add_train}).  Raises
+    [Invalid_argument] if the link already has one. *)
+
+val stop_cross : t -> unit
+(** Stop the attached cross train, if any. *)
+
+val cross_train : t -> Cross_train.t option
+(** The attached cross train. *)
+
 val sent : t -> int
 (** Packets fully transmitted so far. *)
 

@@ -68,6 +68,7 @@ type t = {
   mutable hwm : int;
   mutable dropped : int;
   mutable enqueued : int;
+  mutable pend : int; (* padded finish + delivery events pending *)
   mutable max_pend : int;
   mutable events : int; (* events this chunk *)
 }
@@ -101,6 +102,7 @@ let create () =
     hwm = 0;
     dropped = 0;
     enqueued = 0;
+    pend = 0;
     max_pend = 0;
     events = 0;
   }
@@ -113,7 +115,7 @@ let refill t rng =
   t.cross_idx <- 0
 
 (* Advance the cross arrival train by one draw: next = prev +. dt, the
-   same accumulation [Sim.every] performs (clock +. interval ()). *)
+   same accumulation [Cross_train.step] performs on the event loop. *)
 let cross_next t rng =
   if t.cross_idx >= cross_block then refill t rng;
   Float.Array.set t.regs 2
@@ -166,6 +168,7 @@ let configure t ~bandwidth_bps ~propagation ~queue_limit ~packet_size
   t.hwm <- 0;
   t.dropped <- 0;
   t.enqueued <- 0;
+  t.pend <- 0;
   t.max_pend <- 0;
   t.events <- 0;
   match cross with
@@ -221,11 +224,12 @@ let[@inline] send t ~now ~tag ~tx =
     Float.Array.unsafe_set t.ring s finish;
     Float.Array.unsafe_set t.ring (s + 1) tag;
     t.tail <- t.tail + 1;
-    let pend =
-      if t.propagation > 0.0 then (2 * t.tail) - t.fin - t.del
-      else t.tail - t.fin
-    in
-    if pend > t.max_pend then t.max_pend <- pend
+    (* A padded packet's finish and delivery are events on the event
+       loop, fused when there is no propagation delay. *)
+    if tag <> neg_infinity then begin
+      t.pend <- t.pend + (if t.propagation > 0.0 then 2 else 1);
+      if t.pend > t.max_pend then t.max_pend <- t.pend
+    end
   end
 
 (* Pop the pending transmit finishes and far-end deliveries due at or
@@ -251,7 +255,10 @@ let[@inline] settle t ~until ~arrival =
       let tag = Float.Array.unsafe_get t.ring (slot t t.fin + 1) in
       t.fin <- t.fin + 1;
       t.depth <- t.depth - 1;
-      if tag <> neg_infinity then t.events <- t.events + 1;
+      if tag <> neg_infinity then begin
+        t.events <- t.events + 1;
+        t.pend <- t.pend - 1
+      end;
       if t.propagation = 0.0 then begin
         t.del <- t.fin;
         deliver t ~time:m ~tag
@@ -262,7 +269,10 @@ let[@inline] settle t ~until ~arrival =
          packet only *)
       let tag = Float.Array.unsafe_get t.ring (slot t t.del + 1) in
       t.del <- t.del + 1;
-      if tag <> neg_infinity then t.events <- t.events + 1;
+      if tag <> neg_infinity then begin
+        t.events <- t.events + 1;
+        t.pend <- t.pend - 1
+      end;
       deliver t ~time:m ~tag
     end
   done

@@ -98,8 +98,10 @@ val queue_hwm : t -> int
     [netsim.link.queue_hwm] gauge observation). *)
 
 val max_pending : t -> int
-(** High-water mark of pending finish + delivery trains (run scope),
-    an input to the orchestrator's event-queue-depth surrogate. *)
+(** High-water mark of the padded packets' pending finish and delivery
+    events (one per packet without propagation delay, two with), run
+    scope: the events the event loop queues for this hop, an input to
+    the orchestrator's event-queue-depth surrogate. *)
 
 val utilization : t -> now:float -> float
 (** {!busy_fraction} of this stage at simulated time [now]. *)

@@ -8,7 +8,9 @@
     cross packets are diverted to a local sink instead of the next hop
     (mirroring the paper's Subnet D receiver).  They take the link's
     no-event path ({!Link.send_exiting}): a cross packet costs the event
-    loop nothing after its arrival. *)
+    loop nothing after its arrival, and a chain hop's cross train
+    ({!Link.attach_cross}) takes that path with no arrival event
+    either. *)
 
 type t
 

@@ -15,21 +15,8 @@ type t = {
   entry : Link.port;
   tap : Tap.t;
   routers : Router.t array;
-  cross_sources : Traffic_gen.t list;
   sink_count : unit -> int;
 }
-
-let start_cross sim ~rng ~spec ~dest =
-  match spec.burst with
-  | `Poisson ->
-      Traffic_gen.poisson sim ~rng ~rate_pps:spec.rate_pps
-        ~size_bytes:spec.size_bytes ~kind:Packet.Cross ~dest ()
-  | `On_off (mean_on, mean_off, pareto_shape) ->
-      (* rate_on is scaled up so the long-run average matches rate_pps. *)
-      let duty = mean_on /. (mean_on +. mean_off) in
-      Traffic_gen.on_off sim ~rng ~rate_on_pps:(spec.rate_pps /. duty) ~mean_on
-        ~mean_off ?pareto_shape ~size_bytes:spec.size_bytes ~kind:Packet.Cross
-        ~dest ()
 
 (* Written as [not (x > 0.0)] so a NaN parameter fails too. *)
 let validate_cross c =
@@ -82,7 +69,6 @@ let chain sim ~rng ~hops ~tap_position ?tap_buffers ?dest () =
   in
   (* Build back to front so each hop knows its downstream port. *)
   let routers = Array.make n None in
-  let cross_sources = ref [] in
   let tap = ref None in
   let downstream = ref sink in
   for i = n - 1 downto 0 do
@@ -102,9 +88,10 @@ let chain sim ~rng ~hops ~tap_position ?tap_buffers ?dest () =
     routers.(i) <- Some router;
     (match (spec.cross, streams.(i)) with
     | Some cross, Some rng ->
-        cross_sources :=
-          start_cross sim ~rng ~spec:cross ~dest:(Router.port router)
-          :: !cross_sources
+        Link.attach_cross (Router.link router)
+          (Cross_train.create ~rng ~rate_pps:cross.rate_pps ~burst:cross.burst
+             ~start:(Desim.Sim.now sim))
+          ~size_bytes:cross.size_bytes
     | _ -> ());
     downstream := Router.port router
   done;
@@ -124,7 +111,6 @@ let chain sim ~rng ~hops ~tap_position ?tap_buffers ?dest () =
     entry = !downstream;
     tap;
     routers = Array.map Option.get routers;
-    cross_sources = !cross_sources;
     sink_count = (fun () -> !received);
   }
 
@@ -140,7 +126,7 @@ let stop_cross t =
     (fun r -> Obs.Metrics.observe h_utilization (Link.utilization (Router.link r)))
     t.routers;
   publish t;
-  List.iter Traffic_gen.stop t.cross_sources
+  Array.iter (fun r -> Link.stop_cross (Router.link r)) t.routers
 
 let note_utilization st ~now =
   Obs.Metrics.observe h_utilization (Linkstage.utilization st ~now)

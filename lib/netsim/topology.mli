@@ -1,10 +1,11 @@
 (** Assembly of multi-hop paths: sender gateway → router chain → receiver.
 
     Each hop is a {!Router} with an optional cross-traffic source feeding
-    the same output link; the adversary's tap can be spliced in front of
-    any hop (position 0 = right at the sender gateway output, the paper's
-    "best case for the adversary") or after the last hop (in front of the
-    receiver gateway, the campus/WAN placement).  [Scenarios.Fastpath]
+    the same output link (a {!Cross_train}, which runs with no events);
+    the adversary's tap can be spliced in front of any hop (position 0 =
+    right at the sender gateway output, the paper's "best case for the
+    adversary") or after the last hop (in front of the receiver gateway,
+    the campus/WAN placement).  [Scenarios.Fastpath]
     calls {!validate}, {!cross_streams} and {!note_utilization} when it
     runs a chain as fused {!Linkstage}s. *)
 
@@ -25,8 +26,7 @@ type hop_spec = {
 type t = {
   entry : Link.port;        (** where the sender gateway pushes packets *)
   tap : Tap.t;              (** the adversary's observation point *)
-  routers : Router.t array;
-  cross_sources : Traffic_gen.t list;
+  routers : Router.t array;  (** each output link holds its hop's cross train *)
   sink_count : unit -> int; (** padded packets that reached the far end *)
 }
 
@@ -52,7 +52,8 @@ val chain :
     in front of hop [tap_position] (so 0 observes the traffic exactly as it
     leaves the sender gateway); [tap_position = Array.length hops] places it
     after the final hop.  Raises [Invalid_argument] when {!validate}
-    rejects the spec.  Cross sources draw from {!cross_streams}.
+    rejects the spec.  Each hop's cross train ({!Link.attach_cross})
+    starts now and draws from its {!cross_streams} child.
     Packets surviving the last hop go to [dest] (default: a counting-only
     sink); [sink_count] counts padded packets reaching the far end either
     way.  [tap_buffers] is handed to {!Tap.create} for recording-storage
@@ -62,9 +63,8 @@ val publish : t -> unit
 (** {!Link.publish} every hop, in chain order. *)
 
 val stop_cross : t -> unit
-(** Stop all cross-traffic sources (used between experiment phases),
-    observe every hop's utilization in [netsim.link.utilization] and
-    {!publish}. *)
+(** Observe every hop's utilization in [netsim.link.utilization],
+    {!publish}, and stop every cross train (the end of a run). *)
 
 val note_utilization : Linkstage.t -> now:float -> unit
 (** Observe a fused stage's utilization at [now] in the same histogram. *)

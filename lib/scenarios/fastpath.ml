@@ -124,19 +124,15 @@ let try_run ~scenario ~rng_payload ~rng_gateway ~rng_cross ~timer
       done;
     Netsim.Fvec.append tap_times times
   in
-  (* Event-queue-depth surrogate for the desim.queue_hwm gauge: the two
-     periodic source records plus one per cross source, plus the pending
-     emission / in-flight transmission high-water marks.  Deterministic
-     per config (jobs-invariant) but NOT the event loop's exact
-     interleaved depth; excluded from the differential contract. *)
-  let n_cross =
-    Array.fold_left
-      (fun acc (h : Netsim.Topology.hop_spec) ->
-        if h.Netsim.Topology.cross = None then acc else acc + 1)
-      0 hops
-  in
+  (* Event-queue-depth surrogate for the desim.queue_hwm gauge: what
+     the event loop queues — the two periodic source records, the
+     gateway's pending emissions and each hop's pending padded finishes
+     and deliveries (cross traffic queues nothing), each at its
+     high-water mark.  Deterministic per config (jobs-invariant) but NOT
+     the event loop's exact interleaved depth; excluded from the
+     differential contract. *)
   let queue_hwm_surrogate () =
-    let acc = ref (2 + n_cross + Padding.Kernel.max_pending kgw) in
+    let acc = ref (2 + Padding.Kernel.max_pending kgw) in
     for i = 0 to n - 1 do
       acc := !acc + Netsim.Linkstage.max_pending stages.(i)
     done;

@@ -464,6 +464,41 @@ let test_reset_restores_determinism () =
   Alcotest.(check (list (pair (float 1e-12) int))) "reset = fresh" fresh
     (record sim)
 
+(* A train's events run where queued events would have popped them.  At
+   a time tie a train event comes after the events queued before its
+   vseq was taken (at registration, or while its previous event ran) and
+   before those queued after.  Each counts as one processed event,
+   dispatch_seq is its vseq while it runs, and a reset drops the
+   train. *)
+let test_train_tie_order () =
+  let sim = Desim.Sim.create () in
+  let log = ref [] in
+  let at name =
+    ignore
+      (Desim.Sim.at sim ~time:1.0 (fun () -> log := name :: !log)
+        : Desim.Sim.handle)
+  in
+  let next = Float.Array.make 1 1.0 in
+  let runs = ref 0 in
+  at "queued before";
+  Desim.Sim.add_train sim ~next (fun () ->
+      incr runs;
+      log := Printf.sprintf "train %d" (Desim.Sim.dispatch_seq sim) :: !log;
+      (* once more at the same time, vseq 2, then no further event *)
+      Float.Array.set next 0 (if !runs = 1 then 1.0 else infinity));
+  at "queued after";
+  Desim.Sim.run_until sim ~time:2.0;
+  Alcotest.(check (list string)) "queue order"
+    [ "queued before"; "train 1"; "queued after"; "train 2" ]
+    (List.rev !log);
+  Alcotest.(check int) "four events" 4 (Desim.Sim.events_processed sim);
+  Alcotest.(check int) "no dispatch outside run_until" max_int
+    (Desim.Sim.dispatch_seq sim);
+  Desim.Sim.reset sim;
+  Float.Array.set next 0 3.0;
+  Desim.Sim.run_until sim ~time:4.0;
+  Alcotest.(check int) "reset drops the train" 2 !runs
+
 let suite =
   [
     Alcotest.test_case "queue time order" `Quick test_queue_orders_by_time;
@@ -498,4 +533,5 @@ let suite =
     Alcotest.test_case "rearm" `Quick test_rearm;
     Alcotest.test_case "reset restores determinism" `Quick
       test_reset_restores_determinism;
+    Alcotest.test_case "train: queue order at ties" `Quick test_train_tie_order;
   ]

@@ -596,6 +596,76 @@ let test_event_loop_known_answers () =
         } );
     ]
 
+(* Known event counts for every event-loop-only config of the two
+   known-answer tests above: the [desim.events_processed] total of the
+   run.  It counts each cross arrival (dropped ones included), each
+   on/off phase change (an ON period ending, the next ON starting) and
+   each padded packet's events.  Recorded while every cross arrival and
+   phase change was a queued event, so accounting them any other way
+   must keep these totals. *)
+let test_event_loop_event_counts () =
+  let module S = Scenarios.System in
+  let hop ?(prop = 0.0) ?qlimit burst rate_pps =
+    {
+      Netsim.Topology.bandwidth_bps = 1e6;
+      propagation = prop;
+      queue_limit = qlimit;
+      cross = Some { Netsim.Topology.rate_pps; size_bytes = 400; burst };
+    }
+  in
+  let events cfg =
+    let was = Scenarios.Fastpath.enabled () in
+    Scenarios.Fastpath.set_enabled false;
+    Obs.Metrics.reset ();
+    Fun.protect ~finally:(fun () -> Scenarios.Fastpath.set_enabled was)
+    @@ fun () ->
+    ignore (S.run { cfg with S.warmup_piats = 50 } ~piats:300 : S.result);
+    Obs.Metrics.Snapshot.counter_value (Obs.Metrics.snapshot ())
+      "desim.events_processed"
+  in
+  List.iter
+    (fun (name, expected, cfg) -> Alcotest.(check int) name expected (events cfg))
+    [
+      ( "run, on/off cross",
+        2852,
+        {
+          S.default_config with
+          seed = 2024;
+          hops = Array.make 2 (hop ~prop:0.001 (`On_off (0.1, 0.4, None)) 120.0);
+          tap_position = 1;
+        } );
+      ( "on/off Pareto cross, queue limit 3",
+        2665,
+        {
+          S.default_config with
+          seed = 2025;
+          hops = [| hop ~qlimit:3 (`On_off (0.02, 0.03, Some 2.5)) 250.0 |];
+          tap_position = 1;
+        } );
+      ( "CBR payload behind Poisson cross",
+        2979,
+        {
+          S.default_config with
+          seed = 2026;
+          payload_model = S.Cbr_payload;
+          hops =
+            [| hop ~qlimit:2 `Poisson 150.0; hop ~prop:0.002 `Poisson 100.0 |];
+          tap_position = 2;
+        } );
+      ( "propagation on loaded hops",
+        3441,
+        {
+          S.default_config with
+          seed = 2027;
+          hops =
+            [|
+              hop ~prop:0.003 ~qlimit:4 `Poisson 200.0;
+              hop ~prop:0.001 (`On_off (0.1, 0.4, None)) 120.0;
+            |];
+          tap_position = 1;
+        } );
+    ]
+
 let suite =
   [
     Alcotest.test_case "system run counts" `Quick test_system_run_counts;
@@ -633,4 +703,6 @@ let suite =
       test_pair_ablation_known_answers;
     Alcotest.test_case "known answers: event-loop cross traffic" `Quick
       test_event_loop_known_answers;
+    Alcotest.test_case "known answers: event-loop event counts" `Quick
+      test_event_loop_event_counts;
   ]

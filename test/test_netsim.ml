@@ -281,41 +281,41 @@ let test_poisson_rate_and_iid () =
   Alcotest.(check bool) "exponential interarrivals" true
     (res.Stats.Hypothesis.p_value > 0.001)
 
+(* Run a cross train's events up to [until], calling [f] at each
+   arrival's time. *)
+let run_train train ~until f =
+  let times = Netsim.Cross_train.times train in
+  while Float.Array.get times 0 <= until do
+    let now = Float.Array.get times 0 in
+    if Netsim.Cross_train.step train then f now
+  done
+
 let test_on_off_average_rate () =
-  let sim = Desim.Sim.create () in
   let rng = Prng.Rng.create ~seed:103 in
   let count = ref 0 in
-  let _gen =
-    Netsim.Traffic_gen.on_off sim ~rng ~rate_on_pps:100.0 ~mean_on:0.5
-      ~mean_off:0.5 ~size_bytes:100 ~kind:Netsim.Packet.Cross
-      ~dest:(fun _ -> incr count)
-      ()
+  (* ON rate 50 / duty 0.5 = 100 pps *)
+  let train =
+    Netsim.Cross_train.create ~rng ~rate_pps:50.0
+      ~burst:(`On_off (0.5, 0.5, None)) ~start:0.0
   in
-  Desim.Sim.run_until sim ~time:200.0;
+  run_train train ~until:200.0 (fun _ -> incr count);
   (* duty 0.5 -> ~50 pps average *)
   let rate = float_of_int !count /. 200.0 in
   Alcotest.(check bool) "average rate ~ 50" true (rate > 40.0 && rate < 60.0)
 
 let test_on_off_burstier_than_poisson () =
-  let piat_cv source_seed on_off =
-    let sim = Desim.Sim.create () in
+  let piat_cv source_seed burst =
     let rng = Prng.Rng.create ~seed:source_seed in
     let times = Netsim.Fvec.create () in
-    let dest _ = Netsim.Fvec.push times (Desim.Sim.now sim) in
-    let _gen =
-      if on_off then
-        Netsim.Traffic_gen.on_off sim ~rng ~rate_on_pps:200.0 ~mean_on:0.2
-          ~mean_off:0.8 ~size_bytes:100 ~kind:Netsim.Packet.Cross ~dest ()
-      else
-        Netsim.Traffic_gen.poisson sim ~rng ~rate_pps:40.0 ~size_bytes:100
-          ~kind:Netsim.Packet.Cross ~dest ()
-    in
-    Desim.Sim.run_until sim ~time:300.0;
+    (* on/off: ON rate 40 / duty 0.2 = 200 pps *)
+    let train = Netsim.Cross_train.create ~rng ~rate_pps:40.0 ~burst ~start:0.0 in
+    run_train train ~until:300.0 (Netsim.Fvec.push times);
     let ts = Netsim.Fvec.to_array times in
     let piats = Array.init (Array.length ts - 1) (fun i -> ts.(i + 1) -. ts.(i)) in
     Stats.Descriptive.std piats /. Stats.Descriptive.mean piats
   in
-  let cv_poisson = piat_cv 104 false and cv_onoff = piat_cv 105 true in
+  let cv_poisson = piat_cv 104 `Poisson
+  and cv_onoff = piat_cv 105 (`On_off (0.2, 0.8, None)) in
   Alcotest.(check bool) "on/off has higher CV" true (cv_onoff > cv_poisson *. 1.2)
 
 let test_modulated_arrivals_track_rate () =
@@ -367,6 +367,15 @@ let test_chain_delivery_and_tap () =
   Alcotest.(check int) "tap saw all" 10 (Netsim.Tap.count topo.Netsim.Topology.tap);
   Alcotest.(check int) "sink got all" 10 (topo.Netsim.Topology.sink_count ())
 
+(* Arrivals a chain's cross trains generated. *)
+let cross_generated topo =
+  Array.fold_left
+    (fun acc r ->
+      match Netsim.Link.cross_train (Netsim.Router.link r) with
+      | Some train -> acc + Netsim.Cross_train.generated train
+      | None -> acc)
+    0 topo.Netsim.Topology.routers
+
 let test_chain_cross_does_not_reach_sink () =
   let sim = Desim.Sim.create () in
   let rng = Prng.Rng.create ~seed:108 in
@@ -382,10 +391,7 @@ let test_chain_cross_does_not_reach_sink () =
   topo.Netsim.Topology.entry (mk_packet ~size:500 sim);
   Desim.Sim.run_until sim ~time:2.0;
   Alcotest.(check int) "cross diverted before dest" 0 !cross_seen_at_dest;
-  Alcotest.(check bool) "cross flowed" true
-    (List.exists
-       (fun g -> Netsim.Traffic_gen.generated g > 0)
-       topo.Netsim.Topology.cross_sources);
+  Alcotest.(check bool) "cross flowed" true (cross_generated topo > 0);
   Netsim.Topology.stop_cross topo
 
 let test_chain_tap_positions_valid () =
@@ -511,11 +517,7 @@ let test_cross_one_event_per_packet () =
         Netsim.Topology.chain sim ~rng ~hops:[| hop |] ~tap_position:1 ()
       in
       Desim.Sim.run_until sim ~time:5.0;
-      let generated =
-        List.fold_left
-          (fun acc g -> acc + Netsim.Traffic_gen.generated g)
-          0 topo.Netsim.Topology.cross_sources
-      in
+      let generated = cross_generated topo in
       Alcotest.(check bool) (name ^ ": cross flowed") true (generated > 5000);
       Alcotest.(check int)
         (name ^ ": one event per cross packet")
@@ -531,6 +533,77 @@ let test_cross_one_event_per_packet () =
       Alcotest.(check int) (name ^ ": queue drained") 0
         (Netsim.Link.queue_depth (Netsim.Router.link router)))
     [ 0.0; 0.002 ]
+
+(* A padded send lands exactly on a cross train's first arrival.  The
+   arrival is no event: it must run where an event per arrival would
+   have popped — before a send scheduled after the chain was built,
+   after one scheduled before it.  A twin train on the hop's cross
+   stream gives the arrival time.  1000 bytes at 8000 b/s take 1 s, so
+   the first packet still holds the queue at the tie, and the second
+   leaves 1 s after it.  The outcomes are the ones an event per arrival
+   gives. *)
+let test_cross_train_tie_order () =
+  let seed = 113 and rate_pps = 0.2 in
+  (* The hop's cross stream is the seed root's one split child. *)
+  let twin =
+    Netsim.Cross_train.create
+      ~rng:(Prng.Rng.split (Prng.Rng.create ~seed))
+      ~rate_pps ~burst:`Poisson ~start:0.0
+  in
+  let times = Netsim.Cross_train.times twin in
+  let t1 = Float.Array.get times 0 in
+  ignore (Netsim.Cross_train.step twin : bool);
+  let t2 = Float.Array.get times 0 in
+  Alcotest.(check bool) "no second arrival before the horizon" true
+    (t2 > t1 +. 3.0);
+  let run ?queue_limit ~padded_first () =
+    Obs.Metrics.reset ();
+    let sim = Desim.Sim.create () in
+    let delivered = ref (-1.0) in
+    let entry = ref (fun (_ : Netsim.Packet.t) -> ()) in
+    let schedule_padded () =
+      ignore
+        (Desim.Sim.at sim ~time:t1 (fun () -> !entry (mk_packet sim))
+          : Desim.Sim.handle)
+    in
+    if padded_first then schedule_padded ();
+    let hop =
+      {
+        Netsim.Topology.bandwidth_bps = 8000.0;
+        propagation = 0.0;
+        queue_limit;
+        cross =
+          Some { Netsim.Topology.rate_pps; size_bytes = 1000; burst = `Poisson };
+      }
+    in
+    let topo =
+      Netsim.Topology.chain sim ~rng:(Prng.Rng.create ~seed) ~hops:[| hop |]
+        ~tap_position:1
+        ~dest:(fun _ -> delivered := Desim.Sim.now sim)
+        ()
+    in
+    entry := topo.Netsim.Topology.entry;
+    if not padded_first then schedule_padded ();
+    Desim.Sim.run_until sim ~time:(t1 +. 3.0);
+    let router = topo.Netsim.Topology.routers.(0) in
+    let link = Netsim.Router.link router in
+    Netsim.Link.publish link;
+    ( (Netsim.Link.dropped link, Netsim.Router.diverted router),
+      (gauge "netsim.link.queue_hwm", !delivered) )
+  in
+  let outcome = Alcotest.(pair (pair int int) (pair (float 0.0) (float 0.0))) in
+  Alcotest.check outcome "queue limit 1, padded first: the arrival is dropped"
+    ((1, 0), (1.0, t1 +. 1.0))
+    (run ~queue_limit:1 ~padded_first:true ());
+  Alcotest.check outcome "queue limit 1, chain first: the send is dropped"
+    ((1, 1), (1.0, -1.0))
+    (run ~queue_limit:1 ~padded_first:false ());
+  Alcotest.check outcome "unbounded, padded first: served first"
+    ((0, 1), (2.0, t1 +. 1.0))
+    (run ~padded_first:true ());
+  Alcotest.check outcome "unbounded, chain first: served second"
+    ((0, 1), (2.0, t1 +. 1.0 +. 1.0))
+    (run ~padded_first:false ())
 
 let suite =
   [
@@ -566,4 +639,6 @@ let suite =
       test_router_exit_tie_propagation;
     Alcotest.test_case "cross exit: one event per cross packet" `Quick
       test_cross_one_event_per_packet;
+    Alcotest.test_case "cross train: tie order at an arrival" `Quick
+      test_cross_train_tie_order;
   ]
